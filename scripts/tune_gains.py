@@ -15,16 +15,13 @@ import argparse
 import copy
 import math
 import sys
-from pathlib import Path
 
-import yaml
-
-from flapsim.config import bundled_config_path, config_from_dict
+from flapsim.config import bundled_config_path, config_from_dict, read_raw
 from flapsim.scenarios import run_scenario
 
 
 def load_raw(name: str) -> dict:
-    return yaml.safe_load(Path(bundled_config_path(name)).read_text())
+    return read_raw(bundled_config_path(name))
 
 
 def run(raw: dict):

@@ -7,7 +7,7 @@ area.  Lumped coefficients absorb air density, mean chord and the spanwise
 force distribution:
 
 * lift        f_L = c_lift * nu^2 * phi0^2 * S
-* damping     f_D = c_damp_rate * phi0 * nu * w * S + c_damp_accel * wdot * S
+* damping     f_D = c_damp_rate * phi0 * nu * w * S
   (force opposing a body rotation at rate ``w`` about an axis in the stroke
   plane, per wing)
 * steering    f_S = c_lift * S * sin(beta) * nu^2 * phi0^2, acting with moment
@@ -60,7 +60,6 @@ class WingConfig:
     stroke_inclination: float  # stroke-plane tilt beta [rad]
     c_lift: float  # lift coefficient [N s^2 / (rad^2 m^2)]
     c_damp_rate: float = 0.0  # rate-damping coefficient
-    c_damp_accel: float = 0.0  # acceleration-damping coefficient
     k_thrust: float = 1.0  # per-wing thrust per command unit [N/V]
     k_steer: float = 0.0  # per-wing steering force per command unit [N/V]
     lever_roll: float = 5.0e-3  # d1, lateral offset of each wing pair [m]
@@ -68,31 +67,6 @@ class WingConfig:
     lever_yaw: float = 8.0e-3  # d3, yaw moment arm of the steering force [m]
     steering_arm: float = 8.0e-3  # r_S, moment arm of f_S about body z [m]
     v_max: float = 260.0  # drive amplitude limit [V]
-
-    def validate(self) -> list[str]:
-        """Return a list of constraint violations (empty when valid)."""
-        errors = []
-        if not self.area > 0.0:
-            errors.append("wing area must be positive")
-        if not 0.0 < self.flap_amplitude <= 0.5 * math.pi:
-            errors.append(
-                "flap amplitude must lie in (0, pi/2] rad: each wing sweeps a "
-                "single quadrant"
-            )
-        if not self.flap_frequency > 0.0:
-            errors.append("flap frequency must be positive")
-        if not 0.0 <= self.stroke_inclination < 0.5 * math.pi:
-            errors.append("stroke-plane inclination must lie in [0, pi/2) rad")
-        if not self.k_thrust > 0.0:
-            errors.append("k_thrust must be positive")
-        if self.k_steer < 0.0:
-            errors.append("k_steer must be non-negative")
-        for name in ("lever_roll", "lever_pitch", "lever_yaw", "steering_arm"):
-            if not getattr(self, name) > 0.0:
-                errors.append(f"{name} must be positive")
-        if not self.v_max > 0.0:
-            errors.append("v_max must be positive")
-        return errors
 
 
 @dataclass(frozen=True)
@@ -132,25 +106,19 @@ def cycle_avg_lift(wing: WingConfig) -> float:
     )
 
 
-def cycle_avg_damping(
-    wing: WingConfig, body_rate: float, body_rate_dot: float = 0.0
-) -> float:
+def cycle_avg_damping(wing: WingConfig, body_rate: float) -> float:
     """Stroke-averaged damping force of one wing opposing a body rotation.
 
-    ``body_rate`` [rad/s] and ``body_rate_dot`` [rad/s^2] are the components
-    of the body angular motion about the relevant axis.  The first term grows
-    with the stroke speed phi0 * nu, the second is the reaction to angular
-    acceleration.
+    ``body_rate`` [rad/s] is the component of the body angular velocity about
+    the relevant axis; the force grows with the stroke speed phi0 * nu.
     """
-    rate_term = (
+    return (
         wing.c_damp_rate
         * wing.flap_amplitude
         * wing.flap_frequency
         * body_rate
         * wing.area
     )
-    accel_term = wing.c_damp_accel * body_rate_dot * wing.area
-    return rate_term + accel_term
 
 
 def steering_force_torque(wing: WingConfig) -> tuple[float, float]:

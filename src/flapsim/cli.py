@@ -10,9 +10,14 @@ import copy
 import sys
 from pathlib import Path
 
-import yaml
-
-from .config import ConfigError, config_from_dict, load_config, validate_config
+from .config import (
+    ConfigError,
+    config_from_dict,
+    load_config,
+    parse_yaml,
+    read_raw,
+    validate_config,
+)
 from .scenarios import compare_variants, lift_report, run_scenario
 
 EXIT_OK = 0
@@ -29,13 +34,14 @@ def _print_metrics(record) -> None:
         print(f"{key} = {record.extra_metrics[key]!r}")
 
 
+def _config_errors(errors: list[str], label: str = "config error") -> int:
+    for message in errors:
+        print(f"{label}: {message}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        for message in exc.errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_config(args.config)
     out = args.out if args.out else f"{config.name}_run.csv"
     record = run_scenario(config, seed=args.seed, out=out, duration=args.duration)
     _print_metrics(record)
@@ -49,21 +55,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     errors = validate_config(args.config)
     if errors:
-        for message in errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_errors(errors)
     print("ok")
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        config_a = load_config(args.config_a)
-        config_b = load_config(args.config_b)
-    except ConfigError as exc:
-        for message in exc.errors:
-            print(f"config error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+    config_a = load_config(args.config_a)
+    config_b = load_config(args.config_b)
     report = compare_variants(config_a, config_b)
     print(f"a: {config_a.name}    b: {config_b.name}")
     for metric, values in report.items():
@@ -86,29 +85,19 @@ def _set_by_path(raw: dict, dotted: str, value) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    path = Path(args.config)
-    try:
-        base_raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        print(f"config error: invalid YAML: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if base_raw is None:
-        base_raw = {}
+    base_raw = read_raw(args.config)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     worst = EXIT_OK
     leaf = args.param.split(".")[-1]
     for text in args.values.split(","):
-        value = yaml.safe_load(text)
         raw = copy.deepcopy(base_raw)
         try:
-            _set_by_path(raw, args.param, value)
+            _set_by_path(raw, args.param, parse_yaml(text))
             config = config_from_dict(raw)
         except ConfigError as exc:
-            for message in exc.errors:
-                print(f"config error ({text}): {message}", file=sys.stderr)
-            return EXIT_CONFIG
+            return _config_errors(exc.errors, f"config error ({text})")
         out = out_dir / f"{config.name}__{leaf}_{text.strip()}.csv"
         record = run_scenario(config, seed=args.seed, out=out, duration=args.duration)
         summary = " ".join(
@@ -160,7 +149,10 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        return _config_errors(exc.errors)
 
 
 if __name__ == "__main__":

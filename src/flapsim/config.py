@@ -19,20 +19,17 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 import yaml
 
-from .aero import WingConfig, yaw_damping_coefficient
-from .control import (
-    AltitudeGains,
-    AttitudeGains,
-    PositionGains,
-    Setpoint,
-)
+from .aero import WingConfig, cycle_avg_lift, yaw_damping_coefficient
+from .control import AltitudeGains, AttitudeGains, PositionGains, Setpoint
 from .dynamics import InertialConfig, VehicleState
 from .estimation import FilterConfig
 from .spatial import Quaternion
@@ -46,6 +43,8 @@ __all__ = [
     "DEFAULTS",
     "MODES",
     "load_config",
+    "read_raw",
+    "parse_yaml",
     "config_from_dict",
     "validate_config",
     "bundled_config_path",
@@ -62,87 +61,134 @@ _DEFAULT_C_LIFT = (_DESIGN_LIFT_N / 4.0) / (
     100.0**2 * _DESIGN_AMPLITUDE_RAD**2 * 50.0e-6
 )
 
-DEFAULTS: dict = {
-    "schema_version": 1,
-    "name": "run",
-    "mode": "altitude-attitude",
-    "duration_s": 5.0,
-    "seed": 0,
-    "rates": {
-        "control_hz": 2000.0,
-        "measurement_hz": 500.0,
-    },
-    "vehicle": {
-        "mass_mg": 95.0,
-        "inertia_kg_m2": [1.5e-9, 1.5e-9, 0.5e-9],
-        "gravity_m_per_s2": 9.81,
-        "n_wings": 4,
-        # "auto" derives the passive yaw damping from the wing model.
-        "yaw_damping_n_m_s": "auto",
-        "wing": {
-            "area_mm2": 50.0,
-            "flap_amplitude_deg": 65.0,
-            "flap_frequency_hz": 100.0,
-            "stroke_inclination_deg": 20.0,
-            "c_lift": _DEFAULT_C_LIFT,
-            # Sets the free yaw decay time constant to about 0.23 s at the
-            # default inertia.
-            "c_damp_rate": 1.2e-5,
-            "c_damp_accel": 0.0,
-            "k_thrust_n_per_v": 1.75e-6,
-            # "auto" = k_thrust * sin(stroke inclination).
-            "k_steer_n_per_v": "auto",
-            "lever_roll_mm": 5.0,
-            "lever_pitch_mm": 5.0,
-            "lever_yaw_mm": 8.0,
-            "steering_arm_mm": 8.0,
-            "v_max_v": 260.0,
-        },
-    },
-    "disturbance": {
-        "vibration_amplitude_n_m": 0.0,
-        "vibration_frequency_hz": 100.0,
-        "vibration_ramp_s": 0.5,
-    },
-    "control": {
-        # "estimated" closes the loop on the estimator output, "true" on the
-        # simulated state (useful for isolating estimator effects).
-        "feedback": "estimated",
-        "yaw_feedback": False,
-        "attitude_k1_n_m": [4.8e-6, 4.8e-6, 2.4e-6],
-        "attitude_k2_n_m_s": [1.5e-8, 1.5e-8, 8.0e-9],
-        "position_kp_n_per_m": [1.5e-3, 1.5e-3, 2.4e-3],
-        "position_kd_n_s_per_m": [6.8e-4, 6.8e-4, 9.5e-4],
-        "position_ki_n_per_m_s": [2.0e-4, 2.0e-4, 2.0e-3],
-        "position_integral_limit_m_s": 0.05,
-        "altitude_kp_n_per_m": 2.4e-3,
-        "altitude_kd_n_s_per_m": 9.5e-4,
-        "altitude_ki_n_per_m_s": 5.0e-4,
-        "altitude_integral_limit_m_s": 0.5,
-    },
-    "estimation": {
-        "rate_corner_hz": 30.0,
-        "velocity_corner_hz": 20.0,
-        "position_noise_std_mm": 0.0,
-        "attitude_noise_std_deg": 0.0,
-    },
-    "setpoint": {
-        "schedule": [
-            {"t_s": 0.0, "position_m": [0.0, 0.0, 0.0], "yaw_deg": 0.0},
-        ],
-    },
-    "initial": {
-        "position_m": [0.0, 0.0, 0.0],
-        "velocity_m_per_s": [0.0, 0.0, 0.0],
-        "attitude_rpy_deg": [0.0, 0.0, 0.0],
-        "omega_rad_per_s": [0.0, 0.0, 0.0],
-    },
-    "open_loop": {
-        "command_v": [0.0, 0.0, 0.0, 0.0],
-    },
-    # Second vehicle for yaw-damping-compare runs; same shape as "vehicle".
-    "comparison_vehicle": None,
-}
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Kinds: a test of the value as written and the message when it fails ("{!r}"
+# is the value, "{n}" the vector size).  Numbers go on to the SI checks.
+_NUMBER = (_is_number, "must be a number, got {!r}")
+_AUTO = (lambda v: v == "auto" or _is_number(v), 'must be a number or "auto"')
+_VECTOR = (lambda v: isinstance(v, (list, tuple)), "must be a list of {n} numbers")
+_SCHEDULE = (lambda v: isinstance(v, list) and len(v) > 0, "must be a non-empty list")
+_VERSION = (lambda v: v == 1, "expected 1, got {!r}")
+_NAME = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
+_MODE = (lambda v: v in MODES, f"must be one of {', '.join(MODES)}; got {{!r}}")
+_SEED = (lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+_FEEDBACK = (lambda v: v in ("estimated", "true"), 'must be "estimated" or "true"')
+_BOOL = (lambda v: isinstance(v, bool), "must be a boolean")
+
+# Bounds on the SI value: (test, message).
+_POSITIVE = (lambda x: x > 0.0, "must be positive")
+_NON_NEGATIVE = (lambda x: x >= 0.0, "must be non-negative")
+# Each wing sweeps a single quadrant of the stroke.
+_QUADRANT = (lambda x: 0.0 < x <= 0.5 * math.pi, "must lie in (0, 90] deg")
+_TILT = (lambda x: 0.0 <= x < 0.5 * math.pi, "must lie in [0, 90) deg")
+
+_DEG = math.radians
+_HZ = 2.0 * math.pi  # Hz -> rad/s
+
+
+class _Key(NamedTuple):
+    path: str  # dotted key path
+    default: Any
+    kind: Any = _NUMBER
+    bound: tuple | None = None
+    si: Any = 1.0  # unit -> SI: a factor, or a function such as math.radians
+
+
+# Keys of one setpoint schedule entry; omitted ones default to zero.
+_ENTRY = (
+    _Key("t_s", 0.0),
+    _Key("position_m", [0.0, 0.0, 0.0], _VECTOR),
+    _Key("yaw_deg", 0.0, si=_DEG),
+)
+
+
+def _tree(rows, leaf) -> dict:
+    """Nest ``leaf(row)`` for every row under its dotted path."""
+    tree: dict = {}
+    for row in rows:
+        *sections, key = row.path.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = leaf(row)
+    return tree
+
+
+# The single source of the keys: one row per key.  DEFAULTS, the checks, the
+# SI conversion and the error paths all derive from it; only the few rules
+# that span several keys are written out in config_from_dict.
+_SCHEMA = (
+    _Key("schema_version", 1, _VERSION),
+    _Key("name", "run", _NAME),
+    _Key("mode", "altitude-attitude", _MODE),
+    _Key("duration_s", 5.0, bound=_POSITIVE),
+    _Key("seed", 0, _SEED),
+    _Key("rates.control_hz", 2000.0, bound=_POSITIVE),
+    _Key("rates.measurement_hz", 500.0, bound=_POSITIVE),
+    _Key("vehicle.mass_mg", 95.0, bound=_POSITIVE, si=1e-6),
+    _Key("vehicle.inertia_kg_m2", [1.5e-9, 1.5e-9, 0.5e-9], _VECTOR, _POSITIVE),
+    _Key("vehicle.gravity_m_per_s2", 9.81, bound=_POSITIVE),
+    _Key("vehicle.n_wings", 4, _COUNT),
+    # "auto" derives the passive yaw damping from the wing model.
+    _Key("vehicle.yaw_damping_n_m_s", "auto", _AUTO, _NON_NEGATIVE),
+    _Key("vehicle.wing.area_mm2", 50.0, bound=_POSITIVE, si=1e-6),
+    _Key("vehicle.wing.flap_amplitude_deg", 65.0, bound=_QUADRANT, si=_DEG),
+    _Key("vehicle.wing.flap_frequency_hz", 100.0, bound=_POSITIVE),
+    _Key("vehicle.wing.stroke_inclination_deg", 20.0, bound=_TILT, si=_DEG),
+    _Key("vehicle.wing.c_lift", _DEFAULT_C_LIFT),
+    # Sets the free yaw decay time constant to about 0.23 s at the default
+    # inertia.
+    _Key("vehicle.wing.c_damp_rate", 1.2e-5),
+    _Key("vehicle.wing.k_thrust_n_per_v", 1.75e-6, bound=_POSITIVE),
+    # "auto" = k_thrust * sin(stroke inclination).
+    _Key("vehicle.wing.k_steer_n_per_v", "auto", _AUTO, _NON_NEGATIVE),
+    _Key("vehicle.wing.lever_roll_mm", 5.0, bound=_POSITIVE, si=1e-3),
+    _Key("vehicle.wing.lever_pitch_mm", 5.0, bound=_POSITIVE, si=1e-3),
+    _Key("vehicle.wing.lever_yaw_mm", 8.0, bound=_POSITIVE, si=1e-3),
+    _Key("vehicle.wing.steering_arm_mm", 8.0, bound=_POSITIVE, si=1e-3),
+    _Key("vehicle.wing.v_max_v", 260.0, bound=_POSITIVE),
+    _Key("disturbance.vibration_amplitude_n_m", 0.0, bound=_NON_NEGATIVE),
+    _Key("disturbance.vibration_frequency_hz", 100.0, bound=_POSITIVE),
+    _Key("disturbance.vibration_ramp_s", 0.5, bound=_NON_NEGATIVE),
+    # "estimated" closes the loop on the estimator output, "true" on the
+    # simulated state (useful for isolating estimator effects).
+    _Key("control.feedback", "estimated", _FEEDBACK),
+    _Key("control.yaw_feedback", False, _BOOL),
+    _Key("control.attitude_k1_n_m", [4.8e-6, 4.8e-6, 2.4e-6], _VECTOR, _POSITIVE),
+    _Key("control.attitude_k2_n_m_s", [1.5e-8, 1.5e-8, 8.0e-9], _VECTOR, _POSITIVE),
+    _Key("control.position_kp_n_per_m", [1.5e-3, 1.5e-3, 2.4e-3], _VECTOR, _POSITIVE),
+    _Key("control.position_kd_n_s_per_m", [6.8e-4, 6.8e-4, 9.5e-4], _VECTOR, _POSITIVE),
+    _Key("control.position_ki_n_per_m_s", [2.0e-4, 2.0e-4, 2.0e-3], _VECTOR, _POSITIVE),
+    _Key("control.position_integral_limit_m_s", 0.05, bound=_POSITIVE),
+    _Key("control.altitude_kp_n_per_m", 2.4e-3, bound=_POSITIVE),
+    _Key("control.altitude_kd_n_s_per_m", 9.5e-4, bound=_POSITIVE),
+    _Key("control.altitude_ki_n_per_m_s", 5.0e-4, bound=_POSITIVE),
+    _Key("control.altitude_integral_limit_m_s", 0.5, bound=_POSITIVE),
+    _Key("estimation.rate_corner_hz", 30.0, bound=_POSITIVE, si=_HZ),
+    _Key("estimation.velocity_corner_hz", 20.0, bound=_POSITIVE, si=_HZ),
+    _Key("estimation.position_noise_std_mm", 0.0, bound=_NON_NEGATIVE, si=1e-3),
+    _Key("estimation.attitude_noise_std_deg", 0.0, bound=_NON_NEGATIVE, si=_DEG),
+    _Key("setpoint.schedule", [_tree(_ENTRY, lambda row: row.default)], _SCHEDULE),
+    _Key("initial.position_m", [0.0, 0.0, 0.0], _VECTOR),
+    _Key("initial.velocity_m_per_s", [0.0, 0.0, 0.0], _VECTOR),
+    _Key("initial.attitude_rpy_deg", [0.0, 0.0, 0.0], _VECTOR, si=_DEG),
+    _Key("initial.omega_rad_per_s", [0.0, 0.0, 0.0], _VECTOR),
+    _Key("open_loop.command_v", [0.0, 0.0, 0.0, 0.0], _VECTOR),
+)
+
+_SPEC = _tree(_SCHEMA, lambda row: row)
+_ENTRY_SPEC = _tree(_ENTRY, lambda row: row)
+DEFAULTS: dict = _tree(_SCHEMA, lambda row: copy.deepcopy(row.default))
+DEFAULTS["comparison_vehicle"] = None  # a second "vehicle" for yaw-damping-compare
 
 
 class ConfigError(ValueError):
@@ -170,8 +216,6 @@ class VehicleParams:
 
     @property
     def total_lift(self) -> float:
-        from .aero import cycle_avg_lift
-
         return self.n_wings * cycle_avg_lift(self.wing)
 
     @property
@@ -277,275 +321,109 @@ class SimConfig:
         )
 
 
-def _merge(base: dict, override: dict, path: str, errors: list[str]) -> dict:
-    """Deep-merge ``override`` onto a copy of ``base``, flagging unknown keys."""
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            errors.append(f"{where}: unknown key")
-            continue
-        if key == "comparison_vehicle":
-            if value is None:
-                merged[key] = None
-            elif isinstance(value, dict):
-                merged[key] = _merge(DEFAULTS["vehicle"], value, where, errors)
-            else:
-                errors.append(f"{where}: must be a mapping or null")
-        elif isinstance(base[key], dict):
-            if isinstance(value, dict):
-                merged[key] = _merge(base[key], value, where, errors)
-            else:
-                errors.append(f"{where}: must be a mapping")
-        else:
-            merged[key] = value
-    return merged
+def _complete(si: dict) -> bool:
+    return all(value is not None for value in si.values())
 
 
-def _number(d: dict, key: str, path: str, errors: list[str]) -> float | None:
-    value = d.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{path}.{key}: must be a number, got {value!r}")
-        return None
-    return float(value)
-
-
-def _vector(
-    d: dict, key: str, path: str, errors: list[str], size: int = 3
-) -> np.ndarray | None:
-    value = d.get(key)
-    if not isinstance(value, (list, tuple)) or len(value) != size:
-        errors.append(f"{path}.{key}: must be a list of {size} numbers")
-        return None
+def _to_si(value, si) -> float:
     try:
-        vec = np.array([float(v) for v in value])
-    except (TypeError, ValueError):
-        errors.append(f"{path}.{key}: must be a list of {size} numbers")
-        return None
-    if not np.isfinite(vec).all():
-        errors.append(f"{path}.{key}: entries must be finite")
-        return None
-    return vec
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    return si(value) if callable(si) else value * si
 
 
-def _build_wing(section: dict, path: str, errors: list[str]) -> WingConfig | None:
-    vals = {}
-    for key in (
-        "area_mm2",
-        "flap_amplitude_deg",
-        "flap_frequency_hz",
-        "stroke_inclination_deg",
-        "c_lift",
-        "c_damp_rate",
-        "c_damp_accel",
-        "k_thrust_n_per_v",
-        "lever_roll_mm",
-        "lever_pitch_mm",
-        "lever_yaw_mm",
-        "steering_arm_mm",
-        "v_max_v",
-    ):
-        vals[key] = _number(section, key, path, errors)
-
-    k_steer = section.get("k_steer_n_per_v")
-    if k_steer != "auto":
-        if isinstance(k_steer, bool) or not isinstance(k_steer, (int, float)):
-            errors.append(f'{path}.k_steer_n_per_v: must be a number or "auto"')
-            k_steer = None
+def _walk(spec: dict, user, path: str, errors: list[str]) -> tuple[dict, dict]:
+    """Merge ``user`` onto ``spec``; return it and its SI values (None if invalid)."""
+    if not isinstance(user, dict):
+        errors.append(f"{path}: must be a mapping")
+        user = {}
+    prefix = f"{path}." if path else ""
+    errors.extend(f"{prefix}{key}: unknown key" for key in user if key not in spec)
+    merged, si = {}, {}
+    for key, node in spec.items():
+        if isinstance(node, dict):
+            merged[key], section = _walk(node, user.get(key, {}), prefix + key, errors)
+            si[key] = section if _complete(section) else None
         else:
-            k_steer = float(k_steer)
+            merged[key] = user[key] if key in user else copy.deepcopy(node.default)
+            si[key] = _check(node, merged[key], prefix + key, errors)
+    return merged, si
 
-    if any(v is None for v in vals.values()) or k_steer is None:
-        return None
 
+def _check(key: _Key, value, where: str, errors: list[str]):
+    """SI value of one key, or None after recording why it is invalid."""
+    test, problem = key.kind
+    size = len(key.default) if key.kind is _VECTOR else None
+    if test(value) and (size is None or len(value) == size):
+        if key.kind is _SCHEDULE:
+            return _schedule(value, errors)
+        if key.kind not in (_NUMBER, _AUTO, _VECTOR) or value == "auto":
+            return value
+        try:
+            si = [_to_si(v, key.si) for v in value] if size else _to_si(value, key.si)
+        except (TypeError, ValueError):
+            si = None  # a vector entry that is not a number
+        if si is not None:
+            si, each = (np.array(si), "entries ") if size else (si, "")
+            if not np.isfinite(si).all():
+                problem = each + "must be finite"
+            elif key.bound and not np.all(key.bound[0](si)):
+                problem = each + key.bound[1]
+            else:
+                return si
+    errors.append(f"{where}: {problem.format(value, n=size)}")
+    return None
+
+
+def _schedule(entries: list, errors: list[str]) -> list[tuple[float, Setpoint]]:
+    schedule: list[tuple[float, Setpoint]] = []
+    for i, entry in enumerate(entries):
+        where = f"setpoint.schedule[{i}]"
+        _, si = _walk(_ENTRY_SPEC, entry, where, errors)
+        if not isinstance(entry, dict) or not _complete(si):
+            continue
+        t = si["t_s"]
+        if i == 0 and t != 0.0:
+            errors.append(f"{where}.t_s: first entry must start at 0")
+        if schedule and t <= schedule[-1][0]:
+            errors.append(f"{where}.t_s: times must be strictly increasing")
+        schedule.append((t, Setpoint(position=si["position_m"], yaw=si["yaw_deg"])))
+    return schedule
+
+
+def _vehicle(v: dict) -> VehicleParams:
+    """Assemble a vehicle from the SI values of a checked vehicle section."""
+    w = v["wing"]
+    k_steer = w["k_steer_n_per_v"]
     if k_steer == "auto":
-        k_steer = vals["k_thrust_n_per_v"] * math.sin(
-            math.radians(vals["stroke_inclination_deg"])
-        )
-
+        k_steer = w["k_thrust_n_per_v"] * math.sin(w["stroke_inclination_deg"])
     wing = WingConfig(
-        area=vals["area_mm2"] * 1e-6,
-        flap_amplitude=math.radians(vals["flap_amplitude_deg"]),
-        flap_frequency=vals["flap_frequency_hz"],
-        stroke_inclination=math.radians(vals["stroke_inclination_deg"]),
-        c_lift=vals["c_lift"],
-        c_damp_rate=vals["c_damp_rate"],
-        c_damp_accel=vals["c_damp_accel"],
-        k_thrust=vals["k_thrust_n_per_v"],
+        area=w["area_mm2"],
+        flap_amplitude=w["flap_amplitude_deg"],
+        flap_frequency=w["flap_frequency_hz"],
+        stroke_inclination=w["stroke_inclination_deg"],
+        c_lift=w["c_lift"],
+        c_damp_rate=w["c_damp_rate"],
+        k_thrust=w["k_thrust_n_per_v"],
         k_steer=k_steer,
-        lever_roll=vals["lever_roll_mm"] * 1e-3,
-        lever_pitch=vals["lever_pitch_mm"] * 1e-3,
-        lever_yaw=vals["lever_yaw_mm"] * 1e-3,
-        steering_arm=vals["steering_arm_mm"] * 1e-3,
-        v_max=vals["v_max_v"],
+        lever_roll=w["lever_roll_mm"],
+        lever_pitch=w["lever_pitch_mm"],
+        lever_yaw=w["lever_yaw_mm"],
+        steering_arm=w["steering_arm_mm"],
+        v_max=w["v_max_v"],
     )
-    for message in wing.validate():
-        errors.append(f"{path}: {message}")
-    return wing
-
-
-def _build_vehicle(section: dict, path: str, errors: list[str]) -> VehicleParams | None:
-    mass_mg = _number(section, "mass_mg", path, errors)
-    gravity = _number(section, "gravity_m_per_s2", path, errors)
-    inertia = _vector(section, "inertia_kg_m2", path, errors)
-    n_wings = section.get("n_wings")
-    if not isinstance(n_wings, int) or isinstance(n_wings, bool) or n_wings < 1:
-        errors.append(f"{path}.n_wings: must be a positive integer")
-        n_wings = None
-    wing = _build_wing(section.get("wing", {}), f"{path}.wing", errors)
-
-    if mass_mg is not None and mass_mg <= 0.0:
-        errors.append(f"{path}.mass_mg: must be positive")
-    if gravity is not None and gravity <= 0.0:
-        errors.append(f"{path}.gravity_m_per_s2: must be positive")
-    if inertia is not None and not (inertia > 0.0).all():
-        errors.append(f"{path}.inertia_kg_m2: entries must be positive")
-
-    yaw_damping = section.get("yaw_damping_n_m_s")
-    if yaw_damping != "auto":
-        if isinstance(yaw_damping, bool) or not isinstance(yaw_damping, (int, float)):
-            errors.append(f'{path}.yaw_damping_n_m_s: must be a number or "auto"')
-            yaw_damping = None
-        elif yaw_damping < 0.0:
-            errors.append(f"{path}.yaw_damping_n_m_s: must be non-negative")
-
-    if (
-        mass_mg is None
-        or gravity is None
-        or inertia is None
-        or n_wings is None
-        or wing is None
-        or yaw_damping is None
-        or wing.validate()
-        or mass_mg <= 0.0
-        or gravity <= 0.0
-        or not (inertia > 0.0).all()
-    ):
-        return None
-
+    yaw_damping = v["yaw_damping_n_m_s"]
     if yaw_damping == "auto":
-        yaw_damping = yaw_damping_coefficient(wing, n_wings)
-
+        yaw_damping = yaw_damping_coefficient(wing, v["n_wings"])
     return VehicleParams(
-        mass=mass_mg * 1e-6,
-        inertia_diag=inertia,
-        gravity=gravity,
-        n_wings=n_wings,
+        mass=v["mass_mg"],
+        inertia_diag=v["inertia_kg_m2"],
+        gravity=v["gravity_m_per_s2"],
+        n_wings=v["n_wings"],
         wing=wing,
         yaw_damping=float(yaw_damping),
     )
-
-
-def _positive_vector(
-    section: dict, key: str, path: str, errors: list[str]
-) -> np.ndarray | None:
-    vec = _vector(section, key, path, errors)
-    if vec is not None and not (vec > 0.0).all():
-        errors.append(f"{path}.{key}: entries must be positive")
-        return None
-    return vec
-
-
-def _build_control(section: dict, errors: list[str]) -> ControlParams | None:
-    path = "control"
-    k1 = _positive_vector(section, "attitude_k1_n_m", path, errors)
-    k2 = _positive_vector(section, "attitude_k2_n_m_s", path, errors)
-    kp = _positive_vector(section, "position_kp_n_per_m", path, errors)
-    kd = _positive_vector(section, "position_kd_n_s_per_m", path, errors)
-    ki = _positive_vector(section, "position_ki_n_per_m_s", path, errors)
-    pos_ilim = _number(section, "position_integral_limit_m_s", path, errors)
-    alt_kp = _number(section, "altitude_kp_n_per_m", path, errors)
-    alt_kd = _number(section, "altitude_kd_n_s_per_m", path, errors)
-    alt_ki = _number(section, "altitude_ki_n_per_m_s", path, errors)
-    alt_ilim = _number(section, "altitude_integral_limit_m_s", path, errors)
-
-    for key, value in (
-        ("position_integral_limit_m_s", pos_ilim),
-        ("altitude_kp_n_per_m", alt_kp),
-        ("altitude_kd_n_s_per_m", alt_kd),
-        ("altitude_ki_n_per_m_s", alt_ki),
-        ("altitude_integral_limit_m_s", alt_ilim),
-    ):
-        if value is not None and value <= 0.0:
-            errors.append(f"{path}.{key}: must be positive")
-
-    feedback = section.get("feedback")
-    if feedback not in ("estimated", "true"):
-        errors.append(f'{path}.feedback: must be "estimated" or "true"')
-    yaw_feedback = section.get("yaw_feedback")
-    if not isinstance(yaw_feedback, bool):
-        errors.append(f"{path}.yaw_feedback: must be a boolean")
-
-    values = (k1, k2, kp, kd, ki, pos_ilim, alt_kp, alt_kd, alt_ki, alt_ilim)
-    if any(v is None for v in values):
-        return None
-    return ControlParams(
-        attitude=AttitudeGains(attitude=k1, rate=k2),
-        position=PositionGains(kp=kp, kd=kd, ki=ki, integral_limit=pos_ilim),
-        altitude=AltitudeGains(kp=alt_kp, kd=alt_kd, ki=alt_ki, integral_limit=alt_ilim),
-        yaw_feedback=bool(yaw_feedback),
-        feedback=feedback if feedback in ("estimated", "true") else "estimated",
-    )
-
-
-def _build_estimation(section: dict, errors: list[str]) -> EstimationParams | None:
-    path = "estimation"
-    rate_hz = _number(section, "rate_corner_hz", path, errors)
-    vel_hz = _number(section, "velocity_corner_hz", path, errors)
-    pos_noise = _number(section, "position_noise_std_mm", path, errors)
-    att_noise = _number(section, "attitude_noise_std_deg", path, errors)
-    for key, value in (("rate_corner_hz", rate_hz), ("velocity_corner_hz", vel_hz)):
-        if value is not None and value <= 0.0:
-            errors.append(f"{path}.{key}: must be positive")
-    for key, value in (
-        ("position_noise_std_mm", pos_noise),
-        ("attitude_noise_std_deg", att_noise),
-    ):
-        if value is not None and value < 0.0:
-            errors.append(f"{path}.{key}: must be non-negative")
-    if None in (rate_hz, vel_hz, pos_noise, att_noise):
-        return None
-    return EstimationParams(
-        rate_corner=2.0 * math.pi * rate_hz,
-        velocity_corner=2.0 * math.pi * vel_hz,
-        position_noise_std=pos_noise * 1e-3,
-        attitude_noise_std=math.radians(att_noise),
-    )
-
-
-def _build_schedule(
-    section: dict, errors: list[str]
-) -> list[tuple[float, Setpoint]] | None:
-    entries = section.get("schedule")
-    if not isinstance(entries, list) or not entries:
-        errors.append("setpoint.schedule: must be a non-empty list")
-        return None
-    schedule: list[tuple[float, Setpoint]] = []
-    previous_t = None
-    for i, entry in enumerate(entries):
-        path = f"setpoint.schedule[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{path}: must be a mapping")
-            continue
-        for key in entry:
-            if key not in ("t_s", "position_m", "yaw_deg"):
-                errors.append(f"{path}.{key}: unknown key")
-        t = _number(entry, "t_s", path, errors) if "t_s" in entry else 0.0
-        pos = (
-            _vector(entry, "position_m", path, errors)
-            if "position_m" in entry
-            else np.zeros(3)
-        )
-        yaw = _number(entry, "yaw_deg", path, errors) if "yaw_deg" in entry else 0.0
-        if t is None or pos is None or yaw is None:
-            continue
-        if i == 0 and t != 0.0:
-            errors.append(f"{path}.t_s: first entry must start at 0")
-        if previous_t is not None and t <= previous_t:
-            errors.append(f"{path}.t_s: times must be strictly increasing")
-        previous_t = t
-        schedule.append((t, Setpoint(position=pos, yaw=math.radians(yaw))))
-    return schedule or None
 
 
 def config_from_dict(user: dict) -> SimConfig:
@@ -553,138 +431,128 @@ def config_from_dict(user: dict) -> SimConfig:
 
     Raises ConfigError listing every violation with its key path.
     """
-    errors: list[str] = []
     if not isinstance(user, dict):
         raise ConfigError(["config root must be a mapping"])
-    merged = _merge(DEFAULTS, user, "", errors)
-
-    if merged.get("schema_version") != 1:
-        errors.append(f"schema_version: expected 1, got {merged.get('schema_version')!r}")
-    name = merged.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append("name: must be a non-empty string")
-        name = "run"
-    mode = merged.get("mode")
-    if mode not in MODES:
-        errors.append(f"mode: must be one of {', '.join(MODES)}; got {mode!r}")
-    duration = _number(merged, "duration_s", "", errors)
-    if duration is not None and duration <= 0.0:
-        errors.append("duration_s: must be positive")
-    seed = merged.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.append("seed: must be a non-negative integer")
-        seed = 0
-
-    rates = merged["rates"]
-    control_hz = _number(rates, "control_hz", "rates", errors)
-    measurement_hz = _number(rates, "measurement_hz", "rates", errors)
-    if control_hz is not None and control_hz <= 0.0:
-        errors.append("rates.control_hz: must be positive")
-    if measurement_hz is not None and measurement_hz <= 0.0:
-        errors.append("rates.measurement_hz: must be positive")
-    if (
-        control_hz
-        and measurement_hz
-        and control_hz > 0.0
-        and measurement_hz > 0.0
-        and abs(control_hz / measurement_hz - round(control_hz / measurement_hz)) > 1e-9
-    ):
-        errors.append("rates: control_hz must be an integer multiple of measurement_hz")
-
-    vehicle = _build_vehicle(merged["vehicle"], "vehicle", errors)
-    comparison = None
-    if merged.get("comparison_vehicle") is not None:
-        comparison = _build_vehicle(
-            merged["comparison_vehicle"], "comparison_vehicle", errors
+    errors: list[str] = []
+    top = {key: value for key, value in user.items() if key != "comparison_vehicle"}
+    merged, si = _walk(_SPEC, top, "", errors)
+    comparison = merged["comparison_vehicle"] = user.get("comparison_vehicle")
+    if isinstance(comparison, dict):
+        merged["comparison_vehicle"], comparison = _walk(
+            _SPEC["vehicle"], comparison, "comparison_vehicle", errors
         )
-    if mode == "yaw-damping-compare" and merged.get("comparison_vehicle") is None:
-        errors.append("comparison_vehicle: required for mode yaw-damping-compare")
+    elif comparison is not None:
+        errors.append("comparison_vehicle: must be a mapping or null")
+        merged["comparison_vehicle"] = None
 
-    if vehicle is not None and mode in ("altitude-attitude", "position-hold"):
-        if vehicle.n_wings != 4:
+    # Rules that span several keys; each runs once the keys it reads are valid.
+    mode, rates = merged["mode"], si["rates"]
+    if rates is not None:
+        ratio = rates["control_hz"] / rates["measurement_hz"]
+        if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
+            errors.append(
+                "rates: control_hz must be an integer multiple of measurement_hz"
+            )
+    if mode == "yaw-damping-compare" and merged["comparison_vehicle"] is None:
+        errors.append("comparison_vehicle: required for mode yaw-damping-compare")
+    vehicle = si["vehicle"] and _vehicle(si["vehicle"])
+    if vehicle is not None:
+        wing = vehicle.wing
+        if mode in ("altitude-attitude", "position-hold") and vehicle.n_wings != 4:
             errors.append(
                 "vehicle.n_wings: closed-loop control requires the four-wing layout"
             )
-    if vehicle is not None and mode is not None and mode != "open-loop":
-        if vehicle.wing.k_steer == 0.0:
+        if mode is not None and mode != "open-loop" and wing.k_steer == 0.0:
             errors.append(
                 "vehicle.wing.k_steer_n_per_v: zero steering gain makes the "
                 "mixing matrix singular"
             )
-
-    disturbance = merged["disturbance"]
-    vib_amp = _number(disturbance, "vibration_amplitude_n_m", "disturbance", errors)
-    vib_freq = _number(disturbance, "vibration_frequency_hz", "disturbance", errors)
-    vib_ramp = _number(disturbance, "vibration_ramp_s", "disturbance", errors)
-    if vib_amp is not None and vib_amp < 0.0:
-        errors.append("disturbance.vibration_amplitude_n_m: must be non-negative")
-    if vib_freq is not None and vib_freq <= 0.0:
-        errors.append("disturbance.vibration_frequency_hz: must be positive")
-    if vib_ramp is not None and vib_ramp < 0.0:
-        errors.append("disturbance.vibration_ramp_s: must be non-negative")
-
-    control = _build_control(merged["control"], errors)
-    estimation = _build_estimation(merged["estimation"], errors)
-    schedule = _build_schedule(merged["setpoint"], errors)
-
-    initial = merged["initial"]
-    init_pos = _vector(initial, "position_m", "initial", errors)
-    init_vel = _vector(initial, "velocity_m_per_s", "initial", errors)
-    init_rpy = _vector(initial, "attitude_rpy_deg", "initial", errors)
-    init_omega = _vector(initial, "omega_rad_per_s", "initial", errors)
-
-    open_loop = merged["open_loop"]
-    command = _vector(open_loop, "command_v", "open_loop", errors, size=4)
-    if command is not None and vehicle is not None:
-        if (command < 0.0).any() or (command > vehicle.wing.v_max).any():
+        command = si["open_loop"] and si["open_loop"]["command_v"]
+        if command is not None and not all(0.0 <= v <= wing.v_max for v in command):
             errors.append("open_loop.command_v: entries must lie in [0, v_max]")
-
     if errors:
         raise ConfigError(errors)
-    assert vehicle is not None and control is not None
-    assert estimation is not None and schedule is not None
-    assert duration is not None and control_hz is not None and measurement_hz is not None
-    assert init_pos is not None and init_vel is not None
-    assert init_rpy is not None and init_omega is not None and command is not None
 
+    c, estimation, initial = si["control"], si["estimation"], si["initial"]
     return SimConfig(
-        name=name,
+        name=merged["name"],
         mode=mode,
-        duration=duration,
-        seed=seed,
-        control_rate=control_hz,
-        measurement_rate=measurement_hz,
+        duration=si["duration_s"],
+        seed=merged["seed"],
+        control_rate=rates["control_hz"],
+        measurement_rate=rates["measurement_hz"],
         vehicle=vehicle,
-        comparison_vehicle=comparison,
-        vibration_amplitude=vib_amp,
-        vibration_frequency=vib_freq,
-        vibration_ramp=vib_ramp,
-        control=control,
-        estimation=estimation,
-        schedule=schedule,
-        initial_position=init_pos,
-        initial_velocity=init_vel,
-        initial_attitude=Quaternion.from_euler_zyx(
-            math.radians(init_rpy[0]),
-            math.radians(init_rpy[1]),
-            math.radians(init_rpy[2]),
+        comparison_vehicle=comparison and _vehicle(comparison),
+        vibration_amplitude=si["disturbance"]["vibration_amplitude_n_m"],
+        vibration_frequency=si["disturbance"]["vibration_frequency_hz"],
+        vibration_ramp=si["disturbance"]["vibration_ramp_s"],
+        control=ControlParams(
+            attitude=AttitudeGains(c["attitude_k1_n_m"], c["attitude_k2_n_m_s"]),
+            position=PositionGains(
+                kp=c["position_kp_n_per_m"],
+                kd=c["position_kd_n_s_per_m"],
+                ki=c["position_ki_n_per_m_s"],
+                integral_limit=c["position_integral_limit_m_s"],
+            ),
+            altitude=AltitudeGains(
+                kp=c["altitude_kp_n_per_m"],
+                kd=c["altitude_kd_n_s_per_m"],
+                ki=c["altitude_ki_n_per_m_s"],
+                integral_limit=c["altitude_integral_limit_m_s"],
+            ),
+            yaw_feedback=c["yaw_feedback"],
+            feedback=c["feedback"],
         ),
-        initial_omega=init_omega,
-        open_loop_command=command,
+        estimation=EstimationParams(
+            rate_corner=estimation["rate_corner_hz"],
+            velocity_corner=estimation["velocity_corner_hz"],
+            position_noise_std=estimation["position_noise_std_mm"],
+            attitude_noise_std=estimation["attitude_noise_std_deg"],
+        ),
+        schedule=si["setpoint"]["schedule"],
+        initial_position=initial["position_m"],
+        initial_velocity=initial["velocity_m_per_s"],
+        initial_attitude=Quaternion.from_euler_zyx(*initial["attitude_rpy_deg"]),
+        initial_omega=initial["omega_rad_per_s"],
+        open_loop_command=si["open_loop"]["command_v"],
         raw=merged,
     )
 
 
-def load_config(path: str | Path) -> SimConfig:
-    """Load and validate a scenario file."""
-    text = Path(path).read_text()
+class _Loader(yaml.SafeLoader):
+    """Safe YAML loader that also reads exponent floats without a dot (1e-3)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
+def parse_yaml(text: str):
+    """Parse YAML text as config files are parsed."""
     try:
-        raw = yaml.safe_load(text)
+        return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"invalid YAML: {exc}"]) from exc
+
+
+def read_raw(path: str | Path) -> dict:
+    """Read a scenario file into its unvalidated mapping."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([str(exc)]) from exc
+    raw = parse_yaml(text)
     if raw is None:
         raise ConfigError(["empty config file"])
-    return config_from_dict(raw)
+    return raw
+
+
+def load_config(path: str | Path) -> SimConfig:
+    """Load and validate a scenario file."""
+    return config_from_dict(read_raw(path))
 
 
 def validate_config(path: str | Path) -> list[str]:
@@ -693,8 +561,6 @@ def validate_config(path: str | Path) -> list[str]:
         load_config(path)
     except ConfigError as exc:
         return exc.errors
-    except OSError as exc:
-        return [str(exc)]
     return []
 
 
@@ -705,7 +571,4 @@ def bundled_config_path(name: str) -> Path:
 
 def default_vehicle() -> VehicleParams:
     """The stock four-wing vehicle built from the calibrated defaults."""
-    errors: list[str] = []
-    vehicle = _build_vehicle(copy.deepcopy(DEFAULTS["vehicle"]), "vehicle", errors)
-    assert vehicle is not None and not errors
-    return vehicle
+    return _vehicle(_walk(_SPEC["vehicle"], {}, "vehicle", [])[1])

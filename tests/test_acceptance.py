@@ -9,9 +9,12 @@ Run with::
     pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
+import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +34,9 @@ BUNDLED = (
     "position_sat.cfg",
     "two_wing.cfg",
 )
+# Behaviour pins: CSV digest and metric reprs of each bundled scenario.
+# Regenerate with scripts/regen_golden.py when a change moves a float.
+GOLDEN = Path(__file__).parent / "golden" / "bundled.json"
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -349,21 +355,34 @@ def test_criterion_8_quaternion_properties():
     )
 
 
+def pin(record, csv_path: Path) -> dict:
+    """The pinned figures of one run: CSV sha256 and exact metric reprs."""
+    return {
+        "csv_sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+        "metrics": {k: repr(v) for k, v in sorted(record.metrics.items())},
+        "extra_metrics": {k: repr(v) for k, v in sorted(record.extra_metrics.items())},
+    }
+
+
 def test_criterion_9_determinism(tmp_path):
-    mismatched = []
+    golden = json.loads(GOLDEN.read_text())
+    mismatched, drifted = [], []
     for name in BUNDLED:
         config = load_config(bundled_config_path(name))
         a = tmp_path / f"{config.name}_a.csv"
         b = tmp_path / f"{config.name}_b.csv"
-        run_scenario(config, out=a)
+        record = run_scenario(config, out=a)
         run_scenario(config, out=b)
         if a.read_bytes() != b.read_bytes():
             mismatched.append(name)
-    ok = not mismatched
+        if pin(record, a) != golden[name]:
+            drifted.append(name)
+    ok = not mismatched and not drifted
     report(
         9,
         ok,
-        "byte-identical CSVs for all bundled scenarios"
+        "byte-identical CSVs for all bundled scenarios, matching the golden pins"
         if ok
-        else f"mismatched: {', '.join(mismatched)}",
+        else f"mismatched: {', '.join(mismatched)}; off the golden pins: "
+        f"{', '.join(drifted)}",
     )

@@ -56,8 +56,6 @@ def test_damping_terms():
     # rate term: 1.2e-5 * rad(65) * 100 * 50e-6 per unit rate
     assert cycle_avg_damping(wing, 1.0) == pytest.approx(6.806784082777886e-08, rel=1e-12)
     assert cycle_avg_damping(wing, 2.0) == pytest.approx(2 * 6.806784082777886e-08, rel=1e-12)
-    with_accel = cycle_avg_damping(stock_wing(c_damp_accel=3.0e-7), 0.0, 5.0)
-    assert with_accel == pytest.approx(3.0e-7 * 5.0 * 50e-6, rel=1e-12)
 
 
 def test_matched_lift_damping_ratio():
@@ -218,14 +216,6 @@ def test_mix_works_where_allocation_is_singular():
         mixing_matrix(wing)
     with pytest.raises(ValueError):
         allocate(wing, wrench)
-
-
-def test_wing_validation():
-    assert stock_wing().validate() == []
-    bad = stock_wing(area=-1.0, flap_amplitude=math.radians(100.0), k_thrust=0.0)
-    problems = bad.validate()
-    assert len(problems) == 3
-    assert any("area" in p for p in problems)
 
 
 def test_actuator_command_default_flags():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flapsim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from flapsim.config import bundled_config_path
+from flapsim.config import bundled_config_path, load_config
 from flapsim.scenarios import read_csv
 
 BALLISTIC = str(bundled_config_path("ballistic.cfg"))
@@ -122,3 +122,44 @@ def test_sweep_invalid_value(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_and_compare_missing_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["run", missing, "--out", str(tmp_path / "m.csv")]) == EXIT_CONFIG
+    assert main(["compare", BALLISTIC, missing]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and "missing.cfg" in err
+
+
+def test_validate_non_utf8_file(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("name: café\n".encode("latin-1"))
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_exponent_float_without_dot_loads(tmp_path):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("name: short\nmode: open-loop\nduration_s: 5e-2\n")
+    assert load_config(cfg).duration == 0.05
+
+
+def test_sweep_exponent_values(tmp_path, capsys):
+    code = main(
+        [
+            "sweep",
+            BALLISTIC,
+            "--param",
+            "disturbance.vibration_ramp_s",
+            "--values",
+            "1e-3,2.0e-3",
+            "--out",
+            str(tmp_path),
+            "--duration",
+            "0.05",
+        ]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.count("[ok]") == 2
+    assert len(list(tmp_path.glob("*.csv"))) == 2

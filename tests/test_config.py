@@ -1,9 +1,14 @@
 """Scenario file loading, unit handling and validation reporting."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flapsim.aero import yaw_damping_coefficient
 from flapsim.config import (
@@ -13,6 +18,8 @@ from flapsim.config import (
     config_from_dict,
     default_vehicle,
     load_config,
+    parse_yaml,
+    read_raw,
     validate_config,
 )
 
@@ -250,3 +257,253 @@ def test_load_config_bad_yaml(tmp_path):
         load_config(p)
     assert validate_config(p) != []
     assert validate_config(tmp_path / "missing.cfg") != []
+
+
+
+def leaf_paths(tree: dict, prefix: str = "") -> list[str]:
+    paths = []
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            paths += leaf_paths(value, f"{prefix}{key}.")
+        else:
+            paths.append(f"{prefix}{key}")
+    return paths
+
+
+def value_at(tree: dict, path: str):
+    for key in path.split("."):
+        tree = tree[key]
+    return tree
+
+
+def set_path(raw: dict, path: str, value) -> dict:
+    *sections, leaf = path.split(".")
+    node = raw
+    for key in sections:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return raw
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+NUMERIC_LEAVES = [p for p in leaf_paths(DEFAULTS) if is_number(value_at(DEFAULTS, p))]
+
+
+@pytest.mark.parametrize("text", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize(
+    "path", NUMERIC_LEAVES + ["setpoint.schedule[0].t_s", "setpoint.schedule[0].yaw_deg"]
+)
+def test_non_finite_numbers_rejected(path, text):
+    value = parse_yaml(text)
+    if path.startswith("setpoint.schedule[0]."):
+        raw = minimal(setpoint={"schedule": [{path.rsplit(".", 1)[1]: value}]})
+    else:
+        raw = set_path(minimal(), path, value)
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    assert any(e.startswith(f"{path}: ") for e in info.value.errors), info.value.errors
+
+
+# One row per message template: the input and the exact message list.  The
+# texts are those of earlier releases except where noted.
+MESSAGES = {
+    "root": ([1, 2], ["config root must be a mapping"]),
+    "unknown-key": (minimal(turbo=True), ["turbo: unknown key"]),
+    "section-mapping": (minimal(vehicle=5), ["vehicle: must be a mapping"]),
+    "comparison-mapping": (
+        minimal(comparison_vehicle=5),
+        ["comparison_vehicle: must be a mapping or null"],
+    ),
+    # Top-level paths used to start with a stray dot (".duration_s").
+    "number": (minimal(duration_s="x"), ["duration_s: must be a number, got 'x'"]),
+    # New: non-finite numbers used to pass.
+    "finite": (minimal(duration_s=math.nan), ["duration_s: must be finite"]),
+    "vector-size": (
+        minimal(initial={"position_m": [1.0, 2.0]}),
+        ["initial.position_m: must be a list of 3 numbers"],
+    ),
+    "vector-finite": (
+        minimal(initial={"position_m": [1.0, math.inf, 2.0]}),
+        ["initial.position_m: entries must be finite"],
+    ),
+    "vector-positive": (
+        minimal(control={"attitude_k1_n_m": [-1.0, 1.0, 1.0]}),
+        ["control.attitude_k1_n_m: entries must be positive"],
+    ),
+    "positive": (minimal(vehicle={"mass_mg": -95.0}), ["vehicle.mass_mg: must be positive"]),
+    "non-negative": (
+        minimal(disturbance={"vibration_ramp_s": -0.1}),
+        ["disturbance.vibration_ramp_s: must be non-negative"],
+    ),
+    "number-or-auto": (
+        minimal(vehicle={"yaw_damping_n_m_s": "x"}),
+        ['vehicle.yaw_damping_n_m_s: must be a number or "auto"'],
+    ),
+    "positive-integer": (
+        minimal(vehicle={"n_wings": 0}),
+        ["vehicle.n_wings: must be a positive integer"],
+    ),
+    "non-negative-integer": (minimal(seed=-3), ["seed: must be a non-negative integer"]),
+    "name": (minimal(name=""), ["name: must be a non-empty string"]),
+    "mode": (
+        minimal(mode="hover"),
+        [
+            "mode: must be one of altitude-attitude, position-hold, "
+            "yaw-damping-compare, open-loop; got 'hover'"
+        ],
+    ),
+    "schema-version": (minimal(schema_version=2), ["schema_version: expected 1, got 2"]),
+    "feedback": (
+        minimal(control={"feedback": "both"}),
+        ['control.feedback: must be "estimated" or "true"'],
+    ),
+    "boolean": (
+        minimal(control={"yaw_feedback": "yes"}),
+        ["control.yaw_feedback: must be a boolean"],
+    ),
+    "schedule-list": (
+        minimal(setpoint={"schedule": []}),
+        ["setpoint.schedule: must be a non-empty list"],
+    ),
+    "schedule-entry-mapping": (
+        minimal(setpoint={"schedule": [5]}),
+        ["setpoint.schedule[0]: must be a mapping"],
+    ),
+    "schedule-entry-key": (
+        minimal(setpoint={"schedule": [{"t_s": 0.0, "speed": 1.0}]}),
+        ["setpoint.schedule[0].speed: unknown key"],
+    ),
+    "schedule-start": (
+        minimal(setpoint={"schedule": [{"t_s": 1.0}]}),
+        ["setpoint.schedule[0].t_s: first entry must start at 0"],
+    ),
+    "schedule-order": (
+        minimal(setpoint={"schedule": [{"t_s": 0.0}, {"t_s": 0.0}]}),
+        ["setpoint.schedule[1].t_s: times must be strictly increasing"],
+    ),
+    "rates": (
+        minimal(rates={"control_hz": 2000.0, "measurement_hz": 300.0}),
+        ["rates: control_hz must be an integer multiple of measurement_hz"],
+    ),
+    "comparison-required": (
+        minimal(mode="yaw-damping-compare"),
+        ["comparison_vehicle: required for mode yaw-damping-compare"],
+    ),
+    "four-wings": (
+        minimal(mode="position-hold", vehicle={"n_wings": 2}),
+        ["vehicle.n_wings: closed-loop control requires the four-wing layout"],
+    ),
+    "singular": (
+        minimal(vehicle={"wing": {"k_steer_n_per_v": 0.0}}),
+        [
+            "vehicle.wing.k_steer_n_per_v: zero steering gain makes the mixing "
+            "matrix singular"
+        ],
+    ),
+    "command-range": (
+        minimal(open_loop={"command_v": [0.0, 100.0, 300.0, 0.0]}),
+        ["open_loop.command_v: entries must lie in [0, v_max]"],
+    ),
+    # Wing ranges used to read "vehicle.wing: wing area must be positive" and
+    # so on; they now name the key.
+    "wing-area": (
+        minimal(vehicle={"wing": {"area_mm2": -1.0}}),
+        ["vehicle.wing.area_mm2: must be positive"],
+    ),
+    "wing-amplitude": (
+        minimal(vehicle={"wing": {"flap_amplitude_deg": 100.0}}),
+        ["vehicle.wing.flap_amplitude_deg: must lie in (0, 90] deg"],
+    ),
+    "wing-k-thrust": (
+        minimal(vehicle={"wing": {"k_thrust_n_per_v": 0.0}}),
+        ["vehicle.wing.k_thrust_n_per_v: must be positive"],
+    ),
+    "wing-inclination": (
+        minimal(vehicle={"wing": {"stroke_inclination_deg": 90.0}}),
+        ["vehicle.wing.stroke_inclination_deg: must lie in [0, 90) deg"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MESSAGES)
+def test_error_messages(case):
+    raw, expected = MESSAGES[case]
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(copy.deepcopy(raw))
+    assert info.value.errors == expected
+
+
+def test_wing_range_errors_are_all_reported():
+    raw = minimal(
+        vehicle={
+            "wing": {"area_mm2": -1.0, "flap_amplitude_deg": 100.0, "k_thrust_n_per_v": 0.0}
+        }
+    )
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    assert sorted(info.value.errors) == sorted(
+        MESSAGES["wing-area"][1] + MESSAGES["wing-amplitude"][1] + MESSAGES["wing-k-thrust"][1]
+    )
+
+
+def test_loader_reads_bundled_configs_as_safe_load():
+    for name in BUNDLED:
+        path = bundled_config_path(name)
+        assert read_raw(path) == yaml.safe_load(path.read_text())
+
+
+def test_loader_reads_exponent_floats_without_a_dot():
+    assert parse_yaml("[1e-3, 5E+2, -2e3, 1.5e3, .5e1, 1e3x]") == [
+        1e-3, 5e2, -2e3, 1.5e3, 5.0, "1e3x"
+    ]
+
+
+def all_finite(value) -> bool:
+    """True when every float reachable from a built config is finite."""
+    if dataclasses.is_dataclass(value):
+        return all(
+            all_finite(getattr(value, f.name)) for f in dataclasses.fields(value) if f.name != "raw"
+        )
+    if isinstance(value, (list, tuple)):
+        return all(all_finite(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    if is_number(value):
+        return math.isfinite(value)
+    return True
+
+
+MUTABLE_PATHS = leaf_paths(DEFAULTS) + [
+    "comparison_vehicle.mass_mg",
+    "comparison_vehicle.wing.flap_frequency_hz",
+    "setpoint.schedule",
+]
+ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.sampled_from([math.nan, math.inf, -math.inf, "auto"]),
+    st.integers(),
+    st.floats(),
+    st.lists(st.floats(), max_size=5),
+    st.lists(st.fixed_dictionaries({"t_s": st.floats()}), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.floats(), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(BUNDLED),
+    path=st.sampled_from(MUTABLE_PATHS),
+    value=ANY_VALUE,
+)
+def test_mutated_config_raises_config_error_or_builds_finite(name, path, value):
+    raw = set_path(read_raw(bundled_config_path(name)), path, value)
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert all_finite(cfg)
