@@ -40,7 +40,6 @@ from .control import (
 from .dynamics import (
     InertialConfig,
     VehicleState,
-    derivatives,
     passive_yaw_damping,
     step,
     vibration_torque,

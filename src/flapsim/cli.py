@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import re
 import sys
 from pathlib import Path
 
@@ -40,9 +41,14 @@ def _config_errors(errors: list[str], label: str = "config error") -> int:
     return EXIT_CONFIG
 
 
+def _csv_name(stem: str) -> str:
+    """CSV file name for ``stem``, with characters outside [\\w.+-] mapped to _."""
+    return re.sub(r"[^\w.+-]", "_", stem) + ".csv"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    out = args.out if args.out else f"{config.name}_run.csv"
+    out = args.out if args.out else _csv_name(f"{config.name}_run")
     record = run_scenario(config, seed=args.seed, out=out, duration=args.duration)
     _print_metrics(record)
     print(f"csv: {out}")
@@ -86,25 +92,28 @@ def _set_by_path(raw: dict, dotted: str, value) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base_raw = read_raw(args.config)
+    values = parse_yaml("[" + args.values + "]")
+    if not values:
+        raise ConfigError(["--values: no values given"])
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     worst = EXIT_OK
     leaf = args.param.split(".")[-1]
-    for text in args.values.split(","):
+    for value in values:
         raw = copy.deepcopy(base_raw)
         try:
-            _set_by_path(raw, args.param, parse_yaml(text))
+            _set_by_path(raw, args.param, value)
             config = config_from_dict(raw)
         except ConfigError as exc:
-            return _config_errors(exc.errors, f"config error ({text})")
-        out = out_dir / f"{config.name}__{leaf}_{text.strip()}.csv"
+            return _config_errors(exc.errors, f"config error ({value})")
+        out = out_dir / _csv_name(f"{config.name}__{leaf}_{value}")
         record = run_scenario(config, seed=args.seed, out=out, duration=args.duration)
         summary = " ".join(
             f"{key}={record.metrics[key]!r}" for key in sorted(record.metrics)
         )
         status = "ok" if record.status == 0 else "diverged"
-        print(f"{args.param}={text.strip()} [{status}] {summary}")
+        print(f"{args.param}={value} [{status}] {summary}")
         if record.status != 0:
             worst = EXIT_DIVERGED
     return worst
@@ -141,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         "--param", required=True, help="dotted config path, e.g. control.altitude_kp_n_per_m"
     )
     p_sweep.add_argument(
-        "--values", required=True, help="comma-separated values, parsed as YAML scalars"
+        "--values", required=True, help="one YAML flow sequence: 90,110 or [1,2],[3,4]"
     )
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--duration", type=float, default=None)

@@ -235,7 +235,7 @@ class VehicleParams:
     ) -> InertialConfig:
         return InertialConfig(
             mass=self.mass,
-            inertia=np.diag(self.inertia_diag),
+            inertia=self.inertia_diag,
             gravity=self.gravity,
             yaw_damping=self.yaw_damping,
             vibration_amplitude=vibration_amplitude,
@@ -282,7 +282,6 @@ class SimConfig:
     initial_attitude: Quaternion
     initial_omega: np.ndarray
     open_loop_command: np.ndarray
-    raw: dict
 
     @property
     def dt(self) -> float:
@@ -515,7 +514,6 @@ def config_from_dict(user: dict) -> SimConfig:
         initial_attitude=Quaternion.from_euler_zyx(*initial["attitude_rpy_deg"]),
         initial_omega=initial["omega_rad_per_s"],
         open_loop_command=si["open_loop"]["command_v"],
-        raw=merged,
     )
 
 

@@ -268,7 +268,6 @@ class FlightController:
         self.altitude = AltitudeController(altitude_gains, mass, gravity)
         self.last_command = ActuatorCommand(amplitudes=np.zeros(4))
         self.last_wrench = Wrench(0.0, np.zeros(3))
-        self.last_attitude_target = Quaternion.identity()
 
     def tick(self, est: VehicleState, sp: Setpoint, dt: float) -> ActuatorCommand:
         _, _, yaw = est.attitude.to_euler_zyx()
@@ -294,5 +293,4 @@ class FlightController:
         command = allocate(self.wing, wrench)
         self.last_command = command
         self.last_wrench = wrench
-        self.last_attitude_target = q_d
         return command

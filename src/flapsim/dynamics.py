@@ -8,16 +8,18 @@ translational and rotational balances are
     J wdot = -w x (J w) + tau + tau_passive(t)
 
 where f is the total thrust along the body z axis and tau the commanded body
-torque.  ``tau_passive`` collects two model terms that act on the airframe
-regardless of the commanded wrench: a linear passive yaw damping produced by
-the flapping wings, and an optional sinusoidal roll/pitch torque emulating
-the flapping-induced vibration of the body.
+torque.  The body axes are principal axes, so J = diag(J1, J2, J3) is
+diagonal and the rotational balance is integrated as Euler's equations, one
+axis at a time.  ``tau_passive`` collects two model terms that act on the
+airframe regardless of the commanded wrench: a linear passive yaw damping
+produced by the flapping wings, and an optional sinusoidal roll/pitch torque
+emulating the flapping-induced vibration of the body.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +29,8 @@ from .spatial import Quaternion
 __all__ = [
     "VehicleState",
     "InertialConfig",
-    "StateDerivative",
     "passive_yaw_damping",
     "vibration_torque",
-    "derivatives",
     "step",
 ]
 
@@ -68,25 +68,21 @@ class InertialConfig:
     """Mass properties plus the passive torque terms of the airframe."""
 
     mass: float  # [kg]
-    inertia: np.ndarray  # body inertia tensor (3, 3) [kg m^2]
+    inertia: tuple[float, float, float]  # principal moments J1, J2, J3 [kg m^2]
     gravity: float = 9.81  # [m/s^2]
     yaw_damping: float = 0.0  # b, passive yaw damping [N m s/rad]
     vibration_amplitude: float = 0.0  # [N m], 0 disables the disturbance
     vibration_frequency: float = 100.0  # [Hz]
     vibration_ramp: float = 0.0  # envelope rise time [s], 0 = full from t=0
-    inertia_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.inertia = np.asarray(self.inertia, dtype=float)
-        self.inertia_inv = np.linalg.inv(self.inertia)
-
-
-@dataclass
-class StateDerivative:
-    velocity: np.ndarray
-    acceleration: np.ndarray
-    attitude_rate: np.ndarray  # quaternion derivative (w, x, y, z)
-    omega_dot: np.ndarray
+        moments = np.asarray(self.inertia, dtype=float)
+        if moments.shape != (3,) or not (np.isfinite(moments) & (moments > 0.0)).all():
+            raise ValueError(
+                f"inertia must be three finite, positive principal moments, "
+                f"got {self.inertia!r}"
+            )
+        self.inertia = tuple(moments.tolist())
 
 
 def passive_yaw_damping(config: InertialConfig, yaw_rate: float) -> float:
@@ -113,56 +109,30 @@ def vibration_torque(config: InertialConfig, t: float) -> np.ndarray:
 
 def _deriv(y: np.ndarray, t: float, u: Wrench, c: InertialConfig) -> np.ndarray:
     """Packed-state derivative; y = [r(3), v(3), q(4), omega(3)]."""
-    qw, qx, qy, qz = y[6], y[7], y[8], y[9]
-    wx, wy, wz = y[10], y[11], y[12]
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y.tolist()
 
-    # Third column of R(q): thrust direction in inertial coordinates.
-    b3 = np.array(
+    # Thrust along the third column of R(q), the body z axis in inertial axes.
+    f = u.thrust / c.mass
+    ax = f * (2.0 * (qx * qz + qw * qy))
+    ay = f * (2.0 * (qy * qz - qw * qx))
+    az = f * (1.0 - 2.0 * (qx * qx + qy * qy)) - c.gravity
+
+    # Euler's equations: J_i wdot_i = tau_i - (w x J w)_i.
+    tx, ty, tz = (u.torque + vibration_torque(c, t)).tolist()
+    tz += passive_yaw_damping(c, wz)
+    j1, j2, j3 = c.inertia
+    hx, hy, hz = j1 * wx, j2 * wy, j3 * wz
+    return np.array(
         [
-            2.0 * (qx * qz + qw * qy),
-            2.0 * (qy * qz - qw * qx),
-            1.0 - 2.0 * (qx * qx + qy * qy),
+            vx, vy, vz, ax, ay, az,
+            0.5 * (-qx * wx - qy * wy - qz * wz),
+            0.5 * (qw * wx + qy * wz - qz * wy),
+            0.5 * (qw * wy - qx * wz + qz * wx),
+            0.5 * (qw * wz + qx * wy - qy * wx),
+            (1.0 / j1) * (tx - (wy * hz - wz * hy)),
+            (1.0 / j2) * (ty - (wz * hx - wx * hz)),
+            (1.0 / j3) * (tz - (wx * hy - wy * hx)),
         ]
-    )
-    acc = (u.thrust / c.mass) * b3
-    acc[2] -= c.gravity
-
-    omega = y[10:13]
-    torque = u.torque + vibration_torque(c, t)
-    torque = np.array(
-        [torque[0], torque[1], torque[2] + passive_yaw_damping(c, wz)]
-    )
-    jw = c.inertia @ omega
-    omega_dot = c.inertia_inv @ (torque - np.cross(omega, jw))
-
-    dq = 0.5 * np.array(
-        [
-            -qx * wx - qy * wy - qz * wz,
-            qw * wx + qy * wz - qz * wy,
-            qw * wy - qx * wz + qz * wx,
-            qw * wz + qx * wy - qy * wx,
-        ]
-    )
-
-    out = np.empty(13)
-    out[0:3] = y[3:6]
-    out[3:6] = acc
-    out[6:10] = dq
-    out[10:13] = omega_dot
-    return out
-
-
-def derivatives(
-    state: VehicleState, wrench: Wrench, config: InertialConfig
-) -> StateDerivative:
-    """Continuous-time state derivative at the state's own time."""
-    y = _pack(state)
-    dy = _deriv(y, state.t, wrench, config)
-    return StateDerivative(
-        velocity=dy[0:3],
-        acceleration=dy[3:6],
-        attitude_rate=dy[6:10],
-        omega_dot=dy[10:13],
     )
 
 

@@ -9,8 +9,8 @@ pose measurements at the (slower) measurement rate.  Four modes exist:
 * ``yaw-damping-compare``: no feedback; the plant is driven by an ideal
   weight-cancelling wrench while the yaw rate decays through the passive
   damping of the wings.  When the config carries a comparison vehicle the
-  same decay runs for it and the fitted time constants are reported side by
-  side.
+  same scenario runs again with only the vehicle swapped, and the fitted
+  time constants are reported side by side.
 * ``open-loop``: constant drive amplitudes from the config.
 
 Every run produces a :class:`RunRecord` with one row per control tick plus a
@@ -24,7 +24,7 @@ bit-exactly and identical (config, seed) pairs produce identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +89,8 @@ class RunRecord:
         with open(path, "w", newline="") as f:
             f.write(f"# {CSV_SCHEMA}\n")
             f.write(",".join(CSV_COLUMNS) + "\n")
-            for row in self.rows:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+            for row in self.rows.tolist():
+                f.write(",".join(map(repr, row)) + "\n")
 
 
 def read_csv(path: str | Path) -> np.ndarray:
@@ -248,8 +248,8 @@ def run_scenario(
     open_loop_command = ActuatorCommand(amplitudes=config.open_loop_command.copy())
 
     state = config.initial_state()
-    rows: list[list[float]] = []
-    status = 0
+    rows = np.empty((n_steps + 2, len(CSV_COLUMNS)))
+    n_rows = status = 0
     for k in range(n_steps + 1):
         sample = sensor.sample(state) if k % every == 0 else None
         est = estimator.tick(sample)
@@ -265,30 +265,34 @@ def run_scenario(
         else:  # yaw-damping-compare: ideal weight-cancelling wrench
             command = zero_command
             wrench = hover_wrench
-        rows.append(_row(state, est, sp.position, sp.yaw, wrench, command))
+        rows[n_rows] = _row(state, est, sp.position, sp.yaw, wrench, command)
+        n_rows += 1
         if k == n_steps:
             break
         state = step(state, wrench, inertial, dt)
         if _diverged(state):
-            rows.append(
-                _row(state, est, sp.position, sp.yaw, wrench, command)
-            )
+            rows[n_rows] = _row(state, est, sp.position, sp.yaw, wrench, command)
+            n_rows += 1
             status = 2
             break
 
+    rows = rows[:n_rows]
     record = RunRecord(
         name=config.name,
         mode=config.mode,
         seed=seed,
-        rows=np.array(rows),
-        metrics=metrics_from_rows(np.array(rows)),
+        rows=rows,
+        metrics=metrics_from_rows(rows),
         status=status,
     )
 
     if config.mode == "yaw-damping-compare" and config.comparison_vehicle is not None:
-        tau_cmp = _free_yaw_decay_tau(
-            config.comparison_vehicle, config.initial_omega[2], duration, dt
+        comparison = replace(
+            config, vehicle=config.comparison_vehicle, comparison_vehicle=None
         )
+        tau_cmp = run_scenario(comparison, seed, duration=duration).metrics[
+            "yaw_decay_tau_s"
+        ]
         tau_primary = record.metrics["yaw_decay_tau_s"]
         record.extra_metrics["comparison_yaw_decay_tau_s"] = tau_cmp
         record.extra_metrics["yaw_decay_tau_ratio"] = (
@@ -298,25 +302,6 @@ def run_scenario(
     if out is not None:
         record.write_csv(out)
     return record
-
-
-def _free_yaw_decay_tau(
-    vehicle: VehicleParams, omega_z0: float, duration: float, dt: float
-) -> float:
-    """Simulate a free yaw decay under an ideal hover wrench and fit tau."""
-    inertial = vehicle.inertial_config()
-    wrench = Wrench(vehicle.weight, np.zeros(3))
-    state = VehicleState.at_rest()
-    state.omega = np.array([0.0, 0.0, float(omega_z0)])
-    n_steps = int(round(duration / dt))
-    t = np.empty(n_steps + 1)
-    wz = np.empty(n_steps + 1)
-    t[0], wz[0] = 0.0, state.omega[2]
-    for k in range(n_steps):
-        state = step(state, wrench, inertial, dt)
-        t[k + 1] = state.t
-        wz[k + 1] = state.omega[2]
-    return _yaw_decay_tau(t, wz)
 
 
 def lift_report(vehicle: VehicleParams | None = None) -> dict:

@@ -143,7 +143,7 @@ def test_criterion_5_integrator_correctness():
 
     spin_cfg = InertialConfig(
         mass=vehicle.mass,
-        inertia=np.diag(vehicle.inertia_diag),
+        inertia=vehicle.inertia_diag,
         gravity=vehicle.gravity,
         yaw_damping=0.0,
     )
@@ -151,12 +151,12 @@ def test_criterion_5_integrator_correctness():
     state = VehicleState.at_rest()
     for _ in range(1000):
         state = step(state, Wrench(0.0, np.array([0.0, 0.0, tau3])), spin_cfg, 5e-4)
-    spin_expect = tau3 * state.t / spin_cfg.inertia[2, 2]
+    spin_expect = tau3 * state.t / spin_cfg.inertia[2]
     spin_err = abs(state.omega[2] - spin_expect) / spin_expect
 
     tumble_cfg = InertialConfig(
         mass=vehicle.mass,
-        inertia=np.diag([1.5e-9, 2.4e-9, 3.1e-9]),
+        inertia=[1.5e-9, 2.4e-9, 3.1e-9],
         gravity=vehicle.gravity,
         yaw_damping=0.0,
     )

@@ -163,3 +163,47 @@ def test_sweep_exponent_values(tmp_path, capsys):
     assert code == EXIT_OK
     assert capsys.readouterr().out.count("[ok]") == 2
     assert len(list(tmp_path.glob("*.csv"))) == 2
+
+
+def test_sweep_list_values(tmp_path, capsys):
+    code = main(
+        [
+            "sweep",
+            BALLISTIC,
+            "--param",
+            "control.attitude_k1_n_m",
+            "--values",
+            "[4.8e-6,4.8e-6,2.4e-6],[2.4e-6,2.4e-6,1.2e-6]",
+            "--out",
+            str(tmp_path),
+            "--duration",
+            "0.05",
+        ]
+    )
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "control.attitude_k1_n_m=[2.4e-06, 2.4e-06, 1.2e-06] [ok]" in out
+    assert out.count("[ok]") == 2
+    assert len(list(tmp_path.glob("*.csv"))) == 2
+
+
+def test_unsafe_names_make_safe_csv_names(tmp_path, monkeypatch, capsys):
+    sweep_dir = tmp_path / "sweep"
+    code = main(
+        ["sweep", BALLISTIC, "--param", "name", "--values", "a/b", "--out", str(sweep_dir),
+         "--duration", "0.05"]
+    )
+    assert code == EXIT_OK
+    assert [p.name for p in sweep_dir.iterdir()] == ["a_b__name_a_b.csv"]
+    cfg = tmp_path / "slash.cfg"
+    cfg.write_text("name: x/y z\nmode: open-loop\nduration_s: 0.05\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "x_y_z_run.csv").is_file()
+    assert "csv: x_y_z_run.csv" in capsys.readouterr().out
+
+
+def test_sweep_empty_values(tmp_path, capsys):
+    code = main(["sweep", BALLISTIC, "--param", "seed", "--values", "", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "--values: no values given" in capsys.readouterr().err

@@ -2,20 +2,23 @@
 
 Every numeric bound here is checked against a hand-derived solution:
 ballistic flight, constant-torque spin-up, exponential yaw decay and the
-formal convergence order of the integrator.
+formal convergence order of the integrator.  Euler's equations are checked
+bit for bit against the dense inertia-tensor form they replace.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flapsim.aero import Wrench
 from flapsim.config import default_vehicle
 from flapsim.dynamics import (
     InertialConfig,
     VehicleState,
-    derivatives,
+    _deriv,
     passive_yaw_damping,
     step,
     vibration_torque,
@@ -29,7 +32,7 @@ def stock_config(**overrides) -> InertialConfig:
     vehicle = default_vehicle()
     base = dict(
         mass=vehicle.mass,
-        inertia=np.diag(vehicle.inertia_diag),
+        inertia=vehicle.inertia_diag,
         gravity=vehicle.gravity,
         yaw_damping=0.0,
     )
@@ -47,29 +50,83 @@ def simulate(state, wrench, config, n, dt=DT):
     return state
 
 
+def one_step_acceleration(state, wrench, config, dt=DT):
+    """Acceleration of a non-rotating body over one step under a constant wrench.
+
+    Without rotation the thrust direction and so the acceleration stay
+    constant across the step, and RK4 integrates a constant acceleration
+    exactly up to rounding: v1 = v0 + a dt, r1 = r0 + v0 dt + a dt^2 / 2.
+    """
+    after = step(state, wrench, config, dt)
+    acc = (after.velocity - state.velocity) / dt
+    drift = state.position + state.velocity * dt + 0.5 * acc * dt**2
+    assert after.position == pytest.approx(drift, rel=1e-12, abs=1e-20)
+    assert after.omega == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
+    assert after.attitude.as_array() == pytest.approx(state.attitude.as_array(), abs=1e-15)
+    return acc
+
+
 def test_free_fall_derivative():
-    d = derivatives(VehicleState.at_rest(), zero_wrench(), stock_config())
-    assert d.velocity == pytest.approx([0.0, 0.0, 0.0])
-    assert d.acceleration == pytest.approx([0.0, 0.0, -9.81])
-    assert d.attitude_rate == pytest.approx([0.0, 0.0, 0.0, 0.0])
-    assert d.omega_dot == pytest.approx([0.0, 0.0, 0.0])
+    acc = one_step_acceleration(VehicleState.at_rest(), zero_wrench(), stock_config())
+    assert acc == pytest.approx([0.0, 0.0, -9.81], rel=1e-12)
 
 
 def test_hover_balance_derivative():
     config = stock_config()
     hover = Wrench(config.mass * config.gravity, np.zeros(3))
-    d = derivatives(VehicleState.at_rest(), hover, config)
-    assert d.acceleration == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
+    acc = one_step_acceleration(VehicleState.at_rest(), hover, config)
+    assert acc == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
 
 def test_tilted_thrust_direction():
     config = stock_config()
     state = VehicleState.at_rest()
     state.attitude = Quaternion.from_axis_angle([1.0, 0.0, 0.0], math.pi / 3)
-    d = derivatives(state, Wrench(config.mass * config.gravity, np.zeros(3)), config)
+    acc = one_step_acceleration(
+        state, Wrench(config.mass * config.gravity, np.zeros(3)), config
+    )
     # thrust axis tilted 60 deg about +x: b3 = [0, -sin60, cos60]
     g = config.gravity
-    assert d.acceleration == pytest.approx([0.0, -g * math.sin(math.pi / 3), g * (math.cos(math.pi / 3) - 1.0)], abs=1e-12)
+    assert acc == pytest.approx([0.0, -g * math.sin(math.pi / 3), g * (math.cos(math.pi / 3) - 1.0)], abs=1e-12)
+
+
+def test_inertia_is_three_principal_moments():
+    config = stock_config(inertia=np.array([1.5e-9, 2.4e-9, 3.1e-9]))
+    assert config.inertia == (1.5e-9, 2.4e-9, 3.1e-9)
+    assert all(type(j) is float for j in config.inertia)
+    for bad in (
+        np.diag([1.5e-9, 1.5e-9, 0.5e-9]),
+        [1.5e-9, 1.5e-9],
+        [1.5e-9, 1.5e-9, 0.5e-9, 1e-9],
+        [1.5e-9, 0.0, 0.5e-9],
+        [1.5e-9, -1.5e-9, 0.5e-9],
+        [1.5e-9, math.nan, 0.5e-9],
+        [math.inf, 1.5e-9, 0.5e-9],
+        1.5e-9,
+    ):
+        with pytest.raises(ValueError, match="three finite, positive principal moments"):
+            stock_config(inertia=bad)
+
+
+_moment = st.floats(1e-12, 1e-3)
+_rate = st.floats(-1e3, 1e3)
+_torque = st.floats(-1e-3, 1e-3)
+
+
+@given(
+    st.tuples(_moment, _moment, _moment),
+    st.tuples(_rate, _rate, _rate),
+    st.tuples(_torque, _torque, _torque),
+)
+def test_euler_equations_match_dense_inertia(moments, rates, torque):
+    """Per-axis Euler's equations equal inv(J) @ (tau - w x J w) bit for bit."""
+    y = np.zeros(13)
+    y[6] = 1.0
+    y[10:13] = rates
+    omega_dot = _deriv(y, 0.0, Wrench(0.0, np.array(torque)), stock_config(inertia=moments))[10:13]
+    J, w = np.diag(moments), np.array(rates)
+    expect = np.linalg.inv(J) @ (np.array(torque) - np.cross(w, J @ w))
+    assert np.array_equal(omega_dot, expect)
 
 
 def test_ballistic_closed_form():
@@ -91,7 +148,7 @@ def test_spin_up_closed_form():
     tau3 = 2.0e-9
     wrench = Wrench(0.0, np.array([0.0, 0.0, tau3]))
     state = simulate(VehicleState.at_rest(), wrench, config, 1000)
-    expect = tau3 * state.t / config.inertia[2, 2]
+    expect = tau3 * state.t / config.inertia[2]
     assert abs(state.omega[2] - expect) / expect < 1e-6
     assert state.omega[0] == pytest.approx(0.0, abs=1e-15)
     assert state.omega[1] == pytest.approx(0.0, abs=1e-15)
@@ -106,14 +163,14 @@ def test_yaw_decay_closed_form():
     omega0 = 20.0
     state.omega = np.array([0.0, 0.0, omega0])
     state = simulate(state, zero_wrench(), config, 2000)
-    expect = omega0 * math.exp(-b * state.t / config.inertia[2, 2])
+    expect = omega0 * math.exp(-b * state.t / config.inertia[2])
     assert abs(state.omega[2] - expect) / expect < 1e-4
 
 
 def test_rk4_order():
     """Step-halving on a free tumble shows at least fourth-order convergence."""
     config = stock_config(
-        inertia=np.diag([1.5e-9, 2.4e-9, 3.1e-9]),
+        inertia=[1.5e-9, 2.4e-9, 3.1e-9],
     )
     state0 = VehicleState.at_rest()
     state0.omega = np.array([3.0, -2.0, 1.0])
@@ -133,7 +190,7 @@ def test_rk4_order():
 
 def test_quaternion_rate_consistency():
     """Finite-difference qdot across a step matches q*[0, omega]/2 to O(dt^2)."""
-    config = stock_config(inertia=np.diag([1.5e-9, 2.4e-9, 3.1e-9]))
+    config = stock_config(inertia=[1.5e-9, 2.4e-9, 3.1e-9])
     state = VehicleState.at_rest()
     state.omega = np.array([1.0, 2.0, -1.5])
     dt = 1e-5

@@ -101,6 +101,30 @@ def test_yaw_damping_compare_extras():
     assert rec.extra_metrics["yaw_decay_tau_ratio"] == pytest.approx(1.0 / math.sqrt(2.0), rel=2e-2)
 
 
+def test_comparison_runs_the_scenario_with_the_vehicle_swapped():
+    """The comparison vehicle starts from the scenario's initial state and
+    sees its disturbance: its tau equals a plain run of the same scenario
+    whose vehicle section is the comparison section."""
+    section = {
+        "n_wings": 2,
+        "inertia_kg_m2": [1.5e-9, 2.5e-9, 0.5e-9],
+        "wing": {"flap_frequency_hz": 141.4213562373095},
+    }
+    scenario = {
+        "mode": "yaw-damping-compare",
+        "duration_s": 0.5,
+        "initial": {"omega_rad_per_s": [2.0, -1.0, 20.0], "attitude_rpy_deg": [5.0, 0.0, 0.0]},
+        "disturbance": {"vibration_amplitude_n_m": 1e-8, "vibration_ramp_s": 0.0},
+        "comparison_vehicle": {},
+    }
+    compared = run_scenario(config_from_dict({**scenario, "comparison_vehicle": section}))
+    plain = run_scenario(config_from_dict({**scenario, "vehicle": section}))
+    tau = plain.metrics["yaw_decay_tau_s"]
+    assert math.isfinite(tau)
+    assert compared.extra_metrics["comparison_yaw_decay_tau_s"] == tau
+    assert compared.extra_metrics["yaw_decay_tau_ratio"] == compared.metrics["yaw_decay_tau_s"] / tau
+
+
 def test_altitude_step_metrics():
     rec = run_scenario(load_config(bundled_config_path("hover.cfg")))
     assert rec.status == 0
