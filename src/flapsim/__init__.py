@@ -10,7 +10,6 @@ from .aero import (
     cycle_avg_lift,
     mix,
     mixing_matrix,
-    steering_force_torque,
     yaw_damping_coefficient,
 )
 from .config import (

@@ -27,7 +27,6 @@ diagonal pairs steer yaw in opposite senses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "ActuatorCommand",
     "cycle_avg_lift",
     "cycle_avg_damping",
-    "steering_force_torque",
     "yaw_damping_coefficient",
     "mixing_matrix",
     "mix",
@@ -119,17 +117,6 @@ def cycle_avg_damping(wing: WingConfig, body_rate: float) -> float:
         * body_rate
         * wing.area
     )
-
-
-def steering_force_torque(wing: WingConfig) -> tuple[float, float]:
-    """Stroke-averaged steering force [N] and its yaw torque [N m].
-
-    The tilted stroke plane redirects a sin(beta) share of the lift into the
-    horizontal plane; acting at ``steering_arm`` it yaws the body.
-    """
-    c_steer = wing.c_lift * wing.area * math.sin(wing.stroke_inclination)
-    force = c_steer * wing.flap_frequency**2 * wing.flap_amplitude**2
-    return force, wing.steering_arm * force
 
 
 def yaw_damping_coefficient(wing: WingConfig, n_wings: int) -> float:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
+    SimConfig,
     config_from_dict,
     load_config,
     parse_yaml,
@@ -46,10 +47,19 @@ def _csv_name(stem: str) -> str:
     return re.sub(r"[^\w.+-]", "_", stem) + ".csv"
 
 
+def _with_overrides(raw, args: argparse.Namespace) -> SimConfig:
+    """Validate ``raw`` with the --seed and --duration overrides set on it."""
+    if isinstance(raw, dict):
+        for key, value in (("seed", args.seed), ("duration_s", args.duration)):
+            if value is not None:
+                raw[key] = value
+    return config_from_dict(raw)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    config = _with_overrides(read_raw(args.config), args)
     out = args.out if args.out else _csv_name(f"{config.name}_run")
-    record = run_scenario(config, seed=args.seed, out=out, duration=args.duration)
+    record = run_scenario(config, out=out)
     _print_metrics(record)
     print(f"csv: {out}")
     if record.status != 0:
@@ -81,13 +91,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _set_by_path(raw: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
+    *sections, leaf = dotted.split(".")
     node = raw
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise ConfigError([f"{dotted}: path crosses a non-mapping node"])
-    node[keys[-1]] = value
+    for key in sections:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise ConfigError([f"{dotted}: path crosses a non-mapping node"])
+    node[leaf] = value
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -96,19 +106,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ConfigError(["--values: no values given"])
     out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    worst = EXIT_OK
+    # Every value is checked, and every CSV name claimed, before any run.
     leaf = args.param.split(".")[-1]
+    runs: dict[Path, tuple] = {}
     for value in values:
         raw = copy.deepcopy(base_raw)
         try:
             _set_by_path(raw, args.param, value)
-            config = config_from_dict(raw)
+            config = _with_overrides(raw, args)
         except ConfigError as exc:
             return _config_errors(exc.errors, f"config error ({value})")
         out = out_dir / _csv_name(f"{config.name}__{leaf}_{value}")
-        record = run_scenario(config, seed=args.seed, out=out, duration=args.duration)
+        if out in runs:
+            raise ConfigError(
+                [f"--values: {runs[out][0]} and {value} both write {out.name}"]
+            )
+        runs[out] = (value, config)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    worst = EXIT_OK
+    for out, (value, config) in runs.items():
+        record = run_scenario(config, out=out)
         summary = " ".join(
             f"{key}={record.metrics[key]!r}" for key in sorted(record.metrics)
         )

@@ -39,7 +39,6 @@ __all__ = [
     "SimConfig",
     "VehicleParams",
     "ControlParams",
-    "EstimationParams",
     "DEFAULTS",
     "MODES",
     "load_config",
@@ -254,14 +253,6 @@ class ControlParams:
 
 
 @dataclass
-class EstimationParams:
-    rate_corner: float  # [rad/s]
-    velocity_corner: float  # [rad/s]
-    position_noise_std: float  # [m]
-    attitude_noise_std: float  # [rad]
-
-
-@dataclass
 class SimConfig:
     name: str
     mode: str
@@ -275,12 +266,9 @@ class SimConfig:
     vibration_frequency: float
     vibration_ramp: float
     control: ControlParams
-    estimation: EstimationParams
+    estimation: FilterConfig
     schedule: list[tuple[float, Setpoint]]
-    initial_position: np.ndarray
-    initial_velocity: np.ndarray
-    initial_attitude: Quaternion
-    initial_omega: np.ndarray
+    initial: VehicleState
     open_loop_command: np.ndarray
 
     @property
@@ -299,25 +287,6 @@ class SimConfig:
             else:
                 break
         return current
-
-    def initial_state(self) -> VehicleState:
-        return VehicleState(
-            position=self.initial_position.copy(),
-            velocity=self.initial_velocity.copy(),
-            attitude=self.initial_attitude,
-            omega=self.initial_omega.copy(),
-            t=0.0,
-        )
-
-    def filter_config(self, seed: int | None = None) -> FilterConfig:
-        return FilterConfig(
-            rate_corner=self.estimation.rate_corner,
-            velocity_corner=self.estimation.velocity_corner,
-            measurement_dt=1.0 / self.measurement_rate,
-            position_noise_std=self.estimation.position_noise_std,
-            attitude_noise_std=self.estimation.attitude_noise_std,
-            seed=self.seed if seed is None else seed,
-        )
 
 
 def _complete(si: dict) -> bool:
@@ -502,17 +471,20 @@ def config_from_dict(user: dict) -> SimConfig:
             yaw_feedback=c["yaw_feedback"],
             feedback=c["feedback"],
         ),
-        estimation=EstimationParams(
+        estimation=FilterConfig(
             rate_corner=estimation["rate_corner_hz"],
             velocity_corner=estimation["velocity_corner_hz"],
+            measurement_dt=1.0 / rates["measurement_hz"],
             position_noise_std=estimation["position_noise_std_mm"],
             attitude_noise_std=estimation["attitude_noise_std_deg"],
         ),
         schedule=si["setpoint"]["schedule"],
-        initial_position=initial["position_m"],
-        initial_velocity=initial["velocity_m_per_s"],
-        initial_attitude=Quaternion.from_euler_zyx(*initial["attitude_rpy_deg"]),
-        initial_omega=initial["omega_rad_per_s"],
+        initial=VehicleState(
+            position=initial["position_m"],
+            velocity=initial["velocity_m_per_s"],
+            attitude=Quaternion.from_euler_zyx(*initial["attitude_rpy_deg"]),
+            omega=initial["omega_rad_per_s"],
+        ),
         open_loop_command=si["open_loop"]["command_v"],
     )
 

@@ -4,16 +4,16 @@ The attitude law is a quaternion PD controller.  With the error quaternion
 q_e = q_d^-1 * q (scalar part m_e, vector part n_e) the commanded body torque
 is
 
-    tau = -K1 sign(m_e) n_e - K2 (omega - omega_d)
+    tau = -K1 sign(m_e) n_e - K2 omega
 
 sign(m_e) selects the short way around: -sign(m_e) n_e equals
 sin(theta_e / 2) a_e for the error rotation of angle theta_e about axis a_e,
 so the restoring torque always turns through at most 180 deg.  Both quaternion
 representatives of the same attitude command the same torque.
 
-The position loop is a PID with gravity and acceleration feedforward,
+The position loop is a PID with gravity feedforward toward a fixed setpoint,
 
-    f_d = -Kp e - Kd edot - Ki int(e) + m g n3 + m rdd_d ,
+    f_d = -Kp e - Kd rdot - Ki int(e) + m g n3 ,
 
 whose output force vector is realized by tilting: the desired body z axis is
 aligned with f_d while a reference heading fixes the rotation about it, and
@@ -27,7 +27,7 @@ position feedback is enabled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "AltitudeGains",
     "Setpoint",
     "attitude_torque",
-    "desired_rate_in_body",
     "thrust_magnitude",
     "desired_attitude",
     "PositionController",
@@ -96,40 +95,18 @@ class AltitudeGains:
 
 @dataclass
 class Setpoint:
-    """Reference for the outer loops; velocity/acceleration are feedforward."""
+    """Reference for the outer loops: a position and a heading."""
 
     position: np.ndarray
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    acceleration: np.ndarray = field(default_factory=lambda: np.zeros(3))
     yaw: float = 0.0
-    # Desired body rates expressed in the desired frame.
-    rate_desired_frame: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 def attitude_torque(
-    q: Quaternion,
-    q_desired: Quaternion,
-    omega: np.ndarray,
-    omega_desired: np.ndarray,
-    gains: AttitudeGains,
+    q: Quaternion, q_desired: Quaternion, omega: np.ndarray, gains: AttitudeGains
 ) -> np.ndarray:
     """Quaternion PD attitude law; see the module docstring."""
     qe = quat_error(q_desired, q)
-    return -gains.attitude * (sign(qe.w) * qe.vector) - gains.rate * (
-        omega - omega_desired
-    )
-
-
-def desired_rate_in_body(
-    q: Quaternion, q_desired: Quaternion, rate_desired_frame: np.ndarray
-) -> np.ndarray:
-    """Re-express a desired angular rate from the desired frame in the body frame.
-
-    The error quaternion q_e = q_d^-1 * q rotates body coordinates into
-    desired-frame coordinates, so the inverse conjugation maps the rate back.
-    """
-    qe = quat_error(q_desired, q)
-    return qe.inverse().rotate(rate_desired_frame)
+    return -gains.attitude * (sign(qe.w) * qe.vector) - gains.rate * omega
 
 
 def thrust_magnitude(f_desired: np.ndarray, q: Quaternion) -> float:
@@ -195,16 +172,13 @@ class PositionController:
         self.gravity = float(gravity)
         self._integ = _Integrator(3, gains.integral_limit)
 
-    def reset(self) -> None:
-        self._integ = _Integrator(3, self.gains.integral_limit)
-
     def force(self, state: VehicleState, sp: Setpoint, dt: float) -> np.ndarray:
         e = state.position - sp.position
-        edot = state.velocity - sp.velocity
         integ = self._integ.advance(e, dt)
-        f = -self.gains.kp * e - self.gains.kd * edot - self.gains.ki * integ
-        f = f + self.mass * self.gravity * np.array([0.0, 0.0, 1.0])
-        return f + self.mass * sp.acceleration
+        f = -self.gains.kp * e - self.gains.kd * state.velocity - self.gains.ki * integ
+        # A vector sum on purpose: it turns a -0.0 in x or y into +0.0, and
+        # the recorded runs depend on that sign.
+        return f + self.mass * self.gravity * np.array([0.0, 0.0, 1.0])
 
 
 class AltitudeController:
@@ -215,9 +189,6 @@ class AltitudeController:
         self.mass = float(mass)
         self.gravity = float(gravity)
         self._integ = _Integrator(1, gains.integral_limit)
-
-    def reset(self) -> None:
-        self._integ = _Integrator(1, self.gains.integral_limit)
 
     def thrust(self, z: float, zdot: float, z_ref: float, dt: float) -> float:
         e = z - z_ref
@@ -284,8 +255,7 @@ class FlightController:
         except ControlError:
             return self.last_command
 
-        omega_d = desired_rate_in_body(est.attitude, q_d, sp.rate_desired_frame)
-        tau = attitude_torque(est.attitude, q_d, est.omega, omega_d, self.attitude_gains)
+        tau = attitude_torque(est.attitude, q_d, est.omega, self.attitude_gains)
         if not self.yaw_feedback:
             tau[2] = 0.0
 

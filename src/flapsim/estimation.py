@@ -58,7 +58,6 @@ class FilterConfig:
     measurement_dt: float  # sample period of the pose source [s]
     position_noise_std: float = 0.0  # [m] per axis
     attitude_noise_std: float = 0.0  # [rad] per rotation-vector axis
-    seed: int = 0
 
 
 @dataclass
@@ -71,9 +70,9 @@ class MocapSample:
 class MocapSensor:
     """Samples the true state, adding seeded Gaussian pose noise."""
 
-    def __init__(self, config: FilterConfig) -> None:
+    def __init__(self, config: FilterConfig, seed: int) -> None:
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
+        self._rng = np.random.default_rng(seed)
 
     def sample(self, state: VehicleState) -> MocapSample:
         position = state.position + self.config.position_noise_std * self._rng.standard_normal(3)

@@ -227,11 +227,19 @@ def run_scenario(
     inertial = vehicle.inertial_config(
         config.vibration_amplitude, config.vibration_frequency, config.vibration_ramp
     )
-    sensor = MocapSensor(config.filter_config(seed))
-    estimator = Estimator(config.filter_config(seed))
-    closed_loop = config.mode in ("altitude-attitude", "position-hold")
+    sensor = MocapSensor(config.estimation, seed)
+    estimator = Estimator(config.estimation)
+
+    # The drive is decided once: a fixed command and wrench, or a controller
+    # that commands every tick from the chosen feedback source.
     controller = None
-    if closed_loop:
+    if config.mode == "open-loop":
+        command = ActuatorCommand(amplitudes=config.open_loop_command.copy())
+        wrench = mix(vehicle.wing, command.amplitudes)
+    elif config.mode == "yaw-damping-compare":  # ideal weight-cancelling wrench
+        command = ActuatorCommand(amplitudes=np.zeros(4))
+        wrench = Wrench(vehicle.weight, np.zeros(3))
+    else:
         controller = FlightController(
             wing=vehicle.wing,
             attitude_gains=config.control.attitude,
@@ -242,29 +250,18 @@ def run_scenario(
             mode=config.mode,
             yaw_feedback=config.control.yaw_feedback,
         )
+        true_feedback = config.control.feedback == "true"
 
-    hover_wrench = Wrench(vehicle.weight, np.zeros(3))
-    zero_command = ActuatorCommand(amplitudes=np.zeros(4))
-    open_loop_command = ActuatorCommand(amplitudes=config.open_loop_command.copy())
-
-    state = config.initial_state()
+    state = config.initial.copy()
     rows = np.empty((n_steps + 2, len(CSV_COLUMNS)))
     n_rows = status = 0
     for k in range(n_steps + 1):
         sample = sensor.sample(state) if k % every == 0 else None
         est = estimator.tick(sample)
         sp = config.setpoint_at(state.t)
-        if closed_loop:
-            assert controller is not None
-            feedback = est if config.control.feedback == "estimated" else state
-            command = controller.tick(feedback, sp, dt)
+        if controller is not None:
+            command = controller.tick(state if true_feedback else est, sp, dt)
             wrench = mix(vehicle.wing, command.amplitudes)
-        elif config.mode == "open-loop":
-            command = open_loop_command
-            wrench = mix(vehicle.wing, command.amplitudes)
-        else:  # yaw-damping-compare: ideal weight-cancelling wrench
-            command = zero_command
-            wrench = hover_wrench
         rows[n_rows] = _row(state, est, sp.position, sp.yaw, wrench, command)
         n_rows += 1
         if k == n_steps:

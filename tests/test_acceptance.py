@@ -364,6 +364,18 @@ def pin(record, csv_path: Path) -> dict:
     }
 
 
+def first_difference(got: dict, want: dict) -> str:
+    """The first pinned field where a fresh run differs from the golden pin."""
+    if got["csv_sha256"] != want["csv_sha256"]:
+        return f"csv_sha256 {got['csv_sha256']} != golden {want['csv_sha256']}"
+    for group in ("metrics", "extra_metrics"):
+        for key in sorted(set(got[group]) | set(want[group])):
+            value, pinned = got[group].get(key), want[group].get(key)
+            if value != pinned:
+                return f"{group}.{key} {value} != golden {pinned}"
+    return "no field differs"
+
+
 def test_criterion_9_determinism(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     mismatched, drifted = [], []
@@ -375,8 +387,9 @@ def test_criterion_9_determinism(tmp_path):
         run_scenario(config, out=b)
         if a.read_bytes() != b.read_bytes():
             mismatched.append(name)
-        if pin(record, a) != golden[name]:
-            drifted.append(name)
+        figures = pin(record, a)
+        if figures != golden[name]:
+            drifted.append(f"{name} ({first_difference(figures, golden[name])})")
     ok = not mismatched and not drifted
     report(
         9,

@@ -14,7 +14,6 @@ from flapsim.aero import (
     cycle_avg_lift,
     mix,
     mixing_matrix,
-    steering_force_torque,
     yaw_damping_coefficient,
 )
 from flapsim.config import default_vehicle
@@ -96,13 +95,6 @@ def test_matched_lift_general_area_ratio():
         assert 2 * cycle_avg_lift(wing2) == pytest.approx(4 * cycle_avg_lift(wing4), rel=1e-12)
         ratio = (4 * cycle_avg_damping(wing4, 1.0)) / (2 * cycle_avg_damping(wing2, 1.0))
         assert ratio == pytest.approx(math.sqrt(2.0 * wing4.area / s2), rel=1e-12)
-
-
-def test_steering_share_of_lift():
-    wing = stock_wing()
-    force, torque = steering_force_torque(wing)
-    assert force == pytest.approx(cycle_avg_lift(wing) * math.sin(wing.stroke_inclination))
-    assert torque / force == pytest.approx(wing.steering_arm)
 
 
 def test_yaw_damping_coefficient_frozen():

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from flapsim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from flapsim.config import bundled_config_path, load_config
-from flapsim.scenarios import read_csv
+from flapsim.config import bundled_config_path, config_from_dict, load_config, read_raw
+from flapsim.scenarios import read_csv, run_scenario
 
 BALLISTIC = str(bundled_config_path("ballistic.cfg"))
 
@@ -207,3 +208,93 @@ def test_sweep_empty_values(tmp_path, capsys):
     code = main(["sweep", BALLISTIC, "--param", "seed", "--values", "", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "--values: no values given" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (["--duration", "-1"], "duration_s: must be positive"),
+        (["--duration", "nan"], "duration_s: must be finite"),
+        (["--seed", "-1"], "seed: must be a non-negative integer"),
+    ],
+)
+def test_run_bad_overrides_are_config_errors(tmp_path, capsys, override, message):
+    out = tmp_path / "b.csv"
+    assert main(["run", BALLISTIC, "--out", str(out), *override]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_bad_duration_is_a_config_error(tmp_path, capsys):
+    code = main(["sweep", BALLISTIC, "--param", "seed", "--values", "1,2",
+                 "--duration", "-2", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "duration_s: must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_seed_override_wins_over_swept_seed(tmp_path):
+    hover = str(bundled_config_path("hover.cfg"))
+    sweep_dir = tmp_path / "sweep"
+    code = main(["sweep", hover, "--param", "seed", "--values", "3", "--seed", "5",
+                 "--duration", "0.01", "--out", str(sweep_dir)])
+    assert code == EXIT_OK
+    run_out = tmp_path / "run.csv"
+    assert main(["run", hover, "--seed", "5", "--duration", "0.01", "--out", str(run_out)]) == EXIT_OK
+    assert (sweep_dir / "hover__seed_3.csv").read_bytes() == run_out.read_bytes()
+
+
+def test_sweep_checks_every_value_before_running(tmp_path, capsys):
+    sweep_dir = tmp_path / "sweep"
+    code = main(["sweep", BALLISTIC, "--param", "vehicle.mass_mg", "--values", "90,-5",
+                 "--out", str(sweep_dir)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error (-5): vehicle.mass_mg: must be positive" in captured.err
+    assert "[ok]" not in captured.out
+    assert not sweep_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "param, values, message",
+    [
+        ("seed", "1,1", "--values: 1 and 1 both write ballistic__seed_1.csv"),
+        ("name", "a/b,a_b", "--values: a/b and a_b both write a_b__name_a_b.csv"),
+    ],
+)
+def test_sweep_refuses_colliding_csv_names(tmp_path, capsys, param, values, message):
+    sweep_dir = tmp_path / "sweep"
+    code = main(["sweep", BALLISTIC, "--param", param, "--values", values,
+                 "--duration", "0.05", "--out", str(sweep_dir)])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
+    assert "[ok]" not in captured.out
+    assert not sweep_dir.exists()
+
+
+def test_sweep_mapping_value_replaces_the_section(tmp_path):
+    """A mapping swept into ``control`` is the whole section: keys it omits
+    take their defaults, not the base file's values."""
+    raw = read_raw(bundled_config_path("hover.cfg"))
+    raw.update(duration_s=0.05, control={"altitude_kp_n_per_m": 3.0e-3})
+    base = tmp_path / "base.cfg"
+    base.write_text(yaml.safe_dump(raw))
+    code = main(["sweep", str(base), "--param", "control", "--values",
+                 "{attitude_k1_n_m: [2.4e-6,2.4e-6,1.2e-6]}", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    [swept] = tmp_path.glob("*.csv")
+    for control, same in (({"attitude_k1_n_m": [2.4e-6, 2.4e-6, 1.2e-6]}, True),
+                          ({"attitude_k1_n_m": [2.4e-6, 2.4e-6, 1.2e-6],
+                            "altitude_kp_n_per_m": 3.0e-3}, False)):
+        raw["control"] = control
+        run_scenario(config_from_dict(raw), out=tmp_path / "direct.out")
+        assert (swept.read_bytes() == (tmp_path / "direct.out").read_bytes()) is same
+
+
+def test_sweep_non_mapping_root_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "list.cfg"
+    cfg.write_text("- 1\n- 2\n")
+    code = main(["sweep", str(cfg), "--param", "seed", "--values", "1", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "seed: path crosses a non-mapping node" in capsys.readouterr().err

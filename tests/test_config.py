@@ -215,7 +215,7 @@ def test_initial_state_construction():
             }
         )
     )
-    state = cfg.initial_state()
+    state = cfg.initial
     assert state.position == pytest.approx([0.1, 0.2, 0.3])
     roll, pitch, yaw = state.attitude.to_euler_zyx()
     assert roll == pytest.approx(math.radians(10.0))

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flapsim.aero import mix
 from flapsim.config import default_vehicle, load_config, bundled_config_path
@@ -18,13 +20,13 @@ from flapsim.control import (
     PositionController,
     PositionGains,
     Setpoint,
+    _Integrator,
     attitude_torque,
     desired_attitude,
-    desired_rate_in_body,
     thrust_magnitude,
 )
 from flapsim.dynamics import VehicleState, step
-from flapsim.spatial import Quaternion
+from flapsim.spatial import Quaternion, quat_error, sign
 
 MASS = 95e-6
 G = 9.81
@@ -45,7 +47,7 @@ def random_quaternion(rng):
 
 def test_attitude_equilibrium():
     q = Quaternion.from_euler_zyx(0.3, -0.2, 1.0)
-    tau = attitude_torque(q, q, np.zeros(3), np.zeros(3), gains())
+    tau = attitude_torque(q, q, np.zeros(3), gains())
     assert tau == pytest.approx([0.0, 0.0, 0.0], abs=1e-18)
 
 
@@ -54,7 +56,7 @@ def test_attitude_proportional_axis():
     g = gains()
     theta = 0.2
     q = Quaternion.from_axis_angle([1.0, 0.0, 0.0], theta)
-    tau = attitude_torque(q, Quaternion.identity(), np.zeros(3), np.zeros(3), g)
+    tau = attitude_torque(q, Quaternion.identity(), np.zeros(3), g)
     assert tau[0] == pytest.approx(-g.attitude[0] * math.sin(theta / 2.0), rel=1e-12)
     assert tau[1] == 0.0 and tau[2] == 0.0
 
@@ -63,7 +65,7 @@ def test_attitude_rate_damping():
     g = gains()
     q = Quaternion.identity()
     omega = np.array([0.5, -0.2, 0.1])
-    tau = attitude_torque(q, q, omega, np.zeros(3), g)
+    tau = attitude_torque(q, q, omega, g)
     assert tau == pytest.approx(-g.rate * omega, rel=1e-12)
 
 
@@ -74,9 +76,9 @@ def test_attitude_double_cover_invariance():
         q = random_quaternion(rng)
         q_d = random_quaternion(rng)
         omega = rng.standard_normal(3)
-        t1 = attitude_torque(q, q_d, omega, np.zeros(3), g)
-        t2 = attitude_torque(-q, q_d, omega, np.zeros(3), g)
-        t3 = attitude_torque(q, -q_d, omega, np.zeros(3), g)
+        t1 = attitude_torque(q, q_d, omega, g)
+        t2 = attitude_torque(-q, q_d, omega, g)
+        t3 = attitude_torque(q, -q_d, omega, g)
         assert np.max(np.abs(t1 - t2)) < 1e-12
         assert np.max(np.abs(t1 - t3)) < 1e-12
 
@@ -90,20 +92,53 @@ def test_attitude_left_invariance():
         q_d = random_quaternion(rng)
         p = random_quaternion(rng)
         omega = rng.standard_normal(3)
-        t1 = attitude_torque(q, q_d, omega, np.zeros(3), g)
-        t2 = attitude_torque(p * q, p * q_d, omega, np.zeros(3), g)
+        t1 = attitude_torque(q, q_d, omega, g)
+        t2 = attitude_torque(p * q, p * q_d, omega, g)
         assert np.max(np.abs(t1 - t2)) < 1e-9
 
 
-def test_desired_rate_conjugation():
-    rng = np.random.default_rng(33)
-    for _ in range(200):
-        q = random_quaternion(rng)
-        rate = rng.standard_normal(3)
-        assert desired_rate_in_body(q, q, rate) == pytest.approx(rate, abs=1e-12)
-        q_d = random_quaternion(rng)
-        out = desired_rate_in_body(q, q_d, rate)
-        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(rate))
+_unit = st.floats(-1.0, 1.0)
+_quaternion = st.tuples(_unit, _unit, _unit, _unit).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+).map(lambda v: Quaternion.from_array(np.array(v) / np.linalg.norm(v)))
+_vec3 = st.tuples(*[st.floats(-1e2, 1e2)] * 3).map(np.array)
+_gain3 = st.tuples(*[st.floats(1e-9, 1e-2)] * 3).map(np.array)
+
+
+@given(_quaternion, _quaternion, _vec3, _gain3, _gain3)
+def test_attitude_torque_matches_law_with_zero_desired_rate(q, q_d, omega, k1, k2):
+    """The law equals the former one whose desired rate was a rotated zero."""
+    qe = quat_error(q_d, q)
+    omega_d = qe.inverse().rotate(np.zeros(3))
+    expect = -k1 * (sign(qe.w) * qe.vector) - k2 * (omega - omega_d)
+    assert np.array_equal(attitude_torque(q, q_d, omega, AttitudeGains(k1, k2)), expect)
+
+
+@given(
+    st.lists(st.tuples(_vec3, _vec3), min_size=1, max_size=5),
+    _vec3,
+    _gain3,
+    _gain3,
+    _gain3,
+)
+def test_position_force_matches_law_with_zero_feedforward(states, r_sp, kp, kd, ki):
+    """Bit for bit, signed zeros included, the former law with zero velocity
+    and acceleration feedforward, over a sequence of ticks."""
+    dt = 5e-4
+    gains = PositionGains(kp=kp, kd=kd, ki=ki, integral_limit=0.05)
+    ctrl = PositionController(gains, MASS, G)
+    integ = _Integrator(3, gains.integral_limit)
+    for position, velocity in states:
+        state = VehicleState.at_rest()
+        state.position, state.velocity = position, velocity
+        f = ctrl.force(state, Setpoint(position=r_sp), dt)
+        e = position - r_sp
+        edot = velocity - np.zeros(3)
+        expect = -kp * e - kd * edot - ki * integ.advance(e, dt)
+        expect = expect + MASS * G * np.array([0.0, 0.0, 1.0])
+        expect = expect + MASS * np.zeros(3)
+        assert np.array_equal(f, expect)
+        assert np.array_equal(np.signbit(f), np.signbit(expect))
 
 
 def test_thrust_projection():
@@ -181,9 +216,8 @@ def test_position_proportional_and_feedforward_terms():
     state = VehicleState.at_rest()
     state.position = np.array([0.02, 0.0, 0.0])
     state.velocity = np.array([0.0, 0.1, 0.0])
-    acc = np.array([0.0, 0.0, 0.3])
-    f = ctrl.force(state, Setpoint(position=np.zeros(3), acceleration=acc), 5e-4)
-    want = np.array([-kp[0] * 0.02, -kd[1] * 0.1, WEIGHT + MASS * 0.3])
+    f = ctrl.force(state, Setpoint(position=np.zeros(3)), 5e-4)
+    want = np.array([-kp[0] * 0.02, -kd[1] * 0.1, WEIGHT])
     assert f == pytest.approx(want, rel=1e-12)
 
 

@@ -142,8 +142,8 @@ def test_rate_filter_constant_spin():
 
 
 def test_sensor_noise_statistics():
-    config = filter_config(position_noise_std=5e-4, attitude_noise_std=4.4e-3, seed=5)
-    sensor = MocapSensor(config)
+    config = filter_config(position_noise_std=5e-4, attitude_noise_std=4.4e-3)
+    sensor = MocapSensor(config, seed=5)
     state = VehicleState.at_rest()
     n = 20000
     pos = np.empty((n, 3))
@@ -159,7 +159,7 @@ def test_sensor_noise_statistics():
 
 
 def test_sensor_noise_free_passthrough():
-    sensor = MocapSensor(filter_config())
+    sensor = MocapSensor(filter_config(), seed=0)
     state = VehicleState.at_rest()
     state.position = np.array([0.1, 0.2, 0.3])
     state.attitude = Quaternion.from_yaw(0.5)
@@ -169,8 +169,8 @@ def test_sensor_noise_free_passthrough():
 
 
 def test_sensor_determinism():
-    c = filter_config(position_noise_std=1e-3, attitude_noise_std=1e-3, seed=99)
-    a, b = MocapSensor(c), MocapSensor(c)
+    c = filter_config(position_noise_std=1e-3, attitude_noise_std=1e-3)
+    a, b = MocapSensor(c, seed=99), MocapSensor(c, seed=99)
     state = VehicleState.at_rest()
     for _ in range(20):
         sa, sb = a.sample(state), b.sample(state)
