@@ -9,7 +9,6 @@ from .aero import (
     cycle_avg_damping,
     cycle_avg_lift,
     mix,
-    mixing_matrix,
     yaw_damping_coefficient,
 )
 from .config import (

@@ -38,7 +38,6 @@ __all__ = [
     "cycle_avg_lift",
     "cycle_avg_damping",
     "yaw_damping_coefficient",
-    "mixing_matrix",
     "mix",
     "allocate",
 ]
@@ -73,11 +72,6 @@ class Wrench:
 
     thrust: float
     torque: np.ndarray  # (3,)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.thrust, self.torque[0], self.torque[1], self.torque[2]]
-        )
 
 
 @dataclass(frozen=True)
@@ -129,10 +123,8 @@ def yaw_damping_coefficient(wing: WingConfig, n_wings: int) -> float:
     return n_wings * cycle_avg_damping(wing, 1.0) * wing.steering_arm
 
 
-def mixing_matrix(wing: WingConfig) -> np.ndarray:
-    """Map the four drive amplitudes to the body wrench u = [f, t1, t2, t3].
-
-    Rows are thrust, roll torque, pitch torque and yaw torque:
+def mix(wing: WingConfig, amplitudes) -> Wrench:
+    """Body wrench u = [f, t1, t2, t3] produced by the four drive amplitudes.
 
         f  = k_f  * ( v1 + v2 + v3 + v4)
         t1 = k_f d1 * (-v1 - v2 + v3 + v4)
@@ -141,31 +133,9 @@ def mixing_matrix(wing: WingConfig) -> np.ndarray:
 
     Raising the left pair (3, 4) rolls positive about +x, raising the front
     pair (1, 3) pitches positive about +y, and driving one diagonal pair
-    harder than the other yaws through the steering forces.
-
-    Raises ValueError when any coefficient is zero (a singular matrix cannot
-    be inverted by the allocator).
-    """
-    kf = wing.k_thrust
-    ks = wing.k_steer
-    d1, d2, d3 = wing.lever_roll, wing.lever_pitch, wing.lever_yaw
-    if kf == 0.0 or ks == 0.0 or d1 == 0.0 or d2 == 0.0 or d3 == 0.0:
-        raise ValueError("mixing matrix is singular: zero coefficient")
-    return np.array(
-        [
-            [kf, kf, kf, kf],
-            [-kf * d1, -kf * d1, kf * d1, kf * d1],
-            [kf * d2, -kf * d2, kf * d2, -kf * d2],
-            [ks * d3, -ks * d3, -ks * d3, ks * d3],
-        ]
-    )
-
-
-def mix(wing: WingConfig, amplitudes) -> Wrench:
-    """Body wrench produced by the four drive amplitudes.
-
-    The forward map is evaluated directly so it also works where the mixing
-    matrix would be singular (for example k_steer = 0 in open-loop drills).
+    harder than the other yaws through the steering forces.  The map is
+    evaluated directly, so it also works where it cannot be inverted (for
+    example k_steer = 0 in open-loop drills).
     """
     v1, v2, v3, v4 = (float(v) for v in amplitudes)
     kf = wing.k_thrust
@@ -182,13 +152,33 @@ def mix(wing: WingConfig, amplitudes) -> Wrench:
 
 
 def allocate(wing: WingConfig, wrench: Wrench) -> ActuatorCommand:
-    """Invert the mixing matrix and clamp the amplitudes to [0, v_max].
+    """Invert :func:`mix` and clamp the amplitudes to [0, v_max].
 
-    A wing is flagged as saturated when its unclamped solution fell outside
-    the drive range; the returned amplitudes always respect the limits.
+    The map of :func:`mix` is Gamma = D H with D = diag(k_f, k_f d1, k_f d2,
+    k_s d3) and the sign pattern H a Hadamard matrix (H H^T = 4 I), so
+    Gamma^-1 = H^T D^-1 / 4 in closed form.  A wing is flagged as saturated
+    when its unclamped solution fell outside the drive range; the returned
+    amplitudes always respect the limits.
+
+    Raises ValueError when any coefficient is zero (Gamma is then singular).
     """
-    gamma = mixing_matrix(wing)
-    raw = np.linalg.inv(gamma) @ wrench.as_array()
-    clamped = np.clip(raw, 0.0, wing.v_max)
-    saturated = (raw < 0.0) | (raw > wing.v_max)
-    return ActuatorCommand(amplitudes=clamped, saturated=saturated)
+    kf, ks = wing.k_thrust, wing.k_steer
+    d1, d2, d3 = wing.lever_roll, wing.lever_pitch, wing.lever_yaw
+    if kf == 0.0 or ks == 0.0 or d1 == 0.0 or d2 == 0.0 or d3 == 0.0:
+        raise ValueError("mixing matrix is singular: zero coefficient")
+    t1, t2, t3 = wrench.torque.tolist()
+    a = wrench.thrust / kf
+    b = t1 / (kf * d1)
+    c = t2 / (kf * d2)
+    d = t3 / (ks * d3)
+    raw = (
+        0.25 * (a - b + c + d),
+        0.25 * (a - b - c - d),
+        0.25 * (a + b + c - d),
+        0.25 * (a + b - c + d),
+    )
+    v_max = wing.v_max
+    return ActuatorCommand(
+        amplitudes=np.array([min(max(v, 0.0), v_max) for v in raw]),
+        saturated=np.array([v < 0.0 or v > v_max for v in raw]),
+    )

@@ -59,6 +59,12 @@ def _with_overrides(raw, args: argparse.Namespace) -> SimConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _with_overrides(read_raw(args.config), args)
     out = args.out if args.out else _csv_name(f"{config.name}_run")
+    # The CSV is written after the last tick; refuse a path that cannot take it.
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise ConfigError([f"--out: directory {path.parent} does not exist"])
+    if path.is_dir():
+        raise ConfigError([f"--out: {out} is a directory"])
     record = run_scenario(config, out=out)
     _print_metrics(record)
     print(f"csv: {out}")
@@ -124,7 +130,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         runs[out] = (value, config)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"--out: cannot make directory {out_dir}: {exc.strerror}"])
     worst = EXIT_OK
     for out, (value, config) in runs.items():
         record = run_scenario(config, out=out)

@@ -33,7 +33,10 @@ import numpy as np
 
 from .aero import ActuatorCommand, WingConfig, Wrench, allocate
 from .dynamics import VehicleState
-from .spatial import Quaternion, quat_error, rotmat_to_quat, sign
+from .spatial import Quaternion, _shepperd, quat_error, sign
+# Unused here since desired_attitude calls _shepperd; the per-layer trace of
+# perfbench/run.py wraps control.rotmat_to_quat, so the name stays.
+from .spatial import rotmat_to_quat  # noqa: F401
 
 __all__ = [
     "ControlError",
@@ -112,37 +115,49 @@ def attitude_torque(
 def thrust_magnitude(f_desired: np.ndarray, q: Quaternion) -> float:
     """Project the desired force onto the current body z axis, floored at 0.
 
-    The wings cannot pull, so a projection that turns negative (thrust axis
-    pointing away from the desired force) commands zero thrust.
+    The body z axis is the third column of R(q).  The wings cannot pull, so a
+    projection that turns negative (thrust axis pointing away from the
+    desired force) commands zero thrust.
     """
-    b3 = q.rotate(np.array([0.0, 0.0, 1.0]))
-    return max(0.0, float(f_desired @ b3))
+    fx, fy, fz = np.asarray(f_desired, dtype=float).tolist()
+    w, x, y, z = q.w, q.x, q.y, q.z
+    projection = (
+        fx * (2.0 * (x * z + w * y))
+        + fy * (2.0 * (y * z - w * x))
+        + fz * (1.0 - 2.0 * (x * x + y * y))
+    )
+    return max(0.0, projection)
 
 
 def desired_attitude(f_desired: np.ndarray, yaw_desired: float) -> Quaternion:
     """Attitude whose body z axis carries f_desired at the reference heading.
 
-    The desired z axis is f_desired normalized.  The desired x axis is built
-    from the heading vector [-sin(yaw), cos(yaw), 0] (the desired body y axis
-    projected onto the horizontal plane) so the rotation about the thrust
-    axis is fixed by the yaw reference.
+    The desired z axis i3 is f_desired normalized.  The desired x axis is
+    i1 = h x i3 normalized, with the heading vector h = [-sin(yaw), cos(yaw), 0]
+    (the desired body y axis projected onto the horizontal plane), so the
+    rotation about the thrust axis is fixed by the yaw reference; i2 = i3 x i1
+    completes the frame (Lee, Leok & McClamroch, CDC 2010).  The frame is
+    orthonormal by construction, so it goes to Shepperd's branch unchecked.
 
     Raises DegenerateThrust when |f_desired| is too small and DegenerateYaw
     when the heading reference is parallel to the thrust axis (pitch or roll
     near 90 deg), where the construction loses rank.
     """
-    norm_f = float(np.linalg.norm(f_desired))
+    fx, fy, fz = np.asarray(f_desired, dtype=float).tolist()
+    norm_f = math.sqrt(fx * fx + fy * fy + fz * fz)
     if norm_f <= _EPS_THRUST:
         raise DegenerateThrust(f"|f_desired| = {norm_f:.3e} defines no thrust axis")
-    i3 = np.asarray(f_desired, dtype=float) / norm_f
-    heading = np.array([-math.sin(yaw_desired), math.cos(yaw_desired), 0.0])
-    i1 = np.cross(heading, i3)
-    norm_i1 = float(np.linalg.norm(i1))
-    if norm_i1 <= _EPS_AXIS:
+    zx, zy, zz = fx / norm_f, fy / norm_f, fz / norm_f
+    hx, hy = -math.sin(yaw_desired), math.cos(yaw_desired)
+    # i1 = h x i3 with h_z = 0.
+    xx, xy, xz = hy * zz, -hx * zz, hx * zy - hy * zx
+    norm_x = math.sqrt(xx * xx + xy * xy + xz * xz)
+    if norm_x <= _EPS_AXIS:
         raise DegenerateYaw("heading reference parallel to the thrust axis")
-    i1 /= norm_i1
-    i2 = np.cross(i3, i1)
-    return rotmat_to_quat(np.column_stack([i1, i2, i3]))
+    xx, xy, xz = xx / norm_x, xy / norm_x, xz / norm_x
+    # i2 = i3 x i1.
+    yx, yy, yz = zy * xz - zz * xy, zz * xx - zx * xz, zx * xy - zy * xx
+    return _shepperd(xx, yx, zx, xy, yy, zy, xz, yz, zz)
 
 
 class _Integrator:

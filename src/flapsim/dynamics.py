@@ -98,18 +98,22 @@ def vibration_torque(config: InertialConfig, t: float) -> np.ndarray:
     the wing spin-up; a sinusoid switched on at full amplitude would kick the
     body with a net angular impulse no controller at this scale could absorb.
     """
+    return np.array(_vibration(config, t))
+
+
+def _vibration(config: InertialConfig, t: float) -> tuple[float, float, float]:
     if config.vibration_amplitude == 0.0:
-        return np.zeros(3)
+        return 0.0, 0.0, 0.0
     amplitude = config.vibration_amplitude
     if config.vibration_ramp > 0.0 and t < config.vibration_ramp:
         amplitude *= t / config.vibration_ramp
     phase = 2.0 * math.pi * config.vibration_frequency * t
-    return amplitude * np.array([math.sin(phase), math.cos(phase), 0.0])
+    return amplitude * math.sin(phase), amplitude * math.cos(phase), 0.0
 
 
-def _deriv(y: np.ndarray, t: float, u: Wrench, c: InertialConfig) -> np.ndarray:
-    """Packed-state derivative; y = [r(3), v(3), q(4), omega(3)]."""
-    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y.tolist()
+def _deriv(y, t: float, u: Wrench, c: InertialConfig) -> tuple[float, ...]:
+    """Packed-state derivative; y = [r(3), v(3), q(4), omega(3)] as floats."""
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
 
     # Thrust along the third column of R(q), the body z axis in inertial axes.
     f = u.thrust / c.mass
@@ -118,32 +122,30 @@ def _deriv(y: np.ndarray, t: float, u: Wrench, c: InertialConfig) -> np.ndarray:
     az = f * (1.0 - 2.0 * (qx * qx + qy * qy)) - c.gravity
 
     # Euler's equations: J_i wdot_i = tau_i - (w x J w)_i.
-    tx, ty, tz = (u.torque + vibration_torque(c, t)).tolist()
-    tz += passive_yaw_damping(c, wz)
+    px, py, pz = _vibration(c, t)
+    tx, ty, tz = u.torque.tolist()
+    tx, ty, tz = tx + px, ty + py, tz + pz + passive_yaw_damping(c, wz)
     j1, j2, j3 = c.inertia
     hx, hy, hz = j1 * wx, j2 * wy, j3 * wz
-    return np.array(
-        [
-            vx, vy, vz, ax, ay, az,
-            0.5 * (-qx * wx - qy * wy - qz * wz),
-            0.5 * (qw * wx + qy * wz - qz * wy),
-            0.5 * (qw * wy - qx * wz + qz * wx),
-            0.5 * (qw * wz + qx * wy - qy * wx),
-            (1.0 / j1) * (tx - (wy * hz - wz * hy)),
-            (1.0 / j2) * (ty - (wz * hx - wx * hz)),
-            (1.0 / j3) * (tz - (wx * hy - wy * hx)),
-        ]
+    return (
+        vx, vy, vz, ax, ay, az,
+        0.5 * (-qx * wx - qy * wy - qz * wz),
+        0.5 * (qw * wx + qy * wz - qz * wy),
+        0.5 * (qw * wy - qx * wz + qz * wx),
+        0.5 * (qw * wz + qx * wy - qy * wx),
+        (1.0 / j1) * (tx - (wy * hz - wz * hy)),
+        (1.0 / j2) * (ty - (wz * hx - wx * hz)),
+        (1.0 / j3) * (tz - (wx * hy - wy * hx)),
     )
 
 
-def _pack(state: VehicleState) -> np.ndarray:
-    y = np.empty(13)
-    y[0:3] = state.position
-    y[3:6] = state.velocity
+def _pack(state: VehicleState) -> list[float]:
+    """The packed state [r(3), v(3), q(4), omega(3)] as Python floats."""
     q = state.attitude
-    y[6:10] = (q.w, q.x, q.y, q.z)
-    y[10:13] = state.omega
-    return y
+    return [
+        *state.position.tolist(), *state.velocity.tolist(),
+        q.w, q.x, q.y, q.z, *state.omega.tolist(),
+    ]
 
 
 def step(
@@ -151,30 +153,35 @@ def step(
 ) -> VehicleState:
     """Advance the state by one RK4 step of length ``dt``.
 
-    The quaternion is renormalized after the update so integration error does
-    not accumulate in its norm.  Raises ValueError on non-finite inputs or a
-    non-positive step.
+    The stage sums are evaluated element by element on Python floats, so the
+    result does not depend on a BLAS kernel.  The quaternion is renormalized
+    after the update so integration error does not accumulate in its norm.
+    Raises ValueError on non-finite inputs or a non-positive step.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     y0 = _pack(state)
-    if not np.isfinite(y0).all():
+    if not all(map(math.isfinite, y0)):
         raise ValueError("non-finite vehicle state")
-    if not (math.isfinite(wrench.thrust) and np.isfinite(wrench.torque).all()):
+    torque = wrench.torque.tolist()
+    if not (math.isfinite(wrench.thrust) and all(map(math.isfinite, torque))):
         raise ValueError("non-finite wrench")
 
     t = state.t
+    h = 0.5 * dt
     k1 = _deriv(y0, t, wrench, config)
-    k2 = _deriv(y0 + 0.5 * dt * k1, t + 0.5 * dt, wrench, config)
-    k3 = _deriv(y0 + 0.5 * dt * k2, t + 0.5 * dt, wrench, config)
-    k4 = _deriv(y0 + dt * k3, t + dt, wrench, config)
-    y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    q = Quaternion(y1[6], y1[7], y1[8], y1[9]).normalized()
+    k2 = _deriv([a + h * b for a, b in zip(y0, k1)], t + h, wrench, config)
+    k3 = _deriv([a + h * b for a, b in zip(y0, k2)], t + h, wrench, config)
+    k4 = _deriv([a + dt * b for a, b in zip(y0, k3)], t + dt, wrench, config)
+    h6 = dt / 6.0
+    y1 = [
+        a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
+    ]
     return VehicleState(
-        position=y1[0:3],
-        velocity=y1[3:6],
-        attitude=q,
-        omega=y1[10:13],
+        position=np.array(y1[0:3]),
+        velocity=np.array(y1[3:6]),
+        attitude=Quaternion(y1[6], y1[7], y1[8], y1[9]).normalized(),
+        omega=np.array(y1[10:13]),
         t=t + dt,
     )

@@ -129,7 +129,8 @@ class LowPass:
     def update(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if not self._primed:
-            # Prime at the first input so a constant stream passes unchanged.
+            # Prime at the first input so a constant stream passes unchanged
+            # (exactly on this sample, up to rounding after it).
             self._x_prev = x.copy()
             self._y_prev = x.copy()
             self._primed = True

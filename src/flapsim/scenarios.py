@@ -32,7 +32,7 @@ import numpy as np
 from .aero import ActuatorCommand, Wrench, cycle_avg_lift, mix
 from .config import SimConfig, VehicleParams
 from .control import FlightController
-from .dynamics import VehicleState, step
+from .dynamics import VehicleState, _pack, step
 from .estimation import Estimator, MocapSensor
 
 __all__ = [
@@ -149,7 +149,9 @@ def _yaw_decay_tau(t: np.ndarray, omega_z: np.ndarray) -> float:
     """Exponential time constant fitted to the yaw-rate decay.
 
     Least squares on log |omega_z| over the samples that remain above 0.1 %
-    of the initial rate; NaN when there is no appreciable initial rate.
+    of the initial rate; NaN when there is no appreciable initial rate.  The
+    slope is the centred closed form sum(dt dy) / sum(dt^2), every sum taken
+    with ``math.fsum``.
     """
     w0 = abs(omega_z[0])
     if w0 < 0.1:
@@ -157,10 +159,17 @@ def _yaw_decay_tau(t: np.ndarray, omega_z: np.ndarray) -> float:
     keep = np.abs(omega_z) > 1e-3 * w0
     if keep.sum() < 10:
         return float("nan")
-    slope = np.polyfit(t[keep], np.log(np.abs(omega_z[keep])), 1)[0]
+    ts = t[keep].tolist()
+    ys = [math.log(abs(w)) for w in omega_z[keep].tolist()]
+    t_mean = math.fsum(ts) / len(ts)
+    y_mean = math.fsum(ys) / len(ys)
+    dts = [ti - t_mean for ti in ts]
+    slope = math.fsum(d * (yi - y_mean) for d, yi in zip(dts, ys)) / math.fsum(
+        d * d for d in dts
+    )
     if slope >= 0.0:
         return float("nan")
-    return float(-1.0 / slope)
+    return -1.0 / slope
 
 
 def _row(
@@ -197,12 +206,11 @@ def _row(
 
 
 def _diverged(state: VehicleState) -> bool:
-    values = np.concatenate(
-        [state.position, state.velocity, state.attitude.as_array(), state.omega]
-    )
-    if not np.isfinite(values).all():
+    values = _pack(state)
+    if not all(map(math.isfinite, values)):
         return True
-    return float(np.linalg.norm(state.position)) > DIVERGENCE_RADIUS
+    x, y, z = values[0:3]
+    return math.sqrt(x * x + y * y + z * z) > DIVERGENCE_RADIUS
 
 
 def run_scenario(

@@ -217,39 +217,33 @@ def rotmat_to_quat(matrix, tol: float = 1e-6) -> Quaternion:
     if np.linalg.det(m) < 0.0:
         raise ValueError("matrix has negative determinant (improper rotation)")
 
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    if tr >= m[0, 0] and tr >= m[1, 1] and tr >= m[2, 2]:
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    return _shepperd(m00, m01, m02, m10, m11, m12, m20, m21, m22)
+
+
+def _shepperd(
+    m00: float, m01: float, m02: float,
+    m10: float, m11: float, m12: float,
+    m20: float, m21: float, m22: float,
+) -> Quaternion:
+    """Shepperd's branch on the nine entries of a rotation matrix, unchecked.
+
+    The caller guarantees a proper rotation; :func:`rotmat_to_quat` is the
+    checked entry point.  Returns the unit representative with w >= 0.
+    """
+    tr = m00 + m11 + m22
+    if tr >= m00 and tr >= m11 and tr >= m22:
         s = math.sqrt(1.0 + tr) * 2.0
-        q = Quaternion(
-            0.25 * s,
-            (m[2, 1] - m[1, 2]) / s,
-            (m[0, 2] - m[2, 0]) / s,
-            (m[1, 0] - m[0, 1]) / s,
-        )
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = Quaternion(
-            (m[2, 1] - m[1, 2]) / s,
-            0.25 * s,
-            (m[0, 1] + m[1, 0]) / s,
-            (m[0, 2] + m[2, 0]) / s,
-        )
-    elif m[1, 1] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = Quaternion(
-            (m[0, 2] - m[2, 0]) / s,
-            (m[0, 1] + m[1, 0]) / s,
-            0.25 * s,
-            (m[1, 2] + m[2, 1]) / s,
-        )
+        q = Quaternion(0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
+    elif m00 >= m11 and m00 >= m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        q = Quaternion((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s)
+    elif m11 >= m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        q = Quaternion((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s)
     else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = Quaternion(
-            (m[1, 0] - m[0, 1]) / s,
-            (m[0, 2] + m[2, 0]) / s,
-            (m[1, 2] + m[2, 1]) / s,
-            0.25 * s,
-        )
+        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        q = Quaternion((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
     q = q.normalized()
     if q.w < 0.0:
         q = -q

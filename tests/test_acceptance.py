@@ -12,19 +12,25 @@ Run with::
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from flapsim.aero import allocate, cycle_avg_damping, cycle_avg_lift, mix, mixing_matrix
+import flapsim
+from flapsim.aero import allocate, cycle_avg_damping, cycle_avg_lift, mix
 from flapsim.config import bundled_config_path, default_vehicle, load_config
 from flapsim.dynamics import InertialConfig, VehicleState, step
 from flapsim.estimation import AngularRateFilter, Estimator, FilterConfig, MocapSample
 from flapsim.scenarios import lift_report, run_scenario
 from flapsim.spatial import Quaternion, rotmat_to_quat
 from flapsim.aero import Wrench
+from oracles import mixing_matrix
 
 BUNDLED = (
     "hover.cfg",
@@ -364,6 +370,17 @@ def pin(record, csv_path: Path) -> dict:
     }
 
 
+def bundled_pins() -> dict:
+    """Run every bundled scenario once; its pins by scenario file name."""
+    pins = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in BUNDLED:
+            out = Path(tmp) / f"{name}.csv"
+            config = load_config(bundled_config_path(name))
+            pins[name] = pin(run_scenario(config, out=out), out)
+    return pins
+
+
 def first_difference(got: dict, want: dict) -> str:
     """The first pinned field where a fresh run differs from the golden pin."""
     if got["csv_sha256"] != want["csv_sha256"]:
@@ -398,4 +415,57 @@ def test_criterion_9_determinism(tmp_path):
         if ok
         else f"mismatched: {', '.join(mismatched)}; off the golden pins: "
         f"{', '.join(drifted)}",
+    )
+
+
+# OpenBLAS kernels forced in place of the one the CPU selects.  Each child
+# process computes the pins under one of them; the variable is set in the
+# child's environment only.
+BLAS_KERNELS = ("Prescott", "Haswell")
+_PINS_CHILD = """\
+import ctypes, glob, json, os
+import numpy
+from test_acceptance import bundled_pins
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), "..", "numpy.libs", "*openblas*"))
+try:
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    kernel = corename().decode()
+except (IndexError, OSError, AttributeError):
+    kernel = "unknown"
+print(json.dumps({"kernel": kernel, "pins": bundled_pins()}))
+"""
+
+
+def test_criterion_9_pins_hold_on_other_blas_kernels():
+    golden = json.loads(GOLDEN.read_text())
+    path = [str(Path(flapsim.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(path + [env.get("PYTHONPATH", "")])
+    children = {
+        kernel: subprocess.Popen(
+            [sys.executable, "-c", _PINS_CHILD],
+            env=dict(env, OPENBLAS_CORETYPE=kernel),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for kernel in BLAS_KERNELS
+    }
+    results, drifted = [], []
+    for kernel, child in children.items():
+        out, err = child.communicate(timeout=600)
+        assert child.returncode == 0, f"OPENBLAS_CORETYPE={kernel}: {err}"
+        got = json.loads(out.strip().splitlines()[-1])
+        results.append(f"{kernel} (OpenBLAS core {got['kernel']})")
+        for name in BUNDLED:
+            if got["pins"][name] != golden[name]:
+                difference = first_difference(got["pins"][name], golden[name])
+                drifted.append(f"{kernel}: {name} ({difference})")
+    report(
+        9,
+        not drifted,
+        f"golden pins hold under OPENBLAS_CORETYPE {', '.join(results)}"
+        if not drifted
+        else f"off the golden pins: {'; '.join(drifted)}",
     )

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flapsim.aero import (
     ActuatorCommand,
@@ -13,10 +15,10 @@ from flapsim.aero import (
     cycle_avg_damping,
     cycle_avg_lift,
     mix,
-    mixing_matrix,
     yaw_damping_coefficient,
 )
 from flapsim.config import default_vehicle
+from oracles import mixing_matrix, wrench_vector
 
 # calibrated so four stock wings lift 1.4 mN: (1.4e-3/4) / (100^2 rad(65)^2 50e-6)
 C_LIFT = 0.0005438969100611174
@@ -133,7 +135,7 @@ def test_mix_agrees_with_matrix():
     gamma = mixing_matrix(wing)
     for _ in range(200):
         v = rng.uniform(0.0, wing.v_max, size=4)
-        assert mix(wing, v).as_array() == pytest.approx(gamma @ v, rel=1e-12)
+        assert wrench_vector(mix(wing, v)) == pytest.approx(gamma @ v, rel=1e-12)
 
 
 def closed_form_inverse(wing: WingConfig) -> np.ndarray:
@@ -185,6 +187,26 @@ def test_allocate_mix_round_trip():
         assert np.max(np.abs(cmd.amplitudes - v)) < 1e-10
 
 
+V_MAX = stock_wing().v_max
+
+
+@given(st.tuples(*[st.floats(0.0, V_MAX)] * 4))
+def test_allocate_inverts_mix(v):
+    """allocate(mix(v)) recovers any v in [0, v_max]^4 up to rounding and
+    agrees with the dense inverse of the mixing matrix.  No wing inside the
+    range by more than that rounding is flagged; one at a bound may be, when
+    its unclamped solution rounds to just outside."""
+    wing = stock_wing()
+    wrench = mix(wing, v)
+    cmd = allocate(wing, wrench)
+    dense = np.linalg.inv(mixing_matrix(wing)) @ wrench_vector(wrench)
+    tol = 8.0 * np.finfo(float).eps * V_MAX
+    assert np.max(np.abs(cmd.amplitudes - np.array(v))) <= tol
+    assert np.max(np.abs(cmd.amplitudes - np.clip(dense, 0.0, V_MAX))) <= tol
+    for amplitude, flag in zip(v, cmd.saturated):
+        assert not flag or min(amplitude, V_MAX - amplitude) <= tol
+
+
 def test_allocate_saturation_flags():
     wing = stock_wing()
     over = Wrench(thrust=8 * wing.k_thrust * wing.v_max, torque=np.zeros(3))
@@ -204,10 +226,11 @@ def test_mix_works_where_allocation_is_singular():
     wrench = mix(wing, [10.0, 20.0, 30.0, 40.0])
     assert wrench.thrust == pytest.approx(wing.k_thrust * 100.0)
     assert wrench.torque[2] == 0.0
-    with pytest.raises(ValueError):
-        mixing_matrix(wing)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         allocate(wing, wrench)
+    for key in ("k_thrust", "lever_roll", "lever_pitch", "lever_yaw"):
+        with pytest.raises(ValueError, match="singular"):
+            allocate(stock_wing(**{key: 0.0}), wrench)
 
 
 def test_actuator_command_default_flags():

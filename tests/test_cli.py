@@ -298,3 +298,22 @@ def test_sweep_non_mapping_root_is_a_config_error(tmp_path, capsys):
     code = main(["sweep", str(cfg), "--param", "seed", "--values", "1", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "seed: path crosses a non-mapping node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_run_refuses_an_unwritable_out_before_running(tmp_path, monkeypatch, capsys, target):
+    monkeypatch.setattr("flapsim.cli.run_scenario", pytest.fail)
+    out = tmp_path / target
+    assert main(["run", BALLISTIC, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: --out: " in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_sweep_refuses_an_out_that_is_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("flapsim.cli.run_scenario", pytest.fail)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code = main(["sweep", BALLISTIC, "--param", "seed", "--values", "1,2", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"config error: --out: cannot make directory {out}: " in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"

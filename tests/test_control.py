@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from flapsim.aero import mix
 from flapsim.config import default_vehicle, load_config, bundled_config_path
+import oracles
 from flapsim.control import (
     AltitudeController,
     AltitudeGains,
     AttitudeGains,
+    ControlError,
     DegenerateThrust,
     DegenerateYaw,
     FlightController,
@@ -177,6 +179,28 @@ def test_desired_attitude_thrust_axis():
         heading = np.array([-math.sin(yaw), math.cos(yaw), 0.0])
         b1 = q.rotate(np.array([1.0, 0.0, 0.0]))
         assert abs(b1 @ heading) < 1e-9
+
+
+_force = st.tuples(*[st.floats(-1e-2, 1e-2)] * 3).map(np.array)
+
+
+@given(_force, st.floats(-4.0, 4.0))
+def test_desired_attitude_matches_numpy_construction(f, yaw):
+    """The float construction equals the np.cross / np.linalg.norm /
+    rotmat_to_quat one within 4 ulp per component, scaled by the conditioning
+    1 / |h x i3| of the heading cross product, and raises where it raises."""
+    try:
+        want = oracles.desired_attitude(f, yaw)
+    except ControlError as exc:
+        with pytest.raises(type(exc)):
+            desired_attitude(f, yaw)
+        return
+    got = desired_attitude(f, yaw).as_array()
+    want = want.as_array()
+    heading = np.array([-math.sin(yaw), math.cos(yaw), 0.0])
+    conditioning = np.linalg.norm(np.cross(heading, f / np.linalg.norm(f)))
+    error = min(np.abs(got - want).max(), np.abs(got + want).max())
+    assert error <= 4.0 * np.finfo(float).eps / conditioning
 
 
 def test_desired_attitude_degeneracies():

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flapsim.estimation import (
     AngularRateFilter,
@@ -103,6 +105,23 @@ def test_low_pass_dc_gain():
     for _ in range(50):
         y = filt.update([3.7])[0]
     assert y == pytest.approx(3.7, abs=1e-12)
+
+
+@given(
+    st.floats(1e-1, 1e4),
+    st.floats(1e-5, 1e-1),
+    st.tuples(*[st.floats(-1e6, 1e6)] * 3).map(np.array),
+)
+def test_low_pass_passes_a_constant_stream(corner, dt, x):
+    """A constant input comes out unchanged: exactly on the priming sample,
+    then up to the rounding of one update (4 ulp of x) divided by the
+    filter's settling margin 1 - |a1|."""
+    filt = LowPass(corner, dt, 3)
+    assert np.array_equal(filt.update(x), x)
+    tiny = np.finfo(float).smallest_subnormal
+    bound = 4.0 * (np.finfo(float).eps * np.abs(x) + tiny) / (1.0 - abs(filt.a1))
+    for _ in range(100):
+        assert np.all(np.abs(filt.update(x) - x) <= bound)
 
 
 def test_velocity_filter_constant_velocity():

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flapsim.spatial import Quaternion, quat_error, rotmat_to_quat, sign
 
@@ -145,6 +147,22 @@ def test_matrix_quaternion_round_trip():
         back = rotmat_to_quat(q.to_rotation_matrix())
         assert back.w >= 0.0
         assert abs(abs(back.dot(q)) - 1.0) < 1e-9
+
+
+_unit = st.floats(-1.0, 1.0)
+_quaternion = st.tuples(_unit, _unit, _unit, _unit).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+).map(lambda v: Quaternion.from_array(np.array(v) / np.linalg.norm(v)))
+
+
+@given(_quaternion)
+def test_rotmat_to_quat_inverts_to_rotation_matrix(q):
+    """rotmat_to_quat(R(q)) is q or -q within 8 ulp per component, w >= 0."""
+    back = rotmat_to_quat(q.to_rotation_matrix())
+    assert back.w >= 0.0
+    got, want = back.as_array(), q.as_array()
+    error = min(np.abs(got - want).max(), np.abs(got + want).max())
+    assert error <= 8.0 * np.finfo(float).eps
 
 
 def test_rotmat_to_quat_rejects_bad_input():
