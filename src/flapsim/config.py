@@ -203,7 +203,7 @@ class VehicleParams:
     """SI vehicle description assembled from a config vehicle section."""
 
     mass: float
-    inertia_diag: np.ndarray
+    inertia: np.ndarray  # principal moments J1, J2, J3 [kg m^2]
     gravity: float
     n_wings: int
     wing: WingConfig
@@ -234,7 +234,7 @@ class VehicleParams:
     ) -> InertialConfig:
         return InertialConfig(
             mass=self.mass,
-            inertia=self.inertia_diag,
+            inertia=self.inertia,
             gravity=self.gravity,
             yaw_damping=self.yaw_damping,
             vibration_amplitude=vibration_amplitude,
@@ -386,7 +386,7 @@ def _vehicle(v: dict) -> VehicleParams:
         yaw_damping = yaw_damping_coefficient(wing, v["n_wings"])
     return VehicleParams(
         mass=v["mass_mg"],
-        inertia_diag=v["inertia_kg_m2"],
+        inertia=v["inertia_kg_m2"],
         gravity=v["gravity_m_per_s2"],
         n_wings=v["n_wings"],
         wing=wing,
@@ -480,10 +480,11 @@ def config_from_dict(user: dict) -> SimConfig:
         ),
         schedule=si["setpoint"]["schedule"],
         initial=VehicleState(
-            position=initial["position_m"],
-            velocity=initial["velocity_m_per_s"],
-            attitude=Quaternion.from_euler_zyx(*initial["attitude_rpy_deg"]),
-            omega=initial["omega_rad_per_s"],
+            0.0,
+            *initial["position_m"].tolist(),
+            *initial["velocity_m_per_s"].tolist(),
+            *Quaternion.from_euler_zyx(*initial["attitude_rpy_deg"]).as_array().tolist(),
+            *initial["omega_rad_per_s"].tolist(),
         ),
         open_loop_command=si["open_loop"]["command_v"],
     )

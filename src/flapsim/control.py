@@ -33,7 +33,7 @@ import numpy as np
 
 from .aero import ActuatorCommand, WingConfig, Wrench, allocate
 from .dynamics import VehicleState
-from .spatial import Quaternion, _shepperd, quat_error, sign
+from .spatial import Quaternion, _euler_zyx, _shepperd, quat_error, sign
 # Unused here since desired_attitude calls _shepperd; the per-layer trace of
 # perfbench/run.py wraps control.rotmat_to_quat, so the name stays.
 from .spatial import rotmat_to_quat  # noqa: F401
@@ -188,9 +188,10 @@ class PositionController:
         self._integ = _Integrator(3, gains.integral_limit)
 
     def force(self, state: VehicleState, sp: Setpoint, dt: float) -> np.ndarray:
-        e = state.position - sp.position
+        e = np.subtract(state[1:4], sp.position)
         integ = self._integ.advance(e, dt)
-        f = -self.gains.kp * e - self.gains.kd * state.velocity - self.gains.ki * integ
+        velocity = np.array(state[4:7])
+        f = -self.gains.kp * e - self.gains.kd * velocity - self.gains.ki * integ
         # A vector sum on purpose: it turns a -0.0 in x or y into +0.0, and
         # the recorded runs depend on that sign.
         return f + self.mass * self.gravity * np.array([0.0, 0.0, 1.0])
@@ -253,29 +254,25 @@ class FlightController:
         self.position = PositionController(position_gains, mass, gravity)
         self.altitude = AltitudeController(altitude_gains, mass, gravity)
         self.last_command = ActuatorCommand(amplitudes=np.zeros(4))
-        self.last_wrench = Wrench(0.0, np.zeros(3))
 
     def tick(self, est: VehicleState, sp: Setpoint, dt: float) -> ActuatorCommand:
-        _, _, yaw = est.attitude.to_euler_zyx()
+        q = Quaternion(*est[7:11])
+        _, _, yaw = _euler_zyx(*est[7:11])
         try:
             if self.mode == "position-hold":
                 f_d = self.position.force(est, sp, dt)
-                thrust = thrust_magnitude(f_d, est.attitude)
+                thrust = thrust_magnitude(f_d, q)
                 q_d = desired_attitude(f_d, yaw)
             else:
-                thrust = self.altitude.thrust(
-                    est.position[2], est.velocity[2], sp.position[2], dt
-                )
+                thrust = self.altitude.thrust(est.z, est.vz, sp.position[2], dt)
                 q_d = Quaternion.from_yaw(yaw)
         except ControlError:
             return self.last_command
 
-        tau = attitude_torque(est.attitude, q_d, est.omega, self.attitude_gains)
+        tau = attitude_torque(q, q_d, np.array(est[11:]), self.attitude_gains)
         if not self.yaw_feedback:
             tau[2] = 0.0
 
-        wrench = Wrench(thrust, tau)
-        command = allocate(self.wing, wrench)
+        command = allocate(self.wing, Wrench(thrust, tau))
         self.last_command = command
-        self.last_wrench = wrench
         return command

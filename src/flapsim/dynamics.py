@@ -14,17 +14,22 @@ axis at a time.  ``tau_passive`` collects two model terms that act on the
 airframe regardless of the commanded wrench: a linear passive yaw damping
 produced by the flapping wings, and an optional sinusoidal roll/pitch torque
 emulating the flapping-induced vibration of the body.
+
+The state is a :class:`VehicleState`, a tuple of 14 floats laid out like the
+first 14 columns of a run CSV: ``t, x, y, z, vx, vy, vz, qw, qx, qy, qz, wx,
+wy, wz``.  The integrator works on ``state[1:]``, the 13-float rigid-body
+state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .aero import Wrench
-from .spatial import Quaternion
 
 __all__ = [
     "VehicleState",
@@ -35,32 +40,23 @@ __all__ = [
 ]
 
 
-@dataclass
-class VehicleState:
-    position: np.ndarray  # r, inertial [m]
-    velocity: np.ndarray  # rdot, inertial [m/s]
-    attitude: Quaternion  # body to inertial
-    omega: np.ndarray  # body rates [rad/s]
-    t: float = 0.0
+class VehicleState(NamedTuple):
+    """Time and rigid-body state in CSV column order; the defaults are at rest."""
 
-    @classmethod
-    def at_rest(cls) -> "VehicleState":
-        return cls(
-            position=np.zeros(3),
-            velocity=np.zeros(3),
-            attitude=Quaternion.identity(),
-            omega=np.zeros(3),
-            t=0.0,
-        )
-
-    def copy(self) -> "VehicleState":
-        return VehicleState(
-            position=self.position.copy(),
-            velocity=self.velocity.copy(),
-            attitude=self.attitude,
-            omega=self.omega.copy(),
-            t=self.t,
-        )
+    t: float = 0.0  # [s]
+    x: float = 0.0  # r, inertial [m]
+    y: float = 0.0
+    z: float = 0.0
+    vx: float = 0.0  # rdot, inertial [m/s]
+    vy: float = 0.0
+    vz: float = 0.0
+    qw: float = 1.0  # q, body to inertial, scalar first
+    qx: float = 0.0
+    qy: float = 0.0
+    qz: float = 0.0
+    wx: float = 0.0  # omega, body rates [rad/s]
+    wy: float = 0.0
+    wz: float = 0.0
 
 
 @dataclass
@@ -139,15 +135,6 @@ def _deriv(y, t: float, u: Wrench, c: InertialConfig) -> tuple[float, ...]:
     )
 
 
-def _pack(state: VehicleState) -> list[float]:
-    """The packed state [r(3), v(3), q(4), omega(3)] as Python floats."""
-    q = state.attitude
-    return [
-        *state.position.tolist(), *state.velocity.tolist(),
-        q.w, q.x, q.y, q.z, *state.omega.tolist(),
-    ]
-
-
 def step(
     state: VehicleState, wrench: Wrench, config: InertialConfig, dt: float
 ) -> VehicleState:
@@ -160,14 +147,13 @@ def step(
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    y0 = _pack(state)
-    if not all(map(math.isfinite, y0)):
+    if not all(map(math.isfinite, state)):
         raise ValueError("non-finite vehicle state")
     torque = wrench.torque.tolist()
     if not (math.isfinite(wrench.thrust) and all(map(math.isfinite, torque))):
         raise ValueError("non-finite wrench")
 
-    t = state.t
+    t, y0 = state[0], state[1:]
     h = 0.5 * dt
     k1 = _deriv(y0, t, wrench, config)
     k2 = _deriv([a + h * b for a, b in zip(y0, k1)], t + h, wrench, config)
@@ -178,10 +164,9 @@ def step(
         a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
     ]
-    return VehicleState(
-        position=np.array(y1[0:3]),
-        velocity=np.array(y1[3:6]),
-        attitude=Quaternion(y1[6], y1[7], y1[8], y1[9]).normalized(),
-        omega=np.array(y1[10:13]),
-        t=t + dt,
-    )
+    # The expression of Quaternion.normalized.
+    qw, qx, qy, qz = y1[6:10]
+    n = math.sqrt(qw**2 + qx**2 + qy**2 + qz**2)
+    if n < 1e-12:
+        raise ValueError("cannot normalize a near-zero quaternion")
+    return VehicleState(t + dt, *y1[:6], qw / n, qx / n, qy / n, qz / n, *y1[10:])

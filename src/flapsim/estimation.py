@@ -75,9 +75,10 @@ class MocapSensor:
         self._rng = np.random.default_rng(seed)
 
     def sample(self, state: VehicleState) -> MocapSample:
-        position = state.position + self.config.position_noise_std * self._rng.standard_normal(3)
+        noise = self.config.position_noise_std * self._rng.standard_normal(3)
+        position = np.add(state[1:4], noise)
         rotvec = self.config.attitude_noise_std * self._rng.standard_normal(3)
-        attitude = state.attitude * Quaternion.from_rotation_vector(rotvec)
+        attitude = Quaternion(*state[7:11]) * Quaternion.from_rotation_vector(rotvec)
         return MocapSample(position=position, attitude=attitude, t=state.t)
 
 
@@ -210,10 +211,7 @@ class Estimator:
         omega = self._rate_filter.update(q)
         velocity = self._velocity_filter.update(sample.position)
         self._estimate = VehicleState(
-            position=np.asarray(sample.position, dtype=float).copy(),
-            velocity=velocity,
-            attitude=q,
-            omega=omega,
-            t=sample.t,
+            sample.t, *map(float, sample.position), *velocity.tolist(),
+            q.w, q.x, q.y, q.z, *omega.tolist(),
         )
         return self._estimate

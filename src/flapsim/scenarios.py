@@ -31,9 +31,10 @@ import numpy as np
 
 from .aero import ActuatorCommand, Wrench, cycle_avg_lift, mix
 from .config import SimConfig, VehicleParams
-from .control import FlightController
-from .dynamics import VehicleState, _pack, step
+from .control import FlightController, Setpoint
+from .dynamics import VehicleState, step
 from .estimation import Estimator, MocapSensor
+from .spatial import _euler_zyx
 
 __all__ = [
     "CSV_SCHEMA",
@@ -175,41 +176,24 @@ def _yaw_decay_tau(t: np.ndarray, omega_z: np.ndarray) -> float:
 def _row(
     state: VehicleState,
     est: VehicleState,
-    sp_position: np.ndarray,
-    sp_yaw: float,
+    sp: Setpoint,
     wrench: Wrench,
     command: ActuatorCommand,
-) -> list[float]:
-    roll, pitch, yaw = state.attitude.to_euler_zyx()
-    eroll, epitch, eyaw = est.attitude.to_euler_zyx()
-    q = state.attitude
-    eq = est.attitude
+) -> list:
+    """One CSV row: the state tuple is laid out like the first 14 columns."""
     return [
-        state.t,
-        state.position[0], state.position[1], state.position[2],
-        state.velocity[0], state.velocity[1], state.velocity[2],
-        q.w, q.x, q.y, q.z,
-        state.omega[0], state.omega[1], state.omega[2],
-        roll, pitch, yaw,
-        est.position[0], est.position[1], est.position[2],
-        est.velocity[0], est.velocity[1], est.velocity[2],
-        eq.w, eq.x, eq.y, eq.z,
-        est.omega[0], est.omega[1], est.omega[2],
-        eroll, epitch, eyaw,
-        sp_position[0], sp_position[1], sp_position[2], sp_yaw,
-        wrench.thrust, wrench.torque[0], wrench.torque[1], wrench.torque[2],
-        command.amplitudes[0], command.amplitudes[1],
-        command.amplitudes[2], command.amplitudes[3],
-        float(command.saturated[0]), float(command.saturated[1]),
-        float(command.saturated[2]), float(command.saturated[3]),
+        *state, *_euler_zyx(*state[7:11]),
+        *est[1:], *_euler_zyx(*est[7:11]),
+        *sp.position.tolist(), sp.yaw,
+        wrench.thrust, *wrench.torque.tolist(),
+        *command.amplitudes.tolist(), *command.saturated.tolist(),
     ]
 
 
 def _diverged(state: VehicleState) -> bool:
-    values = _pack(state)
-    if not all(map(math.isfinite, values)):
+    if not all(map(math.isfinite, state)):
         return True
-    x, y, z = values[0:3]
+    _, x, y, z = state[:4]
     return math.sqrt(x * x + y * y + z * z) > DIVERGENCE_RADIUS
 
 
@@ -260,7 +244,7 @@ def run_scenario(
         )
         true_feedback = config.control.feedback == "true"
 
-    state = config.initial.copy()
+    state = config.initial
     rows = np.empty((n_steps + 2, len(CSV_COLUMNS)))
     n_rows = status = 0
     for k in range(n_steps + 1):
@@ -270,13 +254,13 @@ def run_scenario(
         if controller is not None:
             command = controller.tick(state if true_feedback else est, sp, dt)
             wrench = mix(vehicle.wing, command.amplitudes)
-        rows[n_rows] = _row(state, est, sp.position, sp.yaw, wrench, command)
+        rows[n_rows] = _row(state, est, sp, wrench, command)
         n_rows += 1
         if k == n_steps:
             break
         state = step(state, wrench, inertial, dt)
         if _diverged(state):
-            rows[n_rows] = _row(state, est, sp.position, sp.yaw, wrench, command)
+            rows[n_rows] = _row(state, est, sp, wrench, command)
             n_rows += 1
             status = 2
             break

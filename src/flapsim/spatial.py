@@ -171,22 +171,26 @@ class Quaternion:
 
     def to_euler_zyx(self) -> tuple[float, float, float]:
         """Return (roll, pitch, yaw) [rad] in the Z-Y-X convention."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        # Entries of the body-to-inertial matrix needed for the extraction.
-        r20 = 2.0 * (x * z - w * y)
-        r21 = 2.0 * (y * z + w * x)
-        r22 = 1.0 - 2.0 * (x * x + y * y)
-        r00 = 1.0 - 2.0 * (y * y + z * z)
-        r10 = 2.0 * (x * y + w * z)
-        pitch = math.asin(max(-1.0, min(1.0, -r20)))
-        roll = math.atan2(r21, r22)
-        yaw = math.atan2(r10, r00)
-        return roll, pitch, yaw
+        return _euler_zyx(self.w, self.x, self.y, self.z)
 
     def rotation_angle(self) -> float:
         """Geodesic rotation angle in [0, pi], insensitive to the q/-q sign."""
         vn = math.sqrt(self.x**2 + self.y**2 + self.z**2)
         return 2.0 * math.atan2(vn, abs(self.w))
+
+
+def _euler_zyx(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(roll, pitch, yaw) [rad] in the Z-Y-X convention of a unit quaternion."""
+    # Entries of the body-to-inertial matrix needed for the extraction.
+    r20 = 2.0 * (x * z - w * y)
+    r21 = 2.0 * (y * z + w * x)
+    r22 = 1.0 - 2.0 * (x * x + y * y)
+    r00 = 1.0 - 2.0 * (y * y + z * z)
+    r10 = 2.0 * (x * y + w * z)
+    pitch = math.asin(max(-1.0, min(1.0, -r20)))
+    roll = math.atan2(r21, r22)
+    yaw = math.atan2(r10, r00)
+    return roll, pitch, yaw
 
 
 def quat_error(q_desired: Quaternion, q: Quaternion) -> Quaternion:

@@ -22,6 +22,7 @@ from flapsim.config import (
     read_raw,
     validate_config,
 )
+from flapsim.spatial import Quaternion
 
 BUNDLED = (
     "hover.cfg",
@@ -216,10 +217,10 @@ def test_initial_state_construction():
         )
     )
     state = cfg.initial
-    assert state.position == pytest.approx([0.1, 0.2, 0.3])
-    roll, pitch, yaw = state.attitude.to_euler_zyx()
+    assert state[1:4] == pytest.approx([0.1, 0.2, 0.3])
+    roll, pitch, yaw = Quaternion(*state[7:11]).to_euler_zyx()
     assert roll == pytest.approx(math.radians(10.0))
-    assert state.omega[2] == pytest.approx(20.0)
+    assert state.wz == pytest.approx(20.0)
 
 
 def test_comparison_vehicle_merges_onto_defaults():

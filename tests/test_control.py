@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flapsim.aero import mix
+from flapsim.aero import Wrench, allocate, mix
 from flapsim.config import default_vehicle, load_config, bundled_config_path
 import oracles
 from flapsim.control import (
@@ -131,8 +131,7 @@ def test_position_force_matches_law_with_zero_feedforward(states, r_sp, kp, kd, 
     ctrl = PositionController(gains, MASS, G)
     integ = _Integrator(3, gains.integral_limit)
     for position, velocity in states:
-        state = VehicleState.at_rest()
-        state.position, state.velocity = position, velocity
+        state = VehicleState(0.0, *position, *velocity)
         f = ctrl.force(state, Setpoint(position=r_sp), dt)
         e = position - r_sp
         edot = velocity - np.zeros(3)
@@ -224,9 +223,8 @@ def test_position_hover_feedforward():
         MASS,
         G,
     )
-    state = VehicleState.at_rest()
-    state.position = np.array([0.1, -0.2, 0.5])
-    sp = Setpoint(position=state.position.copy())
+    state = VehicleState(x=0.1, y=-0.2, z=0.5)
+    sp = Setpoint(position=np.array([0.1, -0.2, 0.5]))
     f = ctrl.force(state, sp, 5e-4)
     assert f == pytest.approx([0.0, 0.0, WEIGHT], abs=1e-15)
 
@@ -237,9 +235,7 @@ def test_position_proportional_and_feedforward_terms():
     ctrl = PositionController(
         PositionGains(kp=kp, kd=kd, ki=np.zeros(3), integral_limit=1.0), MASS, G
     )
-    state = VehicleState.at_rest()
-    state.position = np.array([0.02, 0.0, 0.0])
-    state.velocity = np.array([0.0, 0.1, 0.0])
+    state = VehicleState(x=0.02, vy=0.1)
     f = ctrl.force(state, Setpoint(position=np.zeros(3)), 5e-4)
     want = np.array([-kp[0] * 0.02, -kd[1] * 0.1, WEIGHT])
     assert f == pytest.approx(want, rel=1e-12)
@@ -253,8 +249,7 @@ def test_integrator_clamp():
         MASS,
         G,
     )
-    state = VehicleState.at_rest()
-    state.position = np.array([1.0, -1.0, 0.0])
+    state = VehicleState(x=1.0, y=-1.0)
     sp = Setpoint(position=np.zeros(3))
     for _ in range(100):
         f = ctrl.force(state, sp, 1.0)
@@ -312,55 +307,59 @@ def flight_controller(mode="altitude-attitude", yaw_feedback=False):
     )
 
 
+def hover_wrench(yaw=0.0):
+    """The weight as thrust, with no roll or pitch torque."""
+    vehicle = default_vehicle()
+    return Wrench(vehicle.mass * vehicle.gravity, np.array([0.0, 0.0, yaw]))
+
+
+def assert_commands(cmd, wrench):
+    """``cmd`` is, bit for bit, the allocation of ``wrench``."""
+    want = allocate(default_vehicle().wing, wrench)
+    assert np.array_equal(cmd.amplitudes, want.amplitudes)
+    assert np.array_equal(cmd.saturated, want.saturated)
+
+
 def test_tick_hover_commands():
     """At the setpoint with level attitude all four wings share the weight."""
     ctrl = flight_controller()
-    est = VehicleState.at_rest()
-    est.position = np.array([0.0, 0.0, 0.3])
     sp = Setpoint(position=np.array([0.0, 0.0, 0.3]))
-    cmd = ctrl.tick(est, sp, 5e-4)
+    cmd = ctrl.tick(VehicleState(z=0.3), sp, 5e-4)
     kf = default_vehicle().wing.k_thrust
     assert cmd.amplitudes == pytest.approx(np.full(4, WEIGHT / (4 * kf)), rel=1e-12)
     assert cmd.amplitudes[0] == pytest.approx(133.1357142857143, rel=1e-12)
     assert not cmd.any_saturated
-    assert ctrl.last_wrench.torque == pytest.approx([0.0, 0.0, 0.0], abs=1e-18)
+    assert_commands(cmd, hover_wrench())
 
 
 def test_tick_ignores_yaw_in_altitude_mode():
     """A yawed but level vehicle sees no corrective torque at all."""
     ctrl = flight_controller()
-    est = VehicleState.at_rest()
-    est.position = np.array([0.0, 0.0, 0.3])
-    est.attitude = Quaternion.from_yaw(1.2)
-    ctrl.tick(est, Setpoint(position=np.array([0.0, 0.0, 0.3])), 5e-4)
-    assert ctrl.last_wrench.torque == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
+    q = Quaternion.from_yaw(1.2)
+    est = VehicleState(z=0.3, qw=q.w, qx=q.x, qy=q.y, qz=q.z)
+    cmd = ctrl.tick(est, Setpoint(position=np.array([0.0, 0.0, 0.3])), 5e-4)
+    assert_commands(cmd, hover_wrench())
 
 
 def test_tick_yaw_feedback_gate():
-    est = VehicleState.at_rest()
-    est.omega = np.array([0.0, 0.0, 5.0])  # pure yaw rate
+    est = VehicleState(wz=5.0)  # pure yaw rate
     sp = Setpoint(position=np.zeros(3))
 
     passive = flight_controller()
-    passive.tick(est, sp, 5e-4)
-    assert passive.last_wrench.torque[2] == 0.0
+    assert_commands(passive.tick(est, sp, 5e-4), hover_wrench())
 
     active = flight_controller(yaw_feedback=True)
-    active.tick(est, sp, 5e-4)
-    assert active.last_wrench.torque[2] == pytest.approx(-8.0e-9 * 5.0, rel=1e-12)
+    assert_commands(active.tick(est, sp, 5e-4), hover_wrench(yaw=-8.0e-9 * 5.0))
 
 
 def test_tick_holds_last_command_on_degeneracy():
     ctrl = flight_controller(mode="position-hold")
-    est = VehicleState.at_rest()
-    est.position = np.array([0.0, 0.0, 0.3])
     sp = Setpoint(position=np.array([0.0, 0.0, 0.3]))
-    good = ctrl.tick(est, sp, 5e-4)
+    good = ctrl.tick(VehicleState(z=0.3), sp, 5e-4)
     assert good.amplitudes[0] > 0.0
 
     # position error chosen so the proportional term cancels the weight
-    est.position = np.array([0.0, 0.0, 0.3 + WEIGHT / 2.4e-3])
-    held = ctrl.tick(est, sp, 5e-4)
+    held = ctrl.tick(VehicleState(z=0.3 + WEIGHT / 2.4e-3), sp, 5e-4)
     assert held is good
 
 
@@ -381,12 +380,11 @@ def test_closed_loop_attitude_recovery():
     dt = 5e-4
     for tilt_deg in (30.0, 60.0, 85.0):
         ctrl = flight_controller()
-        state = VehicleState.at_rest()
-        state.position = np.array([0.0, 0.0, 0.3])
-        state.attitude = Quaternion.from_axis_angle([1.0, 1.0, 0.0], math.radians(tilt_deg))
+        tilt = Quaternion.from_axis_angle([1.0, 1.0, 0.0], math.radians(tilt_deg))
+        state = VehicleState(z=0.3, qw=tilt.w, qx=tilt.x, qy=tilt.y, qz=tilt.z)
         for _ in range(4000):
-            cmd = ctrl.tick(state, Setpoint(position=state.position.copy()), dt)
+            cmd = ctrl.tick(state, Setpoint(position=np.array(state[1:4])), dt)
             state = step(state, mix(wing, cmd.amplitudes), config, dt)
-        roll, pitch, _ = state.attitude.to_euler_zyx()
+        roll, pitch, _ = Quaternion(*state[7:11]).to_euler_zyx()
         assert abs(roll) < math.radians(1.0)
         assert abs(pitch) < math.radians(1.0)

@@ -32,7 +32,7 @@ def stock_config(**overrides) -> InertialConfig:
     vehicle = default_vehicle()
     base = dict(
         mass=vehicle.mass,
-        inertia=vehicle.inertia_diag,
+        inertia=vehicle.inertia,
         gravity=vehicle.gravity,
         yaw_damping=0.0,
     )
@@ -58,30 +58,31 @@ def one_step_acceleration(state, wrench, config, dt=DT):
     exactly up to rounding: v1 = v0 + a dt, r1 = r0 + v0 dt + a dt^2 / 2.
     """
     after = step(state, wrench, config, dt)
-    acc = (after.velocity - state.velocity) / dt
-    drift = state.position + state.velocity * dt + 0.5 * acc * dt**2
-    assert after.position == pytest.approx(drift, rel=1e-12, abs=1e-20)
-    assert after.omega == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
-    assert after.attitude.as_array() == pytest.approx(state.attitude.as_array(), abs=1e-15)
+    velocity = np.array(state[4:7])
+    acc = (after[4:7] - velocity) / dt
+    drift = state[1:4] + velocity * dt + 0.5 * acc * dt**2
+    assert after[1:4] == pytest.approx(drift, rel=1e-12, abs=1e-20)
+    assert after[11:] == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
+    assert after[7:11] == pytest.approx(state[7:11], abs=1e-15)
     return acc
 
 
 def test_free_fall_derivative():
-    acc = one_step_acceleration(VehicleState.at_rest(), zero_wrench(), stock_config())
+    acc = one_step_acceleration(VehicleState(), zero_wrench(), stock_config())
     assert acc == pytest.approx([0.0, 0.0, -9.81], rel=1e-12)
 
 
 def test_hover_balance_derivative():
     config = stock_config()
     hover = Wrench(config.mass * config.gravity, np.zeros(3))
-    acc = one_step_acceleration(VehicleState.at_rest(), hover, config)
+    acc = one_step_acceleration(VehicleState(), hover, config)
     assert acc == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
 
 def test_tilted_thrust_direction():
     config = stock_config()
-    state = VehicleState.at_rest()
-    state.attitude = Quaternion.from_axis_angle([1.0, 0.0, 0.0], math.pi / 3)
+    tilt = Quaternion.from_axis_angle([1.0, 0.0, 0.0], math.pi / 3)
+    state = VehicleState(qw=tilt.w, qx=tilt.x, qy=tilt.y, qz=tilt.z)
     acc = one_step_acceleration(
         state, Wrench(config.mass * config.gravity, np.zeros(3)), config
     )
@@ -132,14 +133,12 @@ def test_euler_equations_match_dense_inertia(moments, rates, torque):
 def test_ballistic_closed_form():
     """z(t) = -g t^2 / 2 to 1e-9 at t = 0.1 s; horizontal velocity constant."""
     config = stock_config()
-    state = VehicleState.at_rest()
-    state.velocity = np.array([0.2, -0.1, 0.0])
-    state = simulate(state, zero_wrench(), config, 200)
+    state = simulate(VehicleState(vx=0.2, vy=-0.1), zero_wrench(), config, 200)
     assert state.t == pytest.approx(0.1)
-    assert abs(state.position[2] - (-0.04905)) < 1e-9
-    assert state.velocity[0] == pytest.approx(0.2, abs=1e-15)
-    assert state.velocity[1] == pytest.approx(-0.1, abs=1e-15)
-    assert state.position[0] == pytest.approx(0.02, abs=1e-12)
+    assert abs(state.z - (-0.04905)) < 1e-9
+    assert state.vx == pytest.approx(0.2, abs=1e-15)
+    assert state.vy == pytest.approx(-0.1, abs=1e-15)
+    assert state.x == pytest.approx(0.02, abs=1e-12)
 
 
 def test_spin_up_closed_form():
@@ -147,11 +146,11 @@ def test_spin_up_closed_form():
     config = stock_config()
     tau3 = 2.0e-9
     wrench = Wrench(0.0, np.array([0.0, 0.0, tau3]))
-    state = simulate(VehicleState.at_rest(), wrench, config, 1000)
+    state = simulate(VehicleState(), wrench, config, 1000)
     expect = tau3 * state.t / config.inertia[2]
-    assert abs(state.omega[2] - expect) / expect < 1e-6
-    assert state.omega[0] == pytest.approx(0.0, abs=1e-15)
-    assert state.omega[1] == pytest.approx(0.0, abs=1e-15)
+    assert abs(state.wz - expect) / expect < 1e-6
+    assert state.wx == pytest.approx(0.0, abs=1e-15)
+    assert state.wy == pytest.approx(0.0, abs=1e-15)
 
 
 def test_yaw_decay_closed_form():
@@ -159,12 +158,10 @@ def test_yaw_decay_closed_form():
     vehicle = default_vehicle()
     b = vehicle.yaw_damping
     config = stock_config(yaw_damping=b)
-    state = VehicleState.at_rest()
     omega0 = 20.0
-    state.omega = np.array([0.0, 0.0, omega0])
-    state = simulate(state, zero_wrench(), config, 2000)
+    state = simulate(VehicleState(wz=omega0), zero_wrench(), config, 2000)
     expect = omega0 * math.exp(-b * state.t / config.inertia[2])
-    assert abs(state.omega[2] - expect) / expect < 1e-4
+    assert abs(state.wz - expect) / expect < 1e-4
 
 
 def test_rk4_order():
@@ -172,14 +169,12 @@ def test_rk4_order():
     config = stock_config(
         inertia=[1.5e-9, 2.4e-9, 3.1e-9],
     )
-    state0 = VehicleState.at_rest()
-    state0.omega = np.array([3.0, -2.0, 1.0])
+    state0 = VehicleState(wx=3.0, wy=-2.0, wz=1.0)
     horizon = 0.2
 
     def final_packed(dt):
-        s = simulate(state0.copy(), zero_wrench(), config, round(horizon / dt), dt)
-        q = s.attitude
-        return np.concatenate([s.omega, [q.w, q.x, q.y, q.z]])
+        s = simulate(state0, zero_wrench(), config, round(horizon / dt), dt)
+        return np.array([*s[11:], *s[7:11]])
 
     reference = final_packed(2.5e-4)
     err_coarse = np.linalg.norm(final_packed(2e-3) - reference)
@@ -191,22 +186,19 @@ def test_rk4_order():
 def test_quaternion_rate_consistency():
     """Finite-difference qdot across a step matches q*[0, omega]/2 to O(dt^2)."""
     config = stock_config(inertia=[1.5e-9, 2.4e-9, 3.1e-9])
-    state = VehicleState.at_rest()
-    state.omega = np.array([1.0, 2.0, -1.5])
+    state = VehicleState(wx=1.0, wy=2.0, wz=-1.5)
     dt = 1e-5
     after = step(state, zero_wrench(), config, dt)
-    numeric = (after.attitude.as_array() - state.attitude.as_array()) / dt
+    numeric = np.subtract(after[7:11], state[7:11]) / dt
     mid = step(state, zero_wrench(), config, dt / 2.0)
-    analytic = 0.5 * (mid.attitude * Quaternion(0.0, *mid.omega)).as_array()
+    analytic = 0.5 * (Quaternion(*mid[7:11]) * Quaternion(0.0, *mid[11:])).as_array()
     assert np.max(np.abs(numeric - analytic)) < 1e-6
 
 
 def test_quaternion_norm_preserved():
     config = stock_config()
-    state = VehicleState.at_rest()
-    state.omega = np.array([5.0, -3.0, 7.0])
-    state = simulate(state, zero_wrench(), config, 4000)
-    assert state.attitude.norm() == pytest.approx(1.0, abs=1e-12)
+    state = simulate(VehicleState(wx=5.0, wy=-3.0, wz=7.0), zero_wrench(), config, 4000)
+    assert Quaternion(*state[7:11]).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_passive_yaw_damping_sign():
@@ -239,12 +231,10 @@ def test_vibration_no_ramp():
 def test_step_input_validation():
     config = stock_config()
     with pytest.raises(ValueError):
-        step(VehicleState.at_rest(), zero_wrench(), config, 0.0)
+        step(VehicleState(), zero_wrench(), config, 0.0)
     with pytest.raises(ValueError):
-        step(VehicleState.at_rest(), zero_wrench(), config, -1e-3)
-    bad = VehicleState.at_rest()
-    bad.velocity = np.array([np.nan, 0.0, 0.0])
+        step(VehicleState(), zero_wrench(), config, -1e-3)
     with pytest.raises(ValueError):
-        step(bad, zero_wrench(), config, DT)
+        step(VehicleState(vx=math.nan), zero_wrench(), config, DT)
     with pytest.raises(ValueError):
-        step(VehicleState.at_rest(), Wrench(np.inf, np.zeros(3)), config, DT)
+        step(VehicleState(), Wrench(np.inf, np.zeros(3)), config, DT)

@@ -1,11 +1,16 @@
 """Scenario harness: replay fidelity, metrics, divergence and determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flapsim.config import bundled_config_path, config_from_dict, load_config
+from flapsim.dynamics import VehicleState
 from flapsim.scenarios import (
     CSV_COLUMNS,
     compare_variants,
@@ -28,6 +33,24 @@ def test_row_count_and_time_axis():
     assert t[0] == 0.0
     assert t[-1] == pytest.approx(0.1)
     assert np.max(np.abs(np.diff(t) - 5e-4)) < 1e-12
+
+
+def test_rows_start_with_the_state_tuple():
+    """A row opens with the 14 floats of the true state, in their order."""
+    config = config_from_dict(
+        {
+            "mode": "open-loop",
+            "duration_s": 0.01,
+            "initial": {
+                "position_m": [0.1, 0.2, 0.3],
+                "velocity_m_per_s": [0.4, 0.5, 0.6],
+                "attitude_rpy_deg": [10.0, 20.0, 30.0],
+                "omega_rad_per_s": [0.7, 0.8, 0.9],
+            },
+        }
+    )
+    rec = run_scenario(config)
+    assert VehicleState(*rec.rows[0, :14].tolist()) == config.initial
 
 
 def test_ballistic_trajectory_in_rows():
@@ -217,3 +240,36 @@ def test_run_writes_csv(tmp_path):
     run_scenario(short_ballistic(), out=out)
     assert out.exists()
     assert read_csv(out).shape[0] == 201
+
+
+# What perfbench/run.py --trace 1 patches and reads: scenarios.step and
+# scenarios.mix, FlightController.tick and last_command, control.allocate,
+# control.desired_attitude and control.rotmat_to_quat, MocapSensor.sample
+# and Estimator.tick.
+_TRACE_CHILD = """
+import run
+from flapsim import bundled_config_path, load_config, run_scenario
+
+tracer = run.Tracer()
+tracer.install()
+run_scenario(load_config(bundled_config_path("position_hold.cfg")), duration=0.01)
+tracer.uninstall()
+spans = ("dynamics.step", "aero.mix", "control.tick", "aero.allocate",
+         "control.desired_attitude", "estimation.sample", "estimation.update")
+print(*(tracer.calls(name) for name in spans))
+"""
+
+
+def test_benchmark_trace_hooks_resolve():
+    """The benchmark's tracer installs on, runs through and uninstalls from
+    the names it patches; run in a child so this process stays unpatched."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_CHILD],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = [int(n) for n in proc.stdout.split()]
+    assert len(calls) == 7 and all(n > 0 for n in calls), proc.stdout

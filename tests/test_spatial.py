@@ -50,24 +50,42 @@ def test_multiplication_table():
         assert (u * u).as_array() == pytest.approx(minus_one.as_array())
 
 
-def test_product_norm_and_associativity():
-    rng = np.random.default_rng(11)
-    for _ in range(2000):
-        p = random_quaternion(rng)
-        q = random_quaternion(rng)
-        r = random_quaternion(rng)
-        assert (p * q).norm() == pytest.approx(1.0, abs=1e-12)
-        left = ((p * q) * r).as_array()
-        right = (p * (q * r)).as_array()
-        assert np.max(np.abs(left - right)) < 1e-12
+_unit = st.floats(-1.0, 1.0)
+_quaternion = st.tuples(_unit, _unit, _unit, _unit).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+).map(lambda v: Quaternion.from_array(np.array(v) / np.linalg.norm(v)))
 
 
-def test_inverse_recovers_identity():
-    rng = np.random.default_rng(12)
-    for _ in range(2000):
-        q = random_quaternion(rng)
-        e = (q * q.inverse()).as_array()
-        assert np.max(np.abs(e - np.array([1.0, 0, 0, 0]))) < 1e-12
+# Each product component is a sum of four products of unit-bounded floats, so
+# a product of unit quaternions is off by a few ulp of 1; a second product
+# doubles that.  8 ulp of 1 bounds every comparison below.
+_TOL = 8.0 * np.finfo(float).eps
+
+
+@given(_quaternion, _quaternion, _quaternion)
+def test_product_norm_and_associativity(p, q, r):
+    """Unit quaternions form a group up to normalisation: the product of two
+    is unit within the bound, the identity is exact, and the product
+    associates within the bound."""
+    pq = p * q
+    assert abs(pq.norm() - 1.0) <= _TOL
+    assert abs(pq.normalized().norm() - 1.0) <= _TOL
+    one = Quaternion.identity()
+    assert np.array_equal((p * one).as_array(), p.as_array())
+    assert np.array_equal((one * p).as_array(), p.as_array())
+    left = (pq * r).as_array()
+    right = (p * (q * r)).as_array()
+    assert np.abs(left - right).max() <= _TOL
+
+
+@given(_quaternion, _quaternion)
+def test_inverse_recovers_identity(p, q):
+    """q^-1 is a two-sided inverse, and (p q)^-1 = q^-1 p^-1, within the bound."""
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    assert np.abs((q * q.inverse()).as_array() - identity).max() <= _TOL
+    assert np.abs((q.inverse() * q).as_array() - identity).max() <= _TOL
+    inv_pq = (p * q).inverse().as_array()
+    assert np.abs(inv_pq - (q.inverse() * p.inverse()).as_array()).max() <= _TOL
 
 
 def test_rotate_matches_matrix():
@@ -147,12 +165,6 @@ def test_matrix_quaternion_round_trip():
         back = rotmat_to_quat(q.to_rotation_matrix())
         assert back.w >= 0.0
         assert abs(abs(back.dot(q)) - 1.0) < 1e-9
-
-
-_unit = st.floats(-1.0, 1.0)
-_quaternion = st.tuples(_unit, _unit, _unit, _unit).filter(
-    lambda v: np.linalg.norm(v) > 1e-3
-).map(lambda v: Quaternion.from_array(np.array(v) / np.linalg.norm(v)))
 
 
 @given(_quaternion)
