@@ -27,9 +27,7 @@ diagonal pairs steer yaw in opposite senses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 __all__ = [
     "WingConfig",
@@ -71,21 +69,19 @@ class Wrench:
     """Total thrust [N] along body z plus body torque [N m]."""
 
     thrust: float
-    torque: np.ndarray  # (3,)
+    torque: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
 class ActuatorCommand:
     """Per-wing drive amplitudes after clamping, with saturation flags."""
 
-    amplitudes: np.ndarray  # (4,) [V], clamped to [0, v_max]
-    saturated: np.ndarray = field(
-        default_factory=lambda: np.zeros(4, dtype=bool)
-    )
+    amplitudes: tuple[float, float, float, float]  # [V], clamped to [0, v_max]
+    saturated: tuple[bool, bool, bool, bool] = (False, False, False, False)
 
     @property
     def any_saturated(self) -> bool:
-        return bool(self.saturated.any())
+        return any(self.saturated)
 
 
 def cycle_avg_lift(wing: WingConfig) -> float:
@@ -137,16 +133,14 @@ def mix(wing: WingConfig, amplitudes) -> Wrench:
     evaluated directly, so it also works where it cannot be inverted (for
     example k_steer = 0 in open-loop drills).
     """
-    v1, v2, v3, v4 = (float(v) for v in amplitudes)
+    v1, v2, v3, v4 = amplitudes
     kf = wing.k_thrust
     return Wrench(
         thrust=kf * (v1 + v2 + v3 + v4),
-        torque=np.array(
-            [
-                kf * wing.lever_roll * (-v1 - v2 + v3 + v4),
-                kf * wing.lever_pitch * (v1 - v2 + v3 - v4),
-                wing.k_steer * wing.lever_yaw * (v1 - v2 - v3 + v4),
-            ]
+        torque=(
+            kf * wing.lever_roll * (-v1 - v2 + v3 + v4),
+            kf * wing.lever_pitch * (v1 - v2 + v3 - v4),
+            wing.k_steer * wing.lever_yaw * (v1 - v2 - v3 + v4),
         ),
     )
 
@@ -166,7 +160,7 @@ def allocate(wing: WingConfig, wrench: Wrench) -> ActuatorCommand:
     d1, d2, d3 = wing.lever_roll, wing.lever_pitch, wing.lever_yaw
     if kf == 0.0 or ks == 0.0 or d1 == 0.0 or d2 == 0.0 or d3 == 0.0:
         raise ValueError("mixing matrix is singular: zero coefficient")
-    t1, t2, t3 = wrench.torque.tolist()
+    t1, t2, t3 = wrench.torque
     a = wrench.thrust / kf
     b = t1 / (kf * d1)
     c = t2 / (kf * d2)
@@ -179,6 +173,6 @@ def allocate(wing: WingConfig, wrench: Wrench) -> ActuatorCommand:
     )
     v_max = wing.v_max
     return ActuatorCommand(
-        amplitudes=np.array([min(max(v, 0.0), v_max) for v in raw]),
-        saturated=np.array([v < 0.0 or v > v_max for v in raw]),
+        amplitudes=tuple(min(max(v, 0.0), v_max) for v in raw),
+        saturated=tuple(v < 0.0 or v > v_max for v in raw),
     )

@@ -25,7 +25,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple
 
-import numpy as np
 import yaml
 
 from .aero import WingConfig, cycle_avg_lift, yaw_damping_coefficient
@@ -203,7 +202,7 @@ class VehicleParams:
     """SI vehicle description assembled from a config vehicle section."""
 
     mass: float
-    inertia: np.ndarray  # principal moments J1, J2, J3 [kg m^2]
+    inertia: tuple[float, float, float]  # principal moments J1, J2, J3 [kg m^2]
     gravity: float
     n_wings: int
     wing: WingConfig
@@ -269,7 +268,7 @@ class SimConfig:
     estimation: FilterConfig
     schedule: list[tuple[float, Setpoint]]
     initial: VehicleState
-    open_loop_command: np.ndarray
+    open_loop_command: tuple[float, float, float, float]  # [V]
 
     @property
     def dt(self) -> float:
@@ -329,17 +328,17 @@ def _check(key: _Key, value, where: str, errors: list[str]):
         if key.kind not in (_NUMBER, _AUTO, _VECTOR) or value == "auto":
             return value
         try:
-            si = [_to_si(v, key.si) for v in value] if size else _to_si(value, key.si)
+            si = tuple(_to_si(v, key.si) for v in (value if size else [value]))
         except (TypeError, ValueError):
             si = None  # a vector entry that is not a number
         if si is not None:
-            si, each = (np.array(si), "entries ") if size else (si, "")
-            if not np.isfinite(si).all():
+            each = "entries " if size else ""
+            if not all(map(math.isfinite, si)):
                 problem = each + "must be finite"
-            elif key.bound and not np.all(key.bound[0](si)):
+            elif key.bound and not all(map(key.bound[0], si)):
                 problem = each + key.bound[1]
             else:
-                return si
+                return si if size else si[0]
     errors.append(f"{where}: {problem.format(value, n=size)}")
     return None
 
@@ -442,6 +441,7 @@ def config_from_dict(user: dict) -> SimConfig:
         raise ConfigError(errors)
 
     c, estimation, initial = si["control"], si["estimation"], si["initial"]
+    q = Quaternion.from_euler_zyx(*initial["attitude_rpy_deg"])
     return SimConfig(
         name=merged["name"],
         mode=mode,
@@ -481,10 +481,10 @@ def config_from_dict(user: dict) -> SimConfig:
         schedule=si["setpoint"]["schedule"],
         initial=VehicleState(
             0.0,
-            *initial["position_m"].tolist(),
-            *initial["velocity_m_per_s"].tolist(),
-            *Quaternion.from_euler_zyx(*initial["attitude_rpy_deg"]).as_array().tolist(),
-            *initial["omega_rad_per_s"].tolist(),
+            *initial["position_m"],
+            *initial["velocity_m_per_s"],
+            q.w, q.x, q.y, q.z,
+            *initial["omega_rad_per_s"],
         ),
         open_loop_command=si["open_loop"]["command_v"],
     )

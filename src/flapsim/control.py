@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .aero import ActuatorCommand, WingConfig, Wrench, allocate
 from .dynamics import VehicleState
 from .spatial import Quaternion, _euler_zyx, _shepperd, quat_error, sign
@@ -76,15 +74,15 @@ class DegenerateYaw(ControlError):
 class AttitudeGains:
     """Diagonal attitude (K1) and rate (K2) gains, both positive."""
 
-    attitude: np.ndarray  # (3,) [N m]
-    rate: np.ndarray  # (3,) [N m s/rad]
+    attitude: tuple[float, float, float]  # [N m]
+    rate: tuple[float, float, float]  # [N m s/rad]
 
 
 @dataclass
 class PositionGains:
-    kp: np.ndarray  # (3,) [N/m]
-    kd: np.ndarray  # (3,) [N s/m]
-    ki: np.ndarray  # (3,) [N/(m s)]
+    kp: tuple[float, float, float]  # [N/m]
+    kd: tuple[float, float, float]  # [N s/m]
+    ki: tuple[float, float, float]  # [N/(m s)]
     integral_limit: float = 1.0  # clamp on each integral state [m s]
 
 
@@ -100,26 +98,30 @@ class AltitudeGains:
 class Setpoint:
     """Reference for the outer loops: a position and a heading."""
 
-    position: np.ndarray
+    position: tuple[float, float, float]  # [m]
     yaw: float = 0.0
 
 
 def attitude_torque(
-    q: Quaternion, q_desired: Quaternion, omega: np.ndarray, gains: AttitudeGains
-) -> np.ndarray:
+    q: Quaternion, q_desired: Quaternion, omega: tuple[float, ...], gains: AttitudeGains
+) -> tuple[float, ...]:
     """Quaternion PD attitude law; see the module docstring."""
     qe = quat_error(q_desired, q)
-    return -gains.attitude * (sign(qe.w) * qe.vector) - gains.rate * omega
+    s = sign(qe.w)
+    return tuple(
+        -k1 * (s * v) - k2 * w
+        for k1, k2, v, w in zip(gains.attitude, gains.rate, (qe.x, qe.y, qe.z), omega)
+    )
 
 
-def thrust_magnitude(f_desired: np.ndarray, q: Quaternion) -> float:
+def thrust_magnitude(f_desired: tuple[float, ...], q: Quaternion) -> float:
     """Project the desired force onto the current body z axis, floored at 0.
 
     The body z axis is the third column of R(q).  The wings cannot pull, so a
     projection that turns negative (thrust axis pointing away from the
     desired force) commands zero thrust.
     """
-    fx, fy, fz = np.asarray(f_desired, dtype=float).tolist()
+    fx, fy, fz = f_desired
     w, x, y, z = q.w, q.x, q.y, q.z
     projection = (
         fx * (2.0 * (x * z + w * y))
@@ -129,7 +131,7 @@ def thrust_magnitude(f_desired: np.ndarray, q: Quaternion) -> float:
     return max(0.0, projection)
 
 
-def desired_attitude(f_desired: np.ndarray, yaw_desired: float) -> Quaternion:
+def desired_attitude(f_desired: tuple[float, ...], yaw_desired: float) -> Quaternion:
     """Attitude whose body z axis carries f_desired at the reference heading.
 
     The desired z axis i3 is f_desired normalized.  The desired x axis is
@@ -143,7 +145,7 @@ def desired_attitude(f_desired: np.ndarray, yaw_desired: float) -> Quaternion:
     when the heading reference is parallel to the thrust axis (pitch or roll
     near 90 deg), where the construction loses rank.
     """
-    fx, fy, fz = np.asarray(f_desired, dtype=float).tolist()
+    fx, fy, fz = f_desired
     norm_f = math.sqrt(fx * fx + fy * fy + fz * fz)
     if norm_f <= _EPS_THRUST:
         raise DegenerateThrust(f"|f_desired| = {norm_f:.3e} defines no thrust axis")
@@ -161,18 +163,23 @@ def desired_attitude(f_desired: np.ndarray, yaw_desired: float) -> Quaternion:
 
 
 class _Integrator:
-    """Trapezoid-rule integrator with symmetric clamping of the state."""
+    """Trapezoid-rule integrator with symmetric clamping of the state.
 
-    def __init__(self, size: int, limit: float) -> None:
-        self.value = np.zeros(size)
+    The state starts at zero, sized like the first error.
+    """
+
+    def __init__(self, limit: float) -> None:
         self.limit = float(limit)
-        self._prev: np.ndarray | None = None
+        self.value: tuple[float, ...] | None = None
+        self._prev: tuple[float, ...] | None = None
 
-    def advance(self, error: np.ndarray, dt: float) -> np.ndarray:
-        error = np.asarray(error, dtype=float)
-        prev = error if self._prev is None else self._prev
-        self.value = np.clip(
-            self.value + 0.5 * dt * (prev + error), -self.limit, self.limit
+    def advance(self, error: tuple[float, ...], dt: float) -> tuple[float, ...]:
+        if self._prev is None:
+            self._prev, self.value = error, (0.0,) * len(error)
+        h, limit = 0.5 * dt, self.limit
+        self.value = tuple(
+            min(max(v + h * (p + e), -limit), limit)
+            for v, p, e in zip(self.value, self._prev, error)
         )
         self._prev = error
         return self.value
@@ -185,16 +192,19 @@ class PositionController:
         self.gains = gains
         self.mass = float(mass)
         self.gravity = float(gravity)
-        self._integ = _Integrator(3, gains.integral_limit)
+        self._integ = _Integrator(gains.integral_limit)
 
-    def force(self, state: VehicleState, sp: Setpoint, dt: float) -> np.ndarray:
-        e = np.subtract(state[1:4], sp.position)
+    def force(self, state: VehicleState, sp: Setpoint, dt: float) -> tuple[float, ...]:
+        e = tuple(r - r_sp for r, r_sp in zip(state[1:4], sp.position))
         integ = self._integ.advance(e, dt)
-        velocity = np.array(state[4:7])
-        f = -self.gains.kp * e - self.gains.kd * velocity - self.gains.ki * integ
-        # A vector sum on purpose: it turns a -0.0 in x or y into +0.0, and
+        g = self.gains
+        fx, fy, fz = (
+            -kp * ek - kd * v - ki * i
+            for kp, kd, ki, ek, v, i in zip(g.kp, g.kd, g.ki, e, state[4:7], integ)
+        )
+        # The + 0.0 is on purpose: it turns a -0.0 in x or y into +0.0, and
         # the recorded runs depend on that sign.
-        return f + self.mass * self.gravity * np.array([0.0, 0.0, 1.0])
+        return fx + 0.0, fy + 0.0, fz + self.mass * self.gravity
 
 
 class AltitudeController:
@@ -204,11 +214,11 @@ class AltitudeController:
         self.gains = gains
         self.mass = float(mass)
         self.gravity = float(gravity)
-        self._integ = _Integrator(1, gains.integral_limit)
+        self._integ = _Integrator(gains.integral_limit)
 
     def thrust(self, z: float, zdot: float, z_ref: float, dt: float) -> float:
         e = z - z_ref
-        integ = self._integ.advance(np.array([e]), dt)[0]
+        (integ,) = self._integ.advance((e,), dt)
         return (
             -self.gains.kp * e
             - self.gains.kd * zdot
@@ -253,7 +263,7 @@ class FlightController:
         self.yaw_feedback = yaw_feedback
         self.position = PositionController(position_gains, mass, gravity)
         self.altitude = AltitudeController(altitude_gains, mass, gravity)
-        self.last_command = ActuatorCommand(amplitudes=np.zeros(4))
+        self.last_command = ActuatorCommand((0.0, 0.0, 0.0, 0.0))
 
     def tick(self, est: VehicleState, sp: Setpoint, dt: float) -> ActuatorCommand:
         q = Quaternion(*est[7:11])
@@ -269,9 +279,9 @@ class FlightController:
         except ControlError:
             return self.last_command
 
-        tau = attitude_torque(q, q_d, np.array(est[11:]), self.attitude_gains)
+        tau = attitude_torque(q, q_d, est[11:], self.attitude_gains)
         if not self.yaw_feedback:
-            tau[2] = 0.0
+            tau = (tau[0], tau[1], 0.0)
 
         command = allocate(self.wing, Wrench(thrust, tau))
         self.last_command = command

@@ -86,7 +86,7 @@ def passive_yaw_damping(config: InertialConfig, yaw_rate: float) -> float:
     return -config.yaw_damping * yaw_rate
 
 
-def vibration_torque(config: InertialConfig, t: float) -> np.ndarray:
+def vibration_torque(config: InertialConfig, t: float) -> tuple[float, float, float]:
     """Flapping-induced roll/pitch disturbance torque at time ``t``.
 
     Roll and pitch are driven in quadrature so the wobble sweeps both axes.
@@ -94,10 +94,6 @@ def vibration_torque(config: InertialConfig, t: float) -> np.ndarray:
     the wing spin-up; a sinusoid switched on at full amplitude would kick the
     body with a net angular impulse no controller at this scale could absorb.
     """
-    return np.array(_vibration(config, t))
-
-
-def _vibration(config: InertialConfig, t: float) -> tuple[float, float, float]:
     if config.vibration_amplitude == 0.0:
         return 0.0, 0.0, 0.0
     amplitude = config.vibration_amplitude
@@ -118,8 +114,8 @@ def _deriv(y, t: float, u: Wrench, c: InertialConfig) -> tuple[float, ...]:
     az = f * (1.0 - 2.0 * (qx * qx + qy * qy)) - c.gravity
 
     # Euler's equations: J_i wdot_i = tau_i - (w x J w)_i.
-    px, py, pz = _vibration(c, t)
-    tx, ty, tz = u.torque.tolist()
+    px, py, pz = vibration_torque(c, t)
+    tx, ty, tz = u.torque
     tx, ty, tz = tx + px, ty + py, tz + pz + passive_yaw_damping(c, wz)
     j1, j2, j3 = c.inertia
     hx, hy, hz = j1 * wx, j2 * wy, j3 * wz
@@ -149,8 +145,7 @@ def step(
         raise ValueError(f"dt must be positive, got {dt}")
     if not all(map(math.isfinite, state)):
         raise ValueError("non-finite vehicle state")
-    torque = wrench.torque.tolist()
-    if not (math.isfinite(wrench.thrust) and all(map(math.isfinite, torque))):
+    if not (math.isfinite(wrench.thrust) and all(map(math.isfinite, wrench.torque))):
         raise ValueError("non-finite wrench")
 
     t, y0 = state[0], state[1:]

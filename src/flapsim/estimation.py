@@ -62,7 +62,7 @@ class FilterConfig:
 
 @dataclass
 class MocapSample:
-    position: np.ndarray
+    position: tuple[float, float, float]  # [m]
     attitude: Quaternion
     t: float
 
@@ -75,89 +75,88 @@ class MocapSensor:
         self._rng = np.random.default_rng(seed)
 
     def sample(self, state: VehicleState) -> MocapSample:
-        noise = self.config.position_noise_std * self._rng.standard_normal(3)
-        position = np.add(state[1:4], noise)
-        rotvec = self.config.attitude_noise_std * self._rng.standard_normal(3)
+        std = self.config.position_noise_std
+        nx, ny, nz = self._rng.standard_normal(3).tolist()
+        position = (state.x + std * nx, state.y + std * ny, state.z + std * nz)
+        std = self.config.attitude_noise_std
+        rotvec = [std * n for n in self._rng.standard_normal(3).tolist()]
         attitude = Quaternion(*state[7:11]) * Quaternion.from_rotation_vector(rotvec)
         return MocapSample(position=position, attitude=attitude, t=state.t)
 
 
 class LowPassDerivative:
-    """Tustin discretization of lambda * s / (s + lambda) on vector samples.
+    """Tustin discretization of lambda * s / (s + lambda) on float tuples.
 
     With sample period T the recurrence is
 
         y[k] = b0 * (x[k] - x[k-1]) - a1 * y[k-1]
         b0 = 2 lambda / (2 + lambda T),  a1 = (lambda T - 2) / (2 + lambda T)
 
-    The first call primes the state and returns zeros.
+    The first call primes the state and returns zeros of the input's size.
     """
 
-    def __init__(self, corner: float, dt: float, size: int) -> None:
+    def __init__(self, corner: float, dt: float) -> None:
         if corner <= 0.0 or dt <= 0.0:
             raise ValueError("corner frequency and dt must be positive")
         self.b0 = 2.0 * corner / (2.0 + corner * dt)
         self.a1 = (corner * dt - 2.0) / (2.0 + corner * dt)
-        self._x_prev = np.zeros(size)
-        self._y_prev = np.zeros(size)
-        self._primed = False
+        self._x_prev: tuple[float, ...] | None = None
+        self._y_prev: tuple[float, ...] | None = None
 
-    def update(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not self._primed:
-            self._x_prev = x.copy()
-            self._primed = True
-            return self._y_prev.copy()
-        y = self.b0 * (x - self._x_prev) - self.a1 * self._y_prev
-        self._x_prev = x.copy()
-        self._y_prev = y
-        return y.copy()
+    def update(self, x: tuple[float, ...]) -> tuple[float, ...]:
+        if self._x_prev is None:
+            self._x_prev, self._y_prev = x, (0.0,) * len(x)
+            return self._y_prev
+        b0, a1 = self.b0, self.a1
+        y = tuple(
+            b0 * (xk - xp) - a1 * yp for xk, xp, yp in zip(x, self._x_prev, self._y_prev)
+        )
+        self._x_prev, self._y_prev = x, y
+        return y
 
 
 class LowPass:
-    """Tustin discretization of lambda / (s + lambda) on vector samples."""
+    """Tustin discretization of lambda / (s + lambda) on float tuples."""
 
-    def __init__(self, corner: float, dt: float, size: int) -> None:
+    def __init__(self, corner: float, dt: float) -> None:
         if corner <= 0.0 or dt <= 0.0:
             raise ValueError("corner frequency and dt must be positive")
         ct = corner * dt
         self.b0 = ct / (2.0 + ct)
         self.a1 = (ct - 2.0) / (2.0 + ct)
-        self._x_prev = np.zeros(size)
-        self._y_prev = np.zeros(size)
-        self._primed = False
+        self._x_prev: tuple[float, ...] | None = None
+        self._y_prev: tuple[float, ...] | None = None
 
-    def update(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not self._primed:
+    def update(self, x: tuple[float, ...]) -> tuple[float, ...]:
+        if self._x_prev is None:
             # Prime at the first input so a constant stream passes unchanged
             # (exactly on this sample, up to rounding after it).
-            self._x_prev = x.copy()
-            self._y_prev = x.copy()
-            self._primed = True
-            return x.copy()
-        y = self.b0 * (x + self._x_prev) - self.a1 * self._y_prev
-        self._x_prev = x.copy()
-        self._y_prev = y
-        return y.copy()
+            self._x_prev = self._y_prev = x
+            return x
+        b0, a1 = self.b0, self.a1
+        y = tuple(
+            b0 * (xk + xp) - a1 * yp for xk, xp, yp in zip(x, self._x_prev, self._y_prev)
+        )
+        self._x_prev, self._y_prev = x, y
+        return y
 
 
 class AngularRateFilter:
     """Body angular rate from a unit-quaternion stream at a fixed rate."""
 
     def __init__(self, corner: float, dt: float) -> None:
-        self._lpd = LowPassDerivative(corner, dt, 4)
+        self._lpd = LowPassDerivative(corner, dt)
         self.scalar_residual = 0.0  # diagnostic, see module docstring
 
-    def update(self, q: Quaternion) -> np.ndarray:
+    def update(self, q: Quaternion) -> tuple[float, float, float]:
         """Return the rate estimate [rad/s] after ingesting sample ``q``.
 
         ``q`` must already be hemisphere-continuous with the previous sample.
         """
-        qdot = self._lpd.update(q.as_array())
-        prod = q.conjugate() * Quaternion.from_array(qdot)
+        qdot = self._lpd.update((q.w, q.x, q.y, q.z))
+        prod = q.conjugate() * Quaternion(*qdot)
         self.scalar_residual = 2.0 * prod.w
-        return 2.0 * prod.vector
+        return 2.0 * prod.x, 2.0 * prod.y, 2.0 * prod.z
 
 
 class VelocityFilter:
@@ -165,16 +164,16 @@ class VelocityFilter:
 
     def __init__(self, corner: float, dt: float) -> None:
         self.dt = float(dt)
-        self._lp = LowPass(corner, dt, 3)
-        self._r_prev: np.ndarray | None = None
+        self._lp = LowPass(corner, dt)
+        self._r_prev: tuple[float, ...] | None = None
 
-    def update(self, position: np.ndarray) -> np.ndarray:
-        position = np.asarray(position, dtype=float)
+    def update(self, position: tuple[float, ...]) -> tuple[float, ...]:
         if self._r_prev is None:
-            self._r_prev = position.copy()
-            return self._lp.update(np.zeros(3))
-        diff = (position - self._r_prev) / self.dt
-        self._r_prev = position.copy()
+            self._r_prev = position
+            return self._lp.update((0.0,) * len(position))
+        dt = self.dt
+        diff = tuple((r - rp) / dt for r, rp in zip(position, self._r_prev))
+        self._r_prev = position
         return self._lp.update(diff)
 
 
@@ -211,7 +210,6 @@ class Estimator:
         omega = self._rate_filter.update(q)
         velocity = self._velocity_filter.update(sample.position)
         self._estimate = VehicleState(
-            sample.t, *map(float, sample.position), *velocity.tolist(),
-            q.w, q.x, q.y, q.z, *omega.tolist(),
+            sample.t, *sample.position, *velocity, q.w, q.x, q.y, q.z, *omega
         )
         return self._estimate

@@ -176,17 +176,19 @@ def _yaw_decay_tau(t: np.ndarray, omega_z: np.ndarray) -> float:
 def _row(
     state: VehicleState,
     est: VehicleState,
+    est_euler: tuple[float, float, float],
     sp: Setpoint,
     wrench: Wrench,
     command: ActuatorCommand,
 ) -> list:
-    """One CSV row: the state tuple is laid out like the first 14 columns."""
+    """One CSV row: the state tuple is laid out like the first 14 columns;
+    ``est_euler`` is the estimate's (roll, pitch, yaw)."""
     return [
         *state, *_euler_zyx(*state[7:11]),
-        *est[1:], *_euler_zyx(*est[7:11]),
-        *sp.position.tolist(), sp.yaw,
-        wrench.thrust, *wrench.torque.tolist(),
-        *command.amplitudes.tolist(), *command.saturated.tolist(),
+        *est[1:], *est_euler,
+        *sp.position, sp.yaw,
+        wrench.thrust, *wrench.torque,
+        *command.amplitudes, *command.saturated,
     ]
 
 
@@ -226,11 +228,11 @@ def run_scenario(
     # that commands every tick from the chosen feedback source.
     controller = None
     if config.mode == "open-loop":
-        command = ActuatorCommand(amplitudes=config.open_loop_command.copy())
+        command = ActuatorCommand(config.open_loop_command)
         wrench = mix(vehicle.wing, command.amplitudes)
     elif config.mode == "yaw-damping-compare":  # ideal weight-cancelling wrench
-        command = ActuatorCommand(amplitudes=np.zeros(4))
-        wrench = Wrench(vehicle.weight, np.zeros(3))
+        command = ActuatorCommand((0.0, 0.0, 0.0, 0.0))
+        wrench = Wrench(vehicle.weight, (0.0, 0.0, 0.0))
     else:
         controller = FlightController(
             wing=vehicle.wing,
@@ -250,17 +252,19 @@ def run_scenario(
     for k in range(n_steps + 1):
         sample = sensor.sample(state) if k % every == 0 else None
         est = estimator.tick(sample)
+        if sample is not None:
+            est_euler = _euler_zyx(*est[7:11])
         sp = config.setpoint_at(state.t)
         if controller is not None:
             command = controller.tick(state if true_feedback else est, sp, dt)
             wrench = mix(vehicle.wing, command.amplitudes)
-        rows[n_rows] = _row(state, est, sp, wrench, command)
+        rows[n_rows] = _row(state, est, est_euler, sp, wrench, command)
         n_rows += 1
         if k == n_steps:
             break
         state = step(state, wrench, inertial, dt)
         if _diverged(state):
-            rows[n_rows] = _row(state, est, sp, wrench, command)
+            rows[n_rows] = _row(state, est, est_euler, sp, wrench, command)
             n_rows += 1
             status = 2
             break

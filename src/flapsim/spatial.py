@@ -72,13 +72,13 @@ class Quaternion:
     @classmethod
     def from_rotation_vector(cls, rotvec) -> "Quaternion":
         """Unit quaternion from an axis-angle vector (angle = norm)."""
-        rv = np.asarray(rotvec, dtype=float)
-        angle = math.sqrt(rv[0] ** 2 + rv[1] ** 2 + rv[2] ** 2)
+        rx, ry, rz = rotvec
+        angle = math.sqrt(rx**2 + ry**2 + rz**2)
         if angle < 1e-12:
             # First-order expansion keeps the map smooth near zero.
-            return cls(1.0, 0.5 * rv[0], 0.5 * rv[1], 0.5 * rv[2]).normalized()
+            return cls(1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz).normalized()
         s = math.sin(0.5 * angle) / angle
-        return cls(math.cos(0.5 * angle), s * rv[0], s * rv[1], s * rv[2])
+        return cls(math.cos(0.5 * angle), s * rx, s * ry, s * rz)
 
     @classmethod
     def from_yaw(cls, yaw: float) -> "Quaternion":

@@ -1,6 +1,7 @@
 """Dense numpy forms of closed forms the package evaluates on floats.
 
-They are the oracles of the allocation, mixing and desired-attitude tests.
+They are the oracles of the allocation, mixing, desired-attitude, filter and
+integrator tests.
 """
 
 import math
@@ -50,3 +51,86 @@ def desired_attitude(f_desired: np.ndarray, yaw_desired: float) -> Quaternion:
     i1 /= norm_i1
     i2 = np.cross(i3, i1)
     return rotmat_to_quat(np.column_stack([i1, i2, i3]))
+
+
+class _Integrator:
+    """The trapezoid-rule integrator on numpy vectors, as the package computed
+    it before its vectors became float tuples."""
+
+    def __init__(self, size: int, limit: float) -> None:
+        self.value = np.zeros(size)
+        self.limit = float(limit)
+        self._prev: np.ndarray | None = None
+
+    def advance(self, error: np.ndarray, dt: float) -> np.ndarray:
+        error = np.asarray(error, dtype=float)
+        prev = error if self._prev is None else self._prev
+        self.value = np.clip(
+            self.value + 0.5 * dt * (prev + error), -self.limit, self.limit
+        )
+        self._prev = error
+        return self.value
+
+
+class LowPassDerivative:
+    """Tustin lambda * s / (s + lambda) on numpy vectors; primes to zeros."""
+
+    def __init__(self, corner: float, dt: float, size: int) -> None:
+        self.b0 = 2.0 * corner / (2.0 + corner * dt)
+        self.a1 = (corner * dt - 2.0) / (2.0 + corner * dt)
+        self._x_prev = np.zeros(size)
+        self._y_prev = np.zeros(size)
+        self._primed = False
+
+    def update(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if not self._primed:
+            self._x_prev = x.copy()
+            self._primed = True
+            return self._y_prev.copy()
+        y = self.b0 * (x - self._x_prev) - self.a1 * self._y_prev
+        self._x_prev = x.copy()
+        self._y_prev = y
+        return y.copy()
+
+
+class LowPass:
+    """Tustin lambda / (s + lambda) on numpy vectors; primes at the first input."""
+
+    def __init__(self, corner: float, dt: float, size: int) -> None:
+        ct = corner * dt
+        self.b0 = ct / (2.0 + ct)
+        self.a1 = (ct - 2.0) / (2.0 + ct)
+        self._x_prev = np.zeros(size)
+        self._y_prev = np.zeros(size)
+        self._primed = False
+
+    def update(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if not self._primed:
+            self._x_prev = x.copy()
+            self._y_prev = x.copy()
+            self._primed = True
+            return x.copy()
+        y = self.b0 * (x + self._x_prev) - self.a1 * self._y_prev
+        self._x_prev = x.copy()
+        self._y_prev = y
+        return y.copy()
+
+
+class VelocityFilter:
+    """Backward difference of numpy 3-vectors through the numpy LowPass."""
+
+    def __init__(self, corner: float, dt: float) -> None:
+        self.dt = float(dt)
+        self._lp = LowPass(corner, dt, 3)
+        self._r_prev: np.ndarray | None = None
+
+    def update(self, position: np.ndarray) -> np.ndarray:
+        position = np.asarray(position, dtype=float)
+        if self._r_prev is None:
+            self._r_prev = position.copy()
+            return self._lp.update(np.zeros(3))
+        diff = (position - self._r_prev) / self.dt
+        self._r_prev = position.copy()
+        return self._lp.update(diff)

@@ -213,11 +213,11 @@ def test_allocate_saturation_flags():
     cmd = allocate(wing, over)
     assert cmd.any_saturated
     assert np.all(cmd.saturated)
-    assert np.all(cmd.amplitudes == wing.v_max)
+    assert np.all(np.asarray(cmd.amplitudes) == wing.v_max)
 
     negative = Wrench(thrust=-1e-3, torque=np.zeros(3))
     cmd = allocate(wing, negative)
-    assert np.all(cmd.amplitudes == 0.0)
+    assert np.all(np.asarray(cmd.amplitudes) == 0.0)
     assert np.all(cmd.saturated)
 
 

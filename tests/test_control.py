@@ -78,9 +78,9 @@ def test_attitude_double_cover_invariance():
         q = random_quaternion(rng)
         q_d = random_quaternion(rng)
         omega = rng.standard_normal(3)
-        t1 = attitude_torque(q, q_d, omega, g)
-        t2 = attitude_torque(-q, q_d, omega, g)
-        t3 = attitude_torque(q, -q_d, omega, g)
+        t1 = np.asarray(attitude_torque(q, q_d, omega, g))
+        t2 = np.asarray(attitude_torque(-q, q_d, omega, g))
+        t3 = np.asarray(attitude_torque(q, -q_d, omega, g))
         assert np.max(np.abs(t1 - t2)) < 1e-12
         assert np.max(np.abs(t1 - t3)) < 1e-12
 
@@ -94,8 +94,8 @@ def test_attitude_left_invariance():
         q_d = random_quaternion(rng)
         p = random_quaternion(rng)
         omega = rng.standard_normal(3)
-        t1 = attitude_torque(q, q_d, omega, g)
-        t2 = attitude_torque(p * q, p * q_d, omega, g)
+        t1 = np.asarray(attitude_torque(q, q_d, omega, g))
+        t2 = np.asarray(attitude_torque(p * q, p * q_d, omega, g))
         assert np.max(np.abs(t1 - t2)) < 1e-9
 
 
@@ -129,7 +129,7 @@ def test_position_force_matches_law_with_zero_feedforward(states, r_sp, kp, kd, 
     dt = 5e-4
     gains = PositionGains(kp=kp, kd=kd, ki=ki, integral_limit=0.05)
     ctrl = PositionController(gains, MASS, G)
-    integ = _Integrator(3, gains.integral_limit)
+    integ = oracles._Integrator(3, gains.integral_limit)
     for position, velocity in states:
         state = VehicleState(0.0, *position, *velocity)
         f = ctrl.force(state, Setpoint(position=r_sp), dt)
@@ -140,6 +140,28 @@ def test_position_force_matches_law_with_zero_feedforward(states, r_sp, kp, kd, 
         expect = expect + MASS * np.zeros(3)
         assert np.array_equal(f, expect)
         assert np.array_equal(np.signbit(f), np.signbit(expect))
+
+
+_error = st.floats(-1e100, 1e100)
+
+
+@given(
+    st.floats(1e-6, 1e6),
+    st.floats(1e-6, 1.0),
+    st.sampled_from((1, 3)).flatmap(
+        lambda n: st.lists(st.tuples(*[_error] * n), min_size=1, max_size=20)
+    ),
+)
+def test_integrator_matches_numpy_oracle(limit, dt, errors):
+    """Python floats equal, bit for bit and sign bits included, to the numpy
+    integrator, clamped or not, at the sizes the altitude and position loops
+    use."""
+    integ, oracle = _Integrator(limit), oracles._Integrator(len(errors[0]), limit)
+    for e in errors:
+        got, want = integ.advance(e, dt), oracle.advance(np.array(e), dt)
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_thrust_projection():

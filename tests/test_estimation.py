@@ -24,6 +24,8 @@ from flapsim.estimation import (
 from flapsim.dynamics import VehicleState
 from flapsim.spatial import Quaternion
 
+import oracles
+
 FS = 500.0
 DT = 1.0 / FS
 RATE_CORNER = 2.0 * math.pi * 30.0
@@ -53,7 +55,7 @@ def reference_derivative_filter(xs, corner, dt):
 def test_derivative_filter_matches_reference():
     rng = np.random.default_rng(41)
     xs = rng.standard_normal(300)
-    filt = LowPassDerivative(RATE_CORNER, DT, 1)
+    filt = LowPassDerivative(RATE_CORNER, DT)
     got = np.array([filt.update([x])[0] for x in xs])
     assert np.max(np.abs(got - reference_derivative_filter(xs, RATE_CORNER, DT))) < 1e-12
 
@@ -62,9 +64,9 @@ def test_derivative_filter_linearity():
     rng = np.random.default_rng(42)
     a = rng.standard_normal(200)
     b = rng.standard_normal(200)
-    fa = LowPassDerivative(RATE_CORNER, DT, 1)
-    fb = LowPassDerivative(RATE_CORNER, DT, 1)
-    fab = LowPassDerivative(RATE_CORNER, DT, 1)
+    fa = LowPassDerivative(RATE_CORNER, DT)
+    fb = LowPassDerivative(RATE_CORNER, DT)
+    fab = LowPassDerivative(RATE_CORNER, DT)
     for xa, xb in zip(a, b):
         ya = fa.update([xa])[0]
         yb = fb.update([xb])[0]
@@ -74,7 +76,7 @@ def test_derivative_filter_linearity():
 
 def test_derivative_filter_ramp():
     """A ramp of slope 0.1 settles to derivative 0.1 within 1%."""
-    filt = LowPassDerivative(VEL_CORNER, DT, 1)
+    filt = LowPassDerivative(VEL_CORNER, DT)
     y = 0.0
     for k in range(400):
         y = filt.update([0.1 * k * DT])[0]
@@ -85,7 +87,7 @@ def test_derivative_filter_corner_attenuation():
     """At the corner frequency the gain is 2 pi f / sqrt(2), Tustin-warped."""
     f = 30.0
     corner = 2.0 * math.pi * f
-    filt = LowPassDerivative(corner, DT, 1)
+    filt = LowPassDerivative(corner, DT)
     n = 2000
     t = np.arange(n) * DT
     xs = np.sin(2.0 * math.pi * f * t)
@@ -100,7 +102,7 @@ def test_derivative_filter_corner_attenuation():
 
 
 def test_low_pass_dc_gain():
-    filt = LowPass(VEL_CORNER, DT, 1)
+    filt = LowPass(VEL_CORNER, DT)
     y = 0.0
     for _ in range(50):
         y = filt.update([3.7])[0]
@@ -116,12 +118,56 @@ def test_low_pass_passes_a_constant_stream(corner, dt, x):
     """A constant input comes out unchanged: exactly on the priming sample,
     then up to the rounding of one update (4 ulp of x) divided by the
     filter's settling margin 1 - |a1|."""
-    filt = LowPass(corner, dt, 3)
+    filt = LowPass(corner, dt)
     assert np.array_equal(filt.update(x), x)
     tiny = np.finfo(float).smallest_subnormal
     bound = 4.0 * (np.finfo(float).eps * np.abs(x) + tiny) / (1.0 - abs(filt.a1))
     for _ in range(100):
         assert np.all(np.abs(filt.update(x) - x) <= bound)
+
+
+_corner = st.floats(1e-1, 1e4)
+_dt = st.floats(1e-5, 1e-1)
+# Finite entries, signed zeros and subnormals included, small enough that no
+# filter overflows.
+_entry = st.floats(-1e100, 1e100)
+
+
+def _streams(*sizes):
+    """Sequences of float tuples of one size drawn from ``sizes``."""
+    return st.sampled_from(sizes).flatmap(
+        lambda n: st.lists(st.tuples(*[_entry] * n), min_size=1, max_size=20)
+    )
+
+
+def assert_same_bits(got, want):
+    """Python floats equal to the oracle's output, sign bits included."""
+    assert all(type(v) is float for v in got)
+    got = np.array(got)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@given(_corner, _dt, _streams(3, 4))
+def test_low_pass_matches_numpy_oracle(corner, dt, xs):
+    filt, oracle = LowPass(corner, dt), oracles.LowPass(corner, dt, len(xs[0]))
+    for x in xs:
+        assert_same_bits(filt.update(x), oracle.update(np.array(x)))
+
+
+@given(_corner, _dt, _streams(3, 4))
+def test_derivative_filter_matches_numpy_oracle(corner, dt, xs):
+    filt = LowPassDerivative(corner, dt)
+    oracle = oracles.LowPassDerivative(corner, dt, len(xs[0]))
+    for x in xs:
+        assert_same_bits(filt.update(x), oracle.update(np.array(x)))
+
+
+@given(_corner, _dt, _streams(3))
+def test_velocity_filter_matches_numpy_oracle(corner, dt, xs):
+    filt, oracle = VelocityFilter(corner, dt), oracles.VelocityFilter(corner, dt)
+    for x in xs:
+        assert_same_bits(filt.update(x), oracle.update(np.array(x)))
 
 
 def test_velocity_filter_constant_velocity():

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flapsim.aero import allocate, mix
 from flapsim.config import bundled_config_path, config_from_dict, load_config
-from flapsim.dynamics import VehicleState
+from flapsim.control import FlightController
+from flapsim.dynamics import VehicleState, step
+from flapsim.estimation import Estimator, MocapSensor
 from flapsim.scenarios import (
     CSV_COLUMNS,
     compare_variants,
@@ -51,6 +54,47 @@ def test_rows_start_with_the_state_tuple():
     )
     rec = run_scenario(config)
     assert VehicleState(*rec.rows[0, :14].tolist()) == config.initial
+
+
+@pytest.mark.parametrize("name", ["hover.cfg", "position_hold.cfg"])
+def test_the_tick_passes_on_python_floats(name):
+    """Sensor, estimator, controller, allocation, mixing and step return
+    Python floats (bools for the saturation flags), never numpy scalars:
+    with sensor noise (hover) and without it (position_hold)."""
+    config = load_config(bundled_config_path(name))
+    vehicle = config.vehicle
+    inertial = vehicle.inertial_config(
+        config.vibration_amplitude, config.vibration_frequency, config.vibration_ramp
+    )
+    sensor = MocapSensor(config.estimation, config.seed)
+    estimator = Estimator(config.estimation)
+    controller = FlightController(
+        vehicle.wing,
+        config.control.attitude,
+        config.control.position,
+        config.control.altitude,
+        vehicle.mass,
+        vehicle.gravity,
+        mode=config.mode,
+        yaw_feedback=config.control.yaw_feedback,
+    )
+    state = config.initial
+    for _ in range(2):  # the second sample runs the filters past priming
+        sample = sensor.sample(state)
+        est = estimator.tick(sample)
+        command = controller.tick(est, config.setpoint_at(state.t), config.dt)
+        wrench = mix(vehicle.wing, command.amplitudes)
+        again = allocate(vehicle.wing, wrench)
+        state = step(state, wrench, inertial, config.dt)
+        q = sample.attitude
+        floats = (
+            *sample.position, q.w, q.x, q.y, q.z, sample.t, *est,
+            *command.amplitudes, wrench.thrust, *wrench.torque,
+            *again.amplitudes, *state,
+        )
+        assert [type(v) for v in floats] == [float] * len(floats)
+        flags = (*command.saturated, *again.saturated)
+        assert [type(v) for v in flags] == [bool] * 8
 
 
 def test_ballistic_trajectory_in_rows():
