@@ -197,16 +197,16 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass
-class VehicleParams:
-    """SI vehicle description assembled from a config vehicle section."""
+@dataclass(kw_only=True)
+class VehicleParams(InertialConfig):
+    """SI vehicle description assembled from a config vehicle section.
 
-    mass: float
-    inertia: tuple[float, float, float]  # principal moments J1, J2, J3 [kg m^2]
-    gravity: float
+    It is the :class:`InertialConfig` that ``step`` integrates, with the
+    wings added; the ``vibration_*`` fields come from the disturbance section.
+    """
+
     n_wings: int
     wing: WingConfig
-    yaw_damping: float
 
     @property
     def weight(self) -> float:
@@ -224,22 +224,6 @@ class VehicleParams:
     def wing_loading(self) -> float:
         """Weight over total wing area [N/m^2]."""
         return self.weight / (self.n_wings * self.wing.area)
-
-    def inertial_config(
-        self,
-        vibration_amplitude: float = 0.0,
-        vibration_frequency: float = 100.0,
-        vibration_ramp: float = 0.0,
-    ) -> InertialConfig:
-        return InertialConfig(
-            mass=self.mass,
-            inertia=self.inertia,
-            gravity=self.gravity,
-            yaw_damping=self.yaw_damping,
-            vibration_amplitude=vibration_amplitude,
-            vibration_frequency=vibration_frequency,
-            vibration_ramp=vibration_ramp,
-        )
 
 
 @dataclass
@@ -261,9 +245,6 @@ class SimConfig:
     measurement_rate: float
     vehicle: VehicleParams
     comparison_vehicle: VehicleParams | None
-    vibration_amplitude: float
-    vibration_frequency: float
-    vibration_ramp: float
     control: ControlParams
     estimation: FilterConfig
     schedule: list[tuple[float, Setpoint]]
@@ -359,8 +340,9 @@ def _schedule(entries: list, errors: list[str]) -> list[tuple[float, Setpoint]]:
     return schedule
 
 
-def _vehicle(v: dict) -> VehicleParams:
-    """Assemble a vehicle from the SI values of a checked vehicle section."""
+def _vehicle(v: dict, d: dict | None) -> VehicleParams:
+    """Assemble a vehicle from the SI values of a checked vehicle section and
+    disturbance section ``d`` (None leaves the vehicle undisturbed)."""
     w = v["wing"]
     k_steer = w["k_steer_n_per_v"]
     if k_steer == "auto":
@@ -383,6 +365,11 @@ def _vehicle(v: dict) -> VehicleParams:
     yaw_damping = v["yaw_damping_n_m_s"]
     if yaw_damping == "auto":
         yaw_damping = yaw_damping_coefficient(wing, v["n_wings"])
+    vibration = d and {
+        "vibration_amplitude": d["vibration_amplitude_n_m"],
+        "vibration_frequency": d["vibration_frequency_hz"],
+        "vibration_ramp": d["vibration_ramp_s"],
+    }
     return VehicleParams(
         mass=v["mass_mg"],
         inertia=v["inertia_kg_m2"],
@@ -390,6 +377,7 @@ def _vehicle(v: dict) -> VehicleParams:
         n_wings=v["n_wings"],
         wing=wing,
         yaw_damping=float(yaw_damping),
+        **(vibration or {}),
     )
 
 
@@ -422,7 +410,7 @@ def config_from_dict(user: dict) -> SimConfig:
             )
     if mode == "yaw-damping-compare" and merged["comparison_vehicle"] is None:
         errors.append("comparison_vehicle: required for mode yaw-damping-compare")
-    vehicle = si["vehicle"] and _vehicle(si["vehicle"])
+    vehicle = si["vehicle"] and _vehicle(si["vehicle"], si["disturbance"])
     if vehicle is not None:
         wing = vehicle.wing
         if mode in ("altitude-attitude", "position-hold") and vehicle.n_wings != 4:
@@ -450,10 +438,7 @@ def config_from_dict(user: dict) -> SimConfig:
         control_rate=rates["control_hz"],
         measurement_rate=rates["measurement_hz"],
         vehicle=vehicle,
-        comparison_vehicle=comparison and _vehicle(comparison),
-        vibration_amplitude=si["disturbance"]["vibration_amplitude_n_m"],
-        vibration_frequency=si["disturbance"]["vibration_frequency_hz"],
-        vibration_ramp=si["disturbance"]["vibration_ramp_s"],
+        comparison_vehicle=comparison and _vehicle(comparison, si["disturbance"]),
         control=ControlParams(
             attitude=AttitudeGains(c["attitude_k1_n_m"], c["attitude_k2_n_m_s"]),
             position=PositionGains(
@@ -542,4 +527,4 @@ def bundled_config_path(name: str) -> Path:
 
 def default_vehicle() -> VehicleParams:
     """The stock four-wing vehicle built from the calibrated defaults."""
-    return _vehicle(_walk(_SPEC["vehicle"], {}, "vehicle", [])[1])
+    return _vehicle(_walk(_SPEC["vehicle"], {}, "vehicle", [])[1], None)

@@ -28,13 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .aero import ActuatorCommand, WingConfig, Wrench, allocate
+from .aero import ActuatorCommand, Wrench, allocate
 from .dynamics import VehicleState
 from .spatial import Quaternion, _euler_zyx, _shepperd, quat_error, sign
 # Unused here since desired_attitude calls _shepperd; the per-layer trace of
 # perfbench/run.py wraps control.rotmat_to_quat, so the name stays.
 from .spatial import rotmat_to_quat  # noqa: F401
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ControlParams, VehicleParams
 
 __all__ = [
     "ControlError",
@@ -238,36 +242,36 @@ class FlightController:
     * ``"position-hold"``: full position PID with tilt allocation; the yaw
       reference tracks the measured yaw.
 
-    Yaw torque feedback is disabled by default (``yaw_feedback=False``): the
-    yaw command is zeroed after the attitude law, leaving heading to the
-    passive damping of the wings.  When the thrust-axis construction
-    degenerates the previous command is held for one tick.
+    The gains come from ``control``, the config's control section.  Unless
+    ``control.yaw_feedback`` is set, the yaw command is zeroed after the
+    attitude law, leaving heading to the passive damping of the wings.  When
+    the thrust-axis construction degenerates the previous command is held
+    for one tick.
     """
 
     def __init__(
-        self,
-        wing: WingConfig,
-        attitude_gains: AttitudeGains,
-        position_gains: PositionGains,
-        altitude_gains: AltitudeGains,
-        mass: float,
-        gravity: float,
-        mode: str = "altitude-attitude",
-        yaw_feedback: bool = False,
+        self, vehicle: VehicleParams, control: ControlParams, mode: str
     ) -> None:
         if mode not in ("altitude-attitude", "position-hold"):
             raise ValueError(f"unknown controller mode {mode!r}")
-        self.wing = wing
-        self.attitude_gains = attitude_gains
+        self.wing = vehicle.wing
+        self.attitude_gains = control.attitude
         self.mode = mode
-        self.yaw_feedback = yaw_feedback
-        self.position = PositionController(position_gains, mass, gravity)
-        self.altitude = AltitudeController(altitude_gains, mass, gravity)
+        self.yaw_feedback = control.yaw_feedback
+        m, g = vehicle.mass, vehicle.gravity
+        self.position = PositionController(control.position, m, g)
+        self.altitude = AltitudeController(control.altitude, m, g)
         self.last_command = ActuatorCommand((0.0, 0.0, 0.0, 0.0))
+        # The attitude and yaw of the last feedback: an estimate stays the
+        # same object until the next measurement.
+        self._feedback: VehicleState | None = None
 
     def tick(self, est: VehicleState, sp: Setpoint, dt: float) -> ActuatorCommand:
-        q = Quaternion(*est[7:11])
-        _, _, yaw = _euler_zyx(*est[7:11])
+        if est is not self._feedback:
+            self._feedback = est
+            self._q = Quaternion(*est[7:11])
+            self._yaw = _euler_zyx(*est[7:11])[2]
+        q, yaw = self._q, self._yaw
         try:
             if self.mode == "position-hold":
                 f_d = self.position.force(est, sp, dt)

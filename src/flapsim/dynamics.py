@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .aero import Wrench
 
 __all__ = [
@@ -72,13 +70,16 @@ class InertialConfig:
     vibration_ramp: float = 0.0  # envelope rise time [s], 0 = full from t=0
 
     def __post_init__(self) -> None:
-        moments = np.asarray(self.inertia, dtype=float)
-        if moments.shape != (3,) or not (np.isfinite(moments) & (moments > 0.0)).all():
+        try:
+            moments = tuple(float(j) for j in self.inertia)
+        except (TypeError, ValueError):  # not a sequence of numbers
+            moments = ()
+        if len(moments) != 3 or not all(math.isfinite(j) and j > 0.0 for j in moments):
             raise ValueError(
                 f"inertia must be three finite, positive principal moments, "
                 f"got {self.inertia!r}"
             )
-        self.inertia = tuple(moments.tolist())
+        self.inertia = moments
 
 
 def passive_yaw_damping(config: InertialConfig, yaw_rate: float) -> float:

@@ -218,9 +218,6 @@ def run_scenario(
     every = config.measurement_every
 
     vehicle = config.vehicle
-    inertial = vehicle.inertial_config(
-        config.vibration_amplitude, config.vibration_frequency, config.vibration_ramp
-    )
     sensor = MocapSensor(config.estimation, seed)
     estimator = Estimator(config.estimation)
 
@@ -234,16 +231,7 @@ def run_scenario(
         command = ActuatorCommand((0.0, 0.0, 0.0, 0.0))
         wrench = Wrench(vehicle.weight, (0.0, 0.0, 0.0))
     else:
-        controller = FlightController(
-            wing=vehicle.wing,
-            attitude_gains=config.control.attitude,
-            position_gains=config.control.position,
-            altitude_gains=config.control.altitude,
-            mass=vehicle.mass,
-            gravity=vehicle.gravity,
-            mode=config.mode,
-            yaw_feedback=config.control.yaw_feedback,
-        )
+        controller = FlightController(vehicle, config.control, config.mode)
         true_feedback = config.control.feedback == "true"
 
     state = config.initial
@@ -262,7 +250,7 @@ def run_scenario(
         n_rows += 1
         if k == n_steps:
             break
-        state = step(state, wrench, inertial, dt)
+        state = step(state, wrench, vehicle, dt)
         if _diverged(state):
             rows[n_rows] = _row(state, est, est_euler, sp, wrench, command)
             n_rows += 1

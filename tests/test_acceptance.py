@@ -142,7 +142,6 @@ def test_criterion_4_position_hold():
 def test_criterion_5_integrator_correctness():
     t0 = time.perf_counter()
     vehicle = default_vehicle()
-    config = vehicle.inertial_config()
 
     ballistic = run_scenario(load_config(bundled_config_path("ballistic.cfg")))
     z_err = abs(ballistic.column("pos_z_m")[-1] - (-0.04905))

@@ -22,6 +22,7 @@ from flapsim.config import (
     read_raw,
     validate_config,
 )
+from flapsim.dynamics import InertialConfig
 from flapsim.spatial import Quaternion
 
 BUNDLED = (
@@ -237,6 +238,25 @@ def test_comparison_vehicle_merges_onto_defaults():
     # untouched fields inherit the stock vehicle
     assert cmp.mass == pytest.approx(95e-6)
     assert cmp.wing.area == pytest.approx(50e-6)
+
+
+_VIBRATION = ("vibration_amplitude", "vibration_frequency", "vibration_ramp")
+
+
+def test_disturbance_reaches_both_vehicles():
+    """The disturbance section fills the vibration fields ``step`` reads, on
+    the primary vehicle and on the comparison vehicle alike."""
+    hover = load_config(bundled_config_path("hover.cfg")).vehicle
+    assert isinstance(hover, InertialConfig)
+    # Amplitude and frequency as written in hover.cfg, the ramp by default.
+    assert [getattr(hover, f) for f in _VIBRATION] == [1.03e-4, 100.0, 0.5]
+
+    raw = read_raw(bundled_config_path("yaw_damp.cfg"))
+    shaken = config_from_dict(dict(raw, disturbance={"vibration_amplitude_n_m": 2e-5}))
+    assert [getattr(shaken.vehicle, f) for f in _VIBRATION] == [2e-5, 100.0, 0.5]
+    for cfg in (config_from_dict(raw), shaken):
+        want = [getattr(cfg.vehicle, f) for f in _VIBRATION]
+        assert [getattr(cfg.comparison_vehicle, f) for f in _VIBRATION] == want
 
 
 def test_yaw_compare_requires_comparison_vehicle():

@@ -9,7 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flapsim.aero import Wrench, allocate, mix
-from flapsim.config import default_vehicle, load_config, bundled_config_path
+from flapsim.config import (
+    ControlParams,
+    bundled_config_path,
+    default_vehicle,
+    load_config,
+)
 import oracles
 from flapsim.control import (
     AltitudeController,
@@ -311,22 +316,19 @@ def test_altitude_integrator_removes_droop():
 
 
 def flight_controller(mode="altitude-attitude", yaw_feedback=False):
-    vehicle = default_vehicle()
-    return FlightController(
-        wing=vehicle.wing,
-        attitude_gains=gains(),
-        position_gains=PositionGains(
+    control = ControlParams(
+        attitude=gains(),
+        position=PositionGains(
             kp=np.array([1.5e-3, 1.5e-3, 2.4e-3]),
             kd=np.array([6.8e-4, 6.8e-4, 9.5e-4]),
             ki=np.zeros(3),
             integral_limit=0.05,
         ),
-        altitude_gains=AltitudeGains(kp=2.4e-3, kd=9.5e-4, ki=0.0, integral_limit=0.5),
-        mass=vehicle.mass,
-        gravity=vehicle.gravity,
-        mode=mode,
+        altitude=AltitudeGains(kp=2.4e-3, kd=9.5e-4, ki=0.0, integral_limit=0.5),
         yaw_feedback=yaw_feedback,
+        feedback="estimated",
     )
+    return FlightController(default_vehicle(), control, mode)
 
 
 def hover_wrench(yaw=0.0):
@@ -397,7 +399,6 @@ def test_closed_loop_attitude_recovery():
     torque from the attitude law, allocation and mixing in the loop.
     """
     vehicle = default_vehicle()
-    config = vehicle.inertial_config()
     wing = vehicle.wing
     dt = 5e-4
     for tilt_deg in (30.0, 60.0, 85.0):
@@ -406,7 +407,7 @@ def test_closed_loop_attitude_recovery():
         state = VehicleState(z=0.3, qw=tilt.w, qx=tilt.x, qy=tilt.y, qz=tilt.z)
         for _ in range(4000):
             cmd = ctrl.tick(state, Setpoint(position=np.array(state[1:4])), dt)
-            state = step(state, mix(wing, cmd.amplitudes), config, dt)
+            state = step(state, mix(wing, cmd.amplitudes), vehicle, dt)
         roll, pitch, _ = Quaternion(*state[7:11]).to_euler_zyx()
         assert abs(roll) < math.radians(1.0)
         assert abs(pitch) < math.radians(1.0)

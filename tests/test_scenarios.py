@@ -1,5 +1,6 @@
 """Scenario harness: replay fidelity, metrics, divergence and determinism."""
 
+import ast
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flapsim
 from flapsim.aero import allocate, mix
 from flapsim.config import bundled_config_path, config_from_dict, load_config
 from flapsim.control import FlightController
@@ -63,21 +65,9 @@ def test_the_tick_passes_on_python_floats(name):
     with sensor noise (hover) and without it (position_hold)."""
     config = load_config(bundled_config_path(name))
     vehicle = config.vehicle
-    inertial = vehicle.inertial_config(
-        config.vibration_amplitude, config.vibration_frequency, config.vibration_ramp
-    )
     sensor = MocapSensor(config.estimation, config.seed)
     estimator = Estimator(config.estimation)
-    controller = FlightController(
-        vehicle.wing,
-        config.control.attitude,
-        config.control.position,
-        config.control.altitude,
-        vehicle.mass,
-        vehicle.gravity,
-        mode=config.mode,
-        yaw_feedback=config.control.yaw_feedback,
-    )
+    controller = FlightController(vehicle, config.control, config.mode)
     state = config.initial
     for _ in range(2):  # the second sample runs the filters past priming
         sample = sensor.sample(state)
@@ -85,7 +75,7 @@ def test_the_tick_passes_on_python_floats(name):
         command = controller.tick(est, config.setpoint_at(state.t), config.dt)
         wrench = mix(vehicle.wing, command.amplitudes)
         again = allocate(vehicle.wing, wrench)
-        state = step(state, wrench, inertial, config.dt)
+        state = step(state, wrench, vehicle, config.dt)
         q = sample.attitude
         floats = (
             *sample.position, q.w, q.x, q.y, q.z, sample.t, *est,
@@ -95,6 +85,20 @@ def test_the_tick_passes_on_python_floats(name):
         assert [type(v) for v in floats] == [float] * len(floats)
         flags = (*command.saturated, *again.saturated)
         assert [type(v) for v in flags] == [bool] * 8
+
+
+@pytest.mark.parametrize("module", ["aero", "control", "config", "dynamics"])
+def test_float_core_modules_import_no_numpy(module):
+    """The tick's float core imports numpy nowhere, not even inside a function."""
+    tree = ast.parse((Path(flapsim.__file__).parent / f"{module}.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+    assert names, "no imports parsed"
+    assert [n for n in names if n.split(".")[0] == "numpy"] == []
 
 
 def test_ballistic_trajectory_in_rows():
