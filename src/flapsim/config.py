@@ -72,7 +72,10 @@ def _is_number(value) -> bool:
 # is the value, "{n}" the vector size).  Numbers go on to the SI checks.
 _NUMBER = (_is_number, "must be a number, got {!r}")
 _AUTO = (lambda v: v == "auto" or _is_number(v), 'must be a number or "auto"')
-_VECTOR = (lambda v: isinstance(v, (list, tuple)), "must be a list of {n} numbers")
+_VECTOR = (
+    lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+    "must be a list of {n} numbers",
+)
 _SCHEDULE = (lambda v: isinstance(v, list) and len(v) > 0, "must be a non-empty list")
 _VERSION = (lambda v: v == 1, "expected 1, got {!r}")
 _NAME = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")
@@ -308,18 +311,14 @@ def _check(key: _Key, value, where: str, errors: list[str]):
             return _schedule(value, errors)
         if key.kind not in (_NUMBER, _AUTO, _VECTOR) or value == "auto":
             return value
-        try:
-            si = tuple(_to_si(v, key.si) for v in (value if size else [value]))
-        except (TypeError, ValueError):
-            si = None  # a vector entry that is not a number
-        if si is not None:
-            each = "entries " if size else ""
-            if not all(map(math.isfinite, si)):
-                problem = each + "must be finite"
-            elif key.bound and not all(map(key.bound[0], si)):
-                problem = each + key.bound[1]
-            else:
-                return si if size else si[0]
+        si = tuple(_to_si(v, key.si) for v in (value if size else [value]))
+        each = "entries " if size else ""
+        if not all(map(math.isfinite, si)):
+            problem = each + "must be finite"
+        elif key.bound and not all(map(key.bound[0], si)):
+            problem = each + key.bound[1]
+        else:
+            return si if size else si[0]
     errors.append(f"{where}: {problem.format(value, n=size)}")
     return None
 
@@ -468,7 +467,7 @@ def config_from_dict(user: dict) -> SimConfig:
             0.0,
             *initial["position_m"],
             *initial["velocity_m_per_s"],
-            q.w, q.x, q.y, q.z,
+            *q,
             *initial["omega_rad_per_s"],
         ),
         open_loop_command=si["open_loop"]["command_v"],

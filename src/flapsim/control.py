@@ -114,7 +114,7 @@ def attitude_torque(
     s = sign(qe.w)
     return tuple(
         -k1 * (s * v) - k2 * w
-        for k1, k2, v, w in zip(gains.attitude, gains.rate, (qe.x, qe.y, qe.z), omega)
+        for k1, k2, v, w in zip(gains.attitude, gains.rate, qe[1:], omega)
     )
 
 
@@ -126,7 +126,7 @@ def thrust_magnitude(f_desired: tuple[float, ...], q: Quaternion) -> float:
     desired force) commands zero thrust.
     """
     fx, fy, fz = f_desired
-    w, x, y, z = q.w, q.x, q.y, q.z
+    w, x, y, z = q
     projection = (
         fx * (2.0 * (x * z + w * y))
         + fy * (2.0 * (y * z - w * x))

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .aero import Wrench
+from .spatial import Quaternion
 
 __all__ = [
     "VehicleState",
@@ -160,9 +161,5 @@ def step(
         a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
     ]
-    # The expression of Quaternion.normalized.
-    qw, qx, qy, qz = y1[6:10]
-    n = math.sqrt(qw**2 + qx**2 + qy**2 + qz**2)
-    if n < 1e-12:
-        raise ValueError("cannot normalize a near-zero quaternion")
-    return VehicleState(t + dt, *y1[:6], qw / n, qx / n, qy / n, qz / n, *y1[10:])
+    q = Quaternion(*y1[6:10]).normalized()
+    return VehicleState(t + dt, *y1[:6], *q, *y1[10:])

@@ -153,7 +153,7 @@ class AngularRateFilter:
 
         ``q`` must already be hemisphere-continuous with the previous sample.
         """
-        qdot = self._lpd.update((q.w, q.x, q.y, q.z))
+        qdot = self._lpd.update(q)
         prod = q.conjugate() * Quaternion(*qdot)
         self.scalar_residual = 2.0 * prod.w
         return 2.0 * prod.x, 2.0 * prod.y, 2.0 * prod.z
@@ -210,6 +210,6 @@ class Estimator:
         omega = self._rate_filter.update(q)
         velocity = self._velocity_filter.update(sample.position)
         self._estimate = VehicleState(
-            sample.t, *sample.position, *velocity, q.w, q.x, q.y, q.z, *omega
+            sample.t, *sample.position, *velocity, *q, *omega
         )
         return self._estimate

@@ -3,14 +3,17 @@
 Conventions used throughout the package:
 
 * Quaternions are Hamilton quaternions stored scalar-first as ``(w, x, y, z)``
-  and multiplied right-handed.  A unit quaternion ``q`` maps body coordinates
-  to inertial coordinates through the sandwich product
+  and multiplied right-handed.  A :class:`Quaternion` is a tuple of four
+  floats laid out like ``state[7:11]`` of the vehicle state, so
+  ``Quaternion(*state[7:11])`` is the attitude and ``q[1:]`` its vector part.
+  A unit quaternion ``q`` maps body coordinates to inertial coordinates
+  through the sandwich product
 
       v_inertial = q * (0, v_body) * q^-1
 
-* Rotation matrices are 3x3 ``numpy`` arrays whose columns are the body axes
-  expressed in the inertial frame, so ``R @ v_body = v_inertial`` and
-  ``R == q.to_rotation_matrix()`` for the same attitude.
+* A rotation matrix is given as three rows of three numbers whose columns are
+  the body axes expressed in the inertial frame, so ``R v_body = v_inertial``.
+  :func:`rotmat_to_quat` is the checked conversion to a quaternion.
 * Euler angles follow the aerospace Z-Y-X order: yaw about the inertial z
   axis, then pitch about the intermediate y axis, then roll about the body x
   axis.
@@ -25,9 +28,7 @@ explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 __all__ = [
     "Quaternion",
@@ -42,32 +43,13 @@ def sign(x: float) -> float:
     return 1.0 if x >= 0.0 else -1.0
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
-    """Scalar-first Hamilton quaternion ``(w, x, y, z)``."""
+class Quaternion(NamedTuple):
+    """Scalar-first Hamilton quaternion ``(w, x, y, z)``, the identity by default."""
 
-    w: float
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def identity(cls) -> "Quaternion":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_array(cls, a) -> "Quaternion":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    @classmethod
-    def from_axis_angle(cls, axis, angle: float) -> "Quaternion":
-        """Unit quaternion rotating by ``angle`` [rad] about ``axis``."""
-        ax = np.asarray(axis, dtype=float)
-        n = math.sqrt(ax[0] ** 2 + ax[1] ** 2 + ax[2] ** 2)
-        if n < 1e-12:
-            raise ValueError("rotation axis must be non-zero")
-        s = math.sin(0.5 * angle) / n
-        return cls(math.cos(0.5 * angle), s * ax[0], s * ax[1], s * ax[2])
+    w: float = 1.0
+    x: float = 0.0
+    y: float = 0.0
+    z: float = 0.0
 
     @classmethod
     def from_rotation_vector(cls, rotvec) -> "Quaternion":
@@ -93,36 +75,32 @@ class Quaternion:
         qx = cls(math.cos(0.5 * roll), math.sin(0.5 * roll), 0.0, 0.0)
         return (qz * qy * qx).normalized()
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Imaginary part ``(x, y, z)``."""
-        return np.array([self.x, self.y, self.z])
-
     def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+        w, x, y, z = self
+        return math.sqrt(w**2 + x**2 + y**2 + z**2)
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
         if n < 1e-12:
             raise ValueError("cannot normalize a near-zero quaternion")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
+        w, x, y, z = self
+        return Quaternion(w / n, x / n, y / n, z / n)
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        w, x, y, z = self
+        return Quaternion(w, -x, -y, -z)
 
     def inverse(self) -> "Quaternion":
-        n2 = self.w**2 + self.x**2 + self.y**2 + self.z**2
+        w, x, y, z = self
+        n2 = w**2 + x**2 + y**2 + z**2
         if n2 < 1e-24:
             raise ValueError("cannot invert a near-zero quaternion")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return Quaternion(w / n2, -x / n2, -y / n2, -z / n2)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         """Hamilton product.  No normalization is applied."""
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
+        w1, x1, y1, z1 = self
+        w2, x2, y2, z2 = other
         return Quaternion(
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -131,52 +109,13 @@ class Quaternion:
         )
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        w, x, y, z = self
+        return Quaternion(-w, -x, -y, -z)
 
     def dot(self, other: "Quaternion") -> float:
-        return (
-            self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-        )
-
-    def rotate(self, v) -> np.ndarray:
-        """Rotate a body-frame vector into the inertial frame.
-
-        Equivalent to the sandwich product q * (0, v) * q^-1 for unit q,
-        evaluated without building intermediate quaternions.
-        """
-        vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-        w, x, y, z = self.w, self.x, self.y, self.z
-        # t = 2 u x v, v' = v + w t + u x t
-        tx = 2.0 * (y * vz - z * vy)
-        ty = 2.0 * (z * vx - x * vz)
-        tz = 2.0 * (x * vy - y * vx)
-        return np.array(
-            [
-                vx + w * tx + y * tz - z * ty,
-                vy + w * ty + z * tx - x * tz,
-                vz + w * tz + x * ty - y * tx,
-            ]
-        )
-
-    def to_rotation_matrix(self) -> np.ndarray:
-        """Body-to-inertial rotation matrix of a unit quaternion."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-
-    def to_euler_zyx(self) -> tuple[float, float, float]:
-        """Return (roll, pitch, yaw) [rad] in the Z-Y-X convention."""
-        return _euler_zyx(self.w, self.x, self.y, self.z)
-
-    def rotation_angle(self) -> float:
-        """Geodesic rotation angle in [0, pi], insensitive to the q/-q sign."""
-        vn = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        return 2.0 * math.atan2(vn, abs(self.w))
+        w1, x1, y1, z1 = self
+        w2, x2, y2, z2 = other
+        return w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2
 
 
 def _euler_zyx(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -203,25 +142,34 @@ def quat_error(q_desired: Quaternion, q: Quaternion) -> Quaternion:
 
 
 def rotmat_to_quat(matrix, tol: float = 1e-6) -> Quaternion:
-    """Convert a proper orthonormal rotation matrix to a unit quaternion.
+    """Checked :func:`_shepperd`: a proper rotation matrix as a unit quaternion.
 
-    Uses Shepperd's method: the largest of (trace, diagonal entries) selects
-    the division branch, which avoids catastrophic cancellation near 180 deg
-    rotations.  Returns the representative with a non-negative scalar part.
-
-    Raises ValueError if the matrix is not orthonormal within ``tol`` or has
-    a negative determinant.
+    ``matrix`` is 3x3 rows of numbers (a numpy array works), each entry taken
+    with ``float``.  Raises ValueError if it is not 3x3, not orthonormal
+    within ``tol`` (max |R^T R - I|), improper (det < 0) or not finite.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-    residual = np.abs(m.T @ m - np.eye(3)).max()
-    if residual > tol:
+    m = [[float(v) for v in row] for row in matrix]
+    shape = [len(row) for row in m]
+    if shape != [3, 3, 3]:
+        raise ValueError(f"rotation matrix must be 3x3, got row lengths {shape}")
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    columns = list(zip(*m))
+    residual = max(
+        abs(sum(a * b for a, b in zip(ci, cj)) - (1.0 if i == j else 0.0))
+        for i, ci in enumerate(columns)
+        for j, cj in enumerate(columns)
+    )
+    # Negated comparisons, so that NaN fails: max() can skip a NaN residual,
+    # but every entry enters the determinant, so a NaN entry makes it NaN.
+    if not residual <= tol:
         raise ValueError(f"matrix is not orthonormal (residual {residual:.3e})")
-    if np.linalg.det(m) < 0.0:
+    det = (
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
+    )
+    if not det >= 0.0:
         raise ValueError("matrix has negative determinant (improper rotation)")
-
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
     return _shepperd(m00, m01, m02, m10, m11, m12, m20, m21, m22)
 
 
@@ -232,7 +180,9 @@ def _shepperd(
 ) -> Quaternion:
     """Shepperd's branch on the nine entries of a rotation matrix, unchecked.
 
-    The caller guarantees a proper rotation; :func:`rotmat_to_quat` is the
+    The largest of (trace, diagonal entries) selects the division branch,
+    which avoids catastrophic cancellation near 180 deg rotations.  The
+    caller guarantees a proper rotation; :func:`rotmat_to_quat` is the
     checked entry point.  Returns the unit representative with w >= 0.
     """
     tr = m00 + m11 + m22

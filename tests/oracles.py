@@ -1,7 +1,7 @@
 """Dense numpy forms of closed forms the package evaluates on floats.
 
-They are the oracles of the allocation, mixing, desired-attitude, filter and
-integrator tests.
+They are the oracles of the allocation, mixing, desired-attitude, rotation,
+filter and integrator tests.
 """
 
 import math
@@ -34,6 +34,18 @@ def mixing_matrix(wing: WingConfig) -> np.ndarray:
 def wrench_vector(wrench: Wrench) -> np.ndarray:
     """u = [f, t1, t2, t3], the vector the mixing matrix maps to."""
     return np.array([wrench.thrust, *wrench.torque])
+
+
+def rotation_matrix(q: Quaternion) -> np.ndarray:
+    """Body-to-inertial rotation matrix of a unit quaternion."""
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
 
 
 def desired_attitude(f_desired: np.ndarray, yaw_desired: float) -> Quaternion:

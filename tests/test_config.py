@@ -23,7 +23,7 @@ from flapsim.config import (
     validate_config,
 )
 from flapsim.dynamics import InertialConfig
-from flapsim.spatial import Quaternion
+from flapsim.spatial import _euler_zyx
 
 BUNDLED = (
     "hover.cfg",
@@ -219,7 +219,7 @@ def test_initial_state_construction():
     )
     state = cfg.initial
     assert state[1:4] == pytest.approx([0.1, 0.2, 0.3])
-    roll, pitch, yaw = Quaternion(*state[7:11]).to_euler_zyx()
+    roll, pitch, yaw = _euler_zyx(*state[7:11])
     assert roll == pytest.approx(math.radians(10.0))
     assert state.wz == pytest.approx(20.0)
 
@@ -344,6 +344,16 @@ MESSAGES = {
     "finite": (minimal(duration_s=math.nan), ["duration_s: must be finite"]),
     "vector-size": (
         minimal(initial={"position_m": [1.0, 2.0]}),
+        ["initial.position_m: must be a list of 3 numbers"],
+    ),
+    # New: `[yes, 0, 0]` (YAML reads `yes` as True) and `["0.5", 0, 0]` used
+    # to load as x = 1.0 m and 0.5 m.
+    "vector-boolean": (
+        minimal(initial={"position_m": [True, 0, 0]}),
+        ["initial.position_m: must be a list of 3 numbers"],
+    ),
+    "vector-string": (
+        minimal(initial={"position_m": ["0.5", 0, 0]}),
         ["initial.position_m: must be a list of 3 numbers"],
     ),
     "vector-finite": (

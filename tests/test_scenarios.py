@@ -87,7 +87,7 @@ def test_the_tick_passes_on_python_floats(name):
         assert [type(v) for v in flags] == [bool] * 8
 
 
-@pytest.mark.parametrize("module", ["aero", "control", "config", "dynamics"])
+@pytest.mark.parametrize("module", ["aero", "control", "config", "dynamics", "spatial"])
 def test_float_core_modules_import_no_numpy(module):
     """The tick's float core imports numpy nowhere, not even inside a function."""
     tree = ast.parse((Path(flapsim.__file__).parent / f"{module}.py").read_text())
