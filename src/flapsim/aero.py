@@ -54,14 +54,14 @@ class WingConfig:
     flap_frequency: float  # nu [Hz]
     stroke_inclination: float  # stroke-plane tilt beta [rad]
     c_lift: float  # lift coefficient [N s^2 / (rad^2 m^2)]
-    c_damp_rate: float = 0.0  # rate-damping coefficient
-    k_thrust: float = 1.0  # per-wing thrust per command unit [N/V]
-    k_steer: float = 0.0  # per-wing steering force per command unit [N/V]
-    lever_roll: float = 5.0e-3  # d1, lateral offset of each wing pair [m]
-    lever_pitch: float = 5.0e-3  # d2, longitudinal offset [m]
-    lever_yaw: float = 8.0e-3  # d3, yaw moment arm of the steering force [m]
-    steering_arm: float = 8.0e-3  # r_S, moment arm of f_S about body z [m]
-    v_max: float = 260.0  # drive amplitude limit [V]
+    c_damp_rate: float  # rate-damping coefficient
+    k_thrust: float  # per-wing thrust per command unit [N/V]
+    k_steer: float  # per-wing steering force per command unit [N/V]
+    lever_roll: float  # d1, lateral offset of each wing pair [m]
+    lever_pitch: float  # d2, longitudinal offset [m]
+    lever_yaw: float  # d3, yaw moment arm of the steering force [m]
+    steering_arm: float  # r_S, moment arm of f_S about body z [m]
+    v_max: float  # drive amplitude limit [V]
 
 
 @dataclass(frozen=True)

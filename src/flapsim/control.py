@@ -87,7 +87,7 @@ class PositionGains:
     kp: tuple[float, float, float]  # [N/m]
     kd: tuple[float, float, float]  # [N s/m]
     ki: tuple[float, float, float]  # [N/(m s)]
-    integral_limit: float = 1.0  # clamp on each integral state [m s]
+    integral_limit: float  # clamp on each integral state [m s]
 
 
 @dataclass
@@ -95,7 +95,7 @@ class AltitudeGains:
     kp: float  # [N/m]
     kd: float  # [N s/m]
     ki: float  # [N/(m s)]
-    integral_limit: float = 1.0  # [m s]
+    integral_limit: float  # [m s]
 
 
 @dataclass
@@ -262,8 +262,8 @@ class FlightController:
         self.position = PositionController(control.position, m, g)
         self.altitude = AltitudeController(control.altitude, m, g)
         self.last_command = ActuatorCommand((0.0, 0.0, 0.0, 0.0))
-        # The attitude and yaw of the last feedback: an estimate stays the
-        # same object until the next measurement.
+        # The attitude and yaw of the last feedback: the run loop holds the
+        # estimate, so it stays the same object until the next measurement.
         self._feedback: VehicleState | None = None
 
     def tick(self, est: VehicleState, sp: Setpoint, dt: float) -> ActuatorCommand:

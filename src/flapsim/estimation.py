@@ -20,8 +20,9 @@ estimator rebuilds the full vehicle state from poses alone:
 
 Measured quaternions are flipped to the hemisphere of the previous sample
 before any filtering, so the stream stays continuous even if the source
-flips representation sign.  Between measurement arrivals the last estimate is
-held (zero-order hold).
+flips representation sign.  The estimator runs once per measurement; the
+run loop in :mod:`flapsim.scenarios` decides when one arrives and holds the
+last estimate in between (zero-order hold).
 
 Measurement noise is deterministic for a given seed: position noise is white
 Gaussian per axis, attitude noise a small random rotation vector applied on
@@ -75,11 +76,12 @@ class MocapSensor:
         self._rng = np.random.default_rng(seed)
 
     def sample(self, state: VehicleState) -> MocapSample:
+        # Position noise first, then attitude: the pinned noisy runs use this order.
+        nx, ny, nz, rx, ry, rz = self._rng.standard_normal(6).tolist()
         std = self.config.position_noise_std
-        nx, ny, nz = self._rng.standard_normal(3).tolist()
         position = (state.x + std * nx, state.y + std * ny, state.z + std * nz)
         std = self.config.attitude_noise_std
-        rotvec = [std * n for n in self._rng.standard_normal(3).tolist()]
+        rotvec = (std * rx, std * ry, std * rz)
         attitude = Quaternion(*state[7:11]) * Quaternion.from_rotation_vector(rotvec)
         return MocapSample(position=position, attitude=attitude, t=state.t)
 
@@ -178,38 +180,24 @@ class VelocityFilter:
 
 
 class Estimator:
-    """Multi-rate state estimator with zero-order hold between measurements.
+    """Full-state estimate from a pose stream, updated once per measurement.
 
-    Call :meth:`tick` once per control tick, passing a :class:`MocapSample`
-    when one arrived and ``None`` otherwise.  The first tick must carry a
-    sample.
+    Call :meth:`tick` with each :class:`MocapSample` as it arrives; the
+    caller holds the returned state until the next one.
     """
 
     def __init__(self, config: FilterConfig) -> None:
-        self.config = config
         self._rate_filter = AngularRateFilter(config.rate_corner, config.measurement_dt)
         self._velocity_filter = VelocityFilter(
             config.velocity_corner, config.measurement_dt
         )
-        self._estimate: VehicleState | None = None
         self._q_prev: Quaternion | None = None
 
-    @property
-    def estimate(self) -> VehicleState:
-        if self._estimate is None:
-            raise RuntimeError("estimator has not received a measurement yet")
-        return self._estimate
-
-    def tick(self, sample: MocapSample | None) -> VehicleState:
-        if sample is None:
-            return self.estimate
+    def tick(self, sample: MocapSample) -> VehicleState:
         q = sample.attitude.normalized()
         if self._q_prev is not None and q.dot(self._q_prev) < 0.0:
             q = -q
         self._q_prev = q
         omega = self._rate_filter.update(q)
         velocity = self._velocity_filter.update(sample.position)
-        self._estimate = VehicleState(
-            sample.t, *sample.position, *velocity, *q, *omega
-        )
-        return self._estimate
+        return VehicleState(sample.t, *sample.position, *velocity, *q, *omega)

@@ -1,7 +1,8 @@
 """Scenario execution, run records, metrics and variant comparison.
 
 A scenario steps the plant at the control rate while the estimator ingests
-pose measurements at the (slower) measurement rate.  Four modes exist:
+pose measurements at the (slower) measurement rate; the loop holds the last
+estimate between measurements (zero-order hold).  Four modes exist:
 
 * ``altitude-attitude``: height PID plus attitude stabilization; lateral
   position drifts freely.
@@ -95,7 +96,7 @@ class RunRecord:
 
 
 def read_csv(path: str | Path) -> np.ndarray:
-    """Read a run CSV back into the row array (schema checked)."""
+    """Read a run CSV back into the row array; a malformed file is a ValueError."""
     with open(path) as f:
         schema = f.readline().strip()
         if schema != f"# {CSV_SCHEMA}":
@@ -103,7 +104,15 @@ def read_csv(path: str | Path) -> np.ndarray:
         header = f.readline().strip().split(",")
         if header != CSV_COLUMNS:
             raise ValueError("CSV columns do not match the current schema")
-        rows = [[float(v) for v in line.split(",")] for line in f if line.strip()]
+        rows, n = [], len(header)
+        for lineno, line in enumerate(f, start=3):
+            fields = line.split(",")
+            if len(fields) == n:
+                rows.append([float(v) for v in fields])
+            elif line.strip():
+                raise ValueError(f"{path}, line {lineno}: {len(fields)} fields, not {n}")
+    if not rows:
+        raise ValueError(f"{path}: no rows after the header")
     return np.array(rows)
 
 
@@ -235,29 +244,25 @@ def run_scenario(
         true_feedback = config.control.feedback == "true"
 
     state = config.initial
-    rows = np.empty((n_steps + 2, len(CSV_COLUMNS)))
-    n_rows = status = 0
+    rows, status = [], 0
     for k in range(n_steps + 1):
-        sample = sensor.sample(state) if k % every == 0 else None
-        est = estimator.tick(sample)
-        if sample is not None:
+        if k % every == 0:  # a measurement; est is held until the next one
+            est = estimator.tick(sensor.sample(state))
             est_euler = _euler_zyx(*est[7:11])
         sp = config.setpoint_at(state.t)
         if controller is not None:
             command = controller.tick(state if true_feedback else est, sp, dt)
             wrench = mix(vehicle.wing, command.amplitudes)
-        rows[n_rows] = _row(state, est, est_euler, sp, wrench, command)
-        n_rows += 1
+        rows.append(_row(state, est, est_euler, sp, wrench, command))
         if k == n_steps:
             break
         state = step(state, wrench, vehicle, dt)
         if _diverged(state):
-            rows[n_rows] = _row(state, est, est_euler, sp, wrench, command)
-            n_rows += 1
+            rows.append(_row(state, est, est_euler, sp, wrench, command))
             status = 2
             break
 
-    rows = rows[:n_rows]
+    rows = np.array(rows)
     record = RunRecord(
         name=config.name,
         mode=config.mode,

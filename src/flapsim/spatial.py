@@ -117,6 +117,12 @@ class Quaternion(NamedTuple):
         w2, x2, y2, z2 = other
         return w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2
 
+    # q + q and 2 * q raise TypeError instead of concatenating into 8-tuples.
+    def __add__(self, other):
+        return NotImplemented
+
+    __rmul__ = __add__
+
 
 def _euler_zyx(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
     """(roll, pitch, yaw) [rad] in the Z-Y-X convention of a unit quaternion."""
@@ -145,30 +151,30 @@ def rotmat_to_quat(matrix, tol: float = 1e-6) -> Quaternion:
     """Checked :func:`_shepperd`: a proper rotation matrix as a unit quaternion.
 
     ``matrix`` is 3x3 rows of numbers (a numpy array works), each entry taken
-    with ``float``.  Raises ValueError if it is not 3x3, not orthonormal
-    within ``tol`` (max |R^T R - I|), improper (det < 0) or not finite.
+    with ``float``.  Raises ValueError if it is not 3x3, not finite, not
+    orthonormal within ``tol`` (max |R^T R - I|) or improper (det < 0).
     """
-    m = [[float(v) for v in row] for row in matrix]
-    shape = [len(row) for row in m]
-    if shape != [3, 3, 3]:
-        raise ValueError(f"rotation matrix must be 3x3, got row lengths {shape}")
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    try:  # a flat or ragged input fails the conversion or the unpacking
+        m = [[float(v) for v in row] for row in matrix]
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    except (TypeError, ValueError):
+        raise ValueError("rotation matrix must be 3x3 rows of numbers") from None
+    if not all(math.isfinite(v) for row in m for v in row):
+        raise ValueError("rotation matrix has a non-finite entry")
     columns = list(zip(*m))
     residual = max(
         abs(sum(a * b for a, b in zip(ci, cj)) - (1.0 if i == j else 0.0))
         for i, ci in enumerate(columns)
         for j, cj in enumerate(columns)
     )
-    # Negated comparisons, so that NaN fails: max() can skip a NaN residual,
-    # but every entry enters the determinant, so a NaN entry makes it NaN.
-    if not residual <= tol:
+    if residual > tol:
         raise ValueError(f"matrix is not orthonormal (residual {residual:.3e})")
     det = (
         m00 * (m11 * m22 - m12 * m21)
         - m01 * (m10 * m22 - m12 * m20)
         + m02 * (m10 * m21 - m11 * m20)
     )
-    if not det >= 0.0:
+    if det < 0.0:
         raise ValueError("matrix has negative determinant (improper rotation)")
     return _shepperd(m00, m01, m02, m10, m11, m12, m20, m21, m22)
 

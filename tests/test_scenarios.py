@@ -140,6 +140,24 @@ def test_read_csv_rejects_other_files(tmp_path):
         read_csv(p)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [], "no rows after the header"),
+        (lambda lines: [line.rsplit(",", 1)[0] + "\n" for line in lines], "line 3: 48 fields"),
+        (lambda lines: lines[:2] + [lines[2].rstrip() + ",0.0\n"] + lines[3:], "line 5: 50 fields"),
+    ],
+    ids=["header-only", "every-row-short", "one-row-long"],
+)
+def test_read_csv_rejects_malformed_rows(tmp_path, edit, message):
+    path = tmp_path / "run.csv"
+    run_scenario(short_ballistic(), duration=0.01).write_csv(path)
+    schema, header, *lines = path.read_text().splitlines(keepends=True)
+    path.write_text(schema + header + "".join(edit(lines)))
+    with pytest.raises(ValueError, match=message):
+        read_csv(path)
+
+
 def test_metrics_recomputable_from_rows():
     for name in ("ballistic.cfg", "position_hold.cfg"):
         rec = run_scenario(load_config(bundled_config_path(name)), duration=1.0)
@@ -161,6 +179,42 @@ def test_divergence_sets_status():
     assert rec.status == 2
     assert rec.rows.shape[0] < 3.0 * 2000 + 1
     assert abs(rec.column("pos_z_m")[-1]) > 10.0
+
+
+@pytest.mark.parametrize(
+    "name, duration", [("position_hold.cfg", 0.5), ("hover.cfg", 0.5), ("fall", None)]
+)
+def test_one_sample_and_one_update_per_measurement_tick(monkeypatch, name, duration):
+    """The run loop alone decides when a measurement happens: each measurement
+    tick samples the sensor and updates the estimator once, no other tick
+    calls either, and the estimate columns hold in between."""
+    if name == "fall":  # open loop, diverges after about 1.4 s
+        config = config_from_dict({"name": "fall", "mode": "open-loop", "duration_s": 3.0})
+    else:
+        config = load_config(bundled_config_path(name))
+    sampled, updated = [], []
+    sample, tick = MocapSensor.sample, Estimator.tick
+
+    def counted_sample(sensor, state):
+        sampled.append(state.t)
+        return sample(sensor, state)
+
+    def counted_tick(estimator, measurement):
+        updated.append(measurement.t)
+        return tick(estimator, measurement)
+
+    monkeypatch.setattr(MocapSensor, "sample", counted_sample)
+    monkeypatch.setattr(Estimator, "tick", counted_tick)
+    rec = run_scenario(config, duration=duration)
+    assert rec.status == (2 if name == "fall" else 0)
+    ticks = len(rec.rows) - (rec.status == 2)  # a diverged run adds one row
+    every = config.measurement_every
+    assert len(sampled) == math.ceil(ticks / every)
+    assert sampled == updated == rec.column("t_s")[:ticks:every].tolist()
+    first, last = CSV_COLUMNS.index("est_pos_x_m"), CSV_COLUMNS.index("est_yaw_rad")
+    est = rec.rows[:ticks, first : last + 1]
+    held = [k for k in range(ticks) if k % every]
+    assert np.array_equal(est[held], est[[k - 1 for k in held]])
 
 
 def test_yaw_damping_compare_extras():

@@ -196,20 +196,47 @@ def test_rotmat_to_quat_rejects_bad_input():
     reflection = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         rotmat_to_quat(reflection)
-    with pytest.raises(ValueError, match="3x3"):
-        rotmat_to_quat([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    # A non-finite entry fails a check wherever it sits.
-    for bad in (math.nan, math.inf, -math.inf):
-        for i in range(3):
-            for j in range(3):
-                m = np.eye(3)
-                m[i, j] = bad
-                with pytest.raises(ValueError):
-                    rotmat_to_quat(m)
     # numpy input comes back as Python floats.
     q = rotmat_to_quat(np.eye(3))
     assert q == (1.0, 0.0, 0.0, 0.0)
     assert all(type(v) is float for v in q)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [(i, j) for i in range(3) for j in range(3)])
+def test_rotmat_to_quat_names_a_non_finite_entry(index, bad):
+    """A non-finite entry is reported as such wherever it sits."""
+    m = np.eye(3)
+    m[index] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        rotmat_to_quat(m)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        list(range(9)),
+        np.arange(9.0),
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.0],
+        1.0,
+    ],
+    ids=["flat-list", "flat-array", "2x3", "3x2", "4x3", "scalar-row", "scalar"],
+)
+def test_rotmat_to_quat_rejects_every_non_3x3_input(matrix):
+    with pytest.raises(ValueError, match="3x3"):
+        rotmat_to_quat(matrix)
+
+
+@pytest.mark.parametrize(
+    "expr", [lambda q: 2 * q, lambda q: q + q], ids=["int-times-q", "q-plus-q"]
+)
+def test_tuple_operators_are_no_quaternion_algebra(expr):
+    """Tuple repetition and concatenation raise instead of giving 8-tuples."""
+    with pytest.raises(TypeError):
+        expr(Quaternion())
 
 
 def test_normalized_rejects_null():
