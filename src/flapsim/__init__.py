@@ -21,15 +21,13 @@ from .config import (
     validate_config,
 )
 from .control import (
-    AltitudeController,
-    AltitudeGains,
+    PID,
     AttitudeGains,
     ControlError,
     DegenerateThrust,
     DegenerateYaw,
     FlightController,
-    PositionController,
-    PositionGains,
+    PIDGains,
     Setpoint,
     attitude_torque,
     desired_attitude,
@@ -42,14 +40,7 @@ from .dynamics import (
     step,
     vibration_torque,
 )
-from .estimation import (
-    AngularRateFilter,
-    Estimator,
-    FilterConfig,
-    MocapSample,
-    MocapSensor,
-    VelocityFilter,
-)
+from .estimation import Estimator, FilterConfig, MocapSample, MocapSensor
 from .scenarios import (
     RunRecord,
     compare_variants,

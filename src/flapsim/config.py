@@ -28,7 +28,7 @@ from typing import Any, NamedTuple
 import yaml
 
 from .aero import WingConfig, cycle_avg_lift, yaw_damping_coefficient
-from .control import AltitudeGains, AttitudeGains, PositionGains, Setpoint
+from .control import AttitudeGains, PIDGains, Setpoint
 from .dynamics import InertialConfig, VehicleState
 from .estimation import FilterConfig
 from .spatial import Quaternion
@@ -232,8 +232,8 @@ class VehicleParams(InertialConfig):
 @dataclass
 class ControlParams:
     attitude: AttitudeGains
-    position: PositionGains
-    altitude: AltitudeGains
+    position: PIDGains  # three axes
+    altitude: PIDGains  # the z axis alone
     yaw_feedback: bool
     feedback: str  # "estimated" | "true"
 
@@ -407,6 +407,8 @@ def config_from_dict(user: dict) -> SimConfig:
             errors.append(
                 "rates: control_hz must be an integer multiple of measurement_hz"
             )
+        elif round(ratio) < 1:
+            errors.append("rates: measurement_hz must not exceed control_hz")
     if mode == "yaw-damping-compare" and merged["comparison_vehicle"] is None:
         errors.append("comparison_vehicle: required for mode yaw-damping-compare")
     vehicle = si["vehicle"] and _vehicle(si["vehicle"], si["disturbance"])
@@ -440,16 +442,16 @@ def config_from_dict(user: dict) -> SimConfig:
         comparison_vehicle=comparison and _vehicle(comparison, si["disturbance"]),
         control=ControlParams(
             attitude=AttitudeGains(c["attitude_k1_n_m"], c["attitude_k2_n_m_s"]),
-            position=PositionGains(
+            position=PIDGains(
                 kp=c["position_kp_n_per_m"],
                 kd=c["position_kd_n_s_per_m"],
                 ki=c["position_ki_n_per_m_s"],
                 integral_limit=c["position_integral_limit_m_s"],
             ),
-            altitude=AltitudeGains(
-                kp=c["altitude_kp_n_per_m"],
-                kd=c["altitude_kd_n_s_per_m"],
-                ki=c["altitude_ki_n_per_m_s"],
+            altitude=PIDGains(
+                kp=(c["altitude_kp_n_per_m"],),
+                kd=(c["altitude_kd_n_s_per_m"],),
+                ki=(c["altitude_ki_n_per_m_s"],),
                 integral_limit=c["altitude_integral_limit_m_s"],
             ),
             yaw_feedback=c["yaw_feedback"],

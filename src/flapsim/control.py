@@ -1,4 +1,4 @@
-"""Attitude, position and altitude flight controllers.
+"""Attitude and outer-loop flight controllers.
 
 The attitude law is a quaternion PD controller.  With the error quaternion
 q_e = q_d^-1 * q (scalar part m_e, vector part n_e) the commanded body torque
@@ -11,23 +11,24 @@ sin(theta_e / 2) a_e for the error rotation of angle theta_e about axis a_e,
 so the restoring torque always turns through at most 180 deg.  Both quaternion
 representatives of the same attitude command the same torque.
 
-The position loop is a PID with gravity feedforward toward a fixed setpoint,
+Both outer loops run one per-axis PID with gravity feedforward toward a fixed
+setpoint,
 
-    f_d = -Kp e - Kd rdot - Ki int(e) + m g n3 ,
+    f_d = -Kp e - Kd rdot - Ki int(e) + m g n3 ,   e = r - r_sp .
 
-whose output force vector is realized by tilting: the desired body z axis is
-aligned with f_d while a reference heading fixes the rotation about it, and
-the scalar thrust is the projection of f_d onto the current body z axis.
-
-A reduced altitude-only mode regulates height with a scalar PID while the
-attitude target is pure yaw, which is how the vehicle flies before lateral
-position feedback is enabled.
+The position loop runs it on three axes and realizes the force vector by
+tilting: the desired body z axis is aligned with f_d while a reference
+heading fixes the rotation about it, and the scalar thrust is the projection
+of f_d onto the current body z axis.  The altitude loop is the same PID on
+the z axis alone, with pure yaw as the attitude target, which is how the
+vehicle flies before lateral position feedback is enabled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import TYPE_CHECKING
 
 from .aero import ActuatorCommand, Wrench, allocate
@@ -45,14 +46,12 @@ __all__ = [
     "DegenerateThrust",
     "DegenerateYaw",
     "AttitudeGains",
-    "PositionGains",
-    "AltitudeGains",
+    "PIDGains",
     "Setpoint",
     "attitude_torque",
     "thrust_magnitude",
     "desired_attitude",
-    "PositionController",
-    "AltitudeController",
+    "PID",
     "FlightController",
 ]
 
@@ -83,19 +82,13 @@ class AttitudeGains:
 
 
 @dataclass
-class PositionGains:
-    kp: tuple[float, float, float]  # [N/m]
-    kd: tuple[float, float, float]  # [N s/m]
-    ki: tuple[float, float, float]  # [N/(m s)]
+class PIDGains:
+    """Per-axis outer-loop gains: 3-tuples for position, 1-tuples for altitude."""
+
+    kp: tuple[float, ...]  # [N/m]
+    kd: tuple[float, ...]  # [N s/m]
+    ki: tuple[float, ...]  # [N/(m s)]
     integral_limit: float  # clamp on each integral state [m s]
-
-
-@dataclass
-class AltitudeGains:
-    kp: float  # [N/m]
-    kd: float  # [N s/m]
-    ki: float  # [N/(m s)]
-    integral_limit: float  # [m s]
 
 
 @dataclass
@@ -166,69 +159,39 @@ def desired_attitude(f_desired: tuple[float, ...], yaw_desired: float) -> Quater
     return _shepperd(xx, yx, zx, xy, yy, zy, xz, yz, zz)
 
 
-class _Integrator:
-    """Trapezoid-rule integrator with symmetric clamping of the state.
+class PID:
+    """Per-axis PID force -kp e - kd rdot - ki int(e) with e = r - r_sp.
 
-    The state starts at zero, sized like the first error.
+    ``integral`` is the trapezoid-rule integral of e, clamped symmetrically
+    at ``gains.integral_limit``; it starts at zero, one entry per gain.
     """
 
-    def __init__(self, limit: float) -> None:
-        self.limit = float(limit)
-        self.value: tuple[float, ...] | None = None
-        self._prev: tuple[float, ...] | None = None
-
-    def advance(self, error: tuple[float, ...], dt: float) -> tuple[float, ...]:
-        if self._prev is None:
-            self._prev, self.value = error, (0.0,) * len(error)
-        h, limit = 0.5 * dt, self.limit
-        self.value = tuple(
-            min(max(v + h * (p + e), -limit), limit)
-            for v, p, e in zip(self.value, self._prev, error)
-        )
-        self._prev = error
-        return self.value
-
-
-class PositionController:
-    """PID position loop producing the desired inertial force vector."""
-
-    def __init__(self, gains: PositionGains, mass: float, gravity: float) -> None:
+    def __init__(self, gains: PIDGains) -> None:
         self.gains = gains
-        self.mass = float(mass)
-        self.gravity = float(gravity)
-        self._integ = _Integrator(gains.integral_limit)
+        self.integral: tuple[float, ...] = (0.0,) * len(gains.kp)
+        self._e_prev: tuple[float, ...] | None = None
 
-    def force(self, state: VehicleState, sp: Setpoint, dt: float) -> tuple[float, ...]:
-        e = tuple(r - r_sp for r, r_sp in zip(state[1:4], sp.position))
-        integ = self._integ.advance(e, dt)
-        g = self.gains
-        fx, fy, fz = (
-            -kp * ek - kd * v - ki * i
-            for kp, kd, ki, ek, v, i in zip(g.kp, g.kd, g.ki, e, state[4:7], integ)
-        )
-        # The + 0.0 is on purpose: it turns a -0.0 in x or y into +0.0, and
-        # the recorded runs depend on that sign.
-        return fx + 0.0, fy + 0.0, fz + self.mass * self.gravity
-
-
-class AltitudeController:
-    """Scalar PID on height with gravity feedforward."""
-
-    def __init__(self, gains: AltitudeGains, mass: float, gravity: float) -> None:
-        self.gains = gains
-        self.mass = float(mass)
-        self.gravity = float(gravity)
-        self._integ = _Integrator(gains.integral_limit)
-
-    def thrust(self, z: float, zdot: float, z_ref: float, dt: float) -> float:
-        e = z - z_ref
-        (integ,) = self._integ.advance((e,), dt)
-        return (
-            -self.gains.kp * e
-            - self.gains.kd * zdot
-            - self.gains.ki * integ
-            + self.mass * self.gravity
-        )
+    def force(
+        self,
+        r: tuple[float, ...],
+        rdot: tuple[float, ...],
+        r_sp: tuple[float, ...],
+        dt: float,
+    ) -> tuple[float, ...]:
+        e = tuple(map(sub, r, r_sp))
+        e_prev = e if self._e_prev is None else self._e_prev
+        g, h = self.gains, 0.5 * dt
+        limit = g.integral_limit
+        integral, f = [], []
+        # One loop over the axes: cheaper than a comprehension per quantity.
+        for kp, kd, ki, ek, v, p, i in zip(
+            g.kp, g.kd, g.ki, e, rdot, e_prev, self.integral
+        ):
+            i = min(max(i + h * (p + ek), -limit), limit)
+            integral.append(i)
+            f.append(-kp * ek - kd * v - ki * i)
+        self.integral, self._e_prev = tuple(integral), e
+        return tuple(f)
 
 
 class FlightController:
@@ -236,11 +199,11 @@ class FlightController:
 
     ``mode`` selects the outer loop:
 
-    * ``"altitude-attitude"``: scalar height PID; the attitude target is the
-      measured yaw, so roll and pitch are regulated to zero and heading is
-      left to drift.
-    * ``"position-hold"``: full position PID with tilt allocation; the yaw
-      reference tracks the measured yaw.
+    * ``"altitude-attitude"``: the PID on height alone; the attitude target
+      is the measured yaw, so roll and pitch are regulated to zero and
+      heading is left to drift.
+    * ``"position-hold"``: the PID on all three axes with tilt allocation;
+      the yaw reference tracks the measured yaw.
 
     The gains come from ``control``, the config's control section.  Unless
     ``control.yaw_feedback`` is set, the yaw command is zeroed after the
@@ -258,9 +221,10 @@ class FlightController:
         self.attitude_gains = control.attitude
         self.mode = mode
         self.yaw_feedback = control.yaw_feedback
-        m, g = vehicle.mass, vehicle.gravity
-        self.position = PositionController(control.position, m, g)
-        self.altitude = AltitudeController(control.altitude, m, g)
+        self.weight = vehicle.mass * vehicle.gravity
+        self.pid = PID(
+            control.position if mode == "position-hold" else control.altitude
+        )
         self.last_command = ActuatorCommand((0.0, 0.0, 0.0, 0.0))
         # The attitude and yaw of the last feedback: the run loop holds the
         # estimate, so it stays the same object until the next measurement.
@@ -274,11 +238,15 @@ class FlightController:
         q, yaw = self._q, self._yaw
         try:
             if self.mode == "position-hold":
-                f_d = self.position.force(est, sp, dt)
+                fx, fy, fz = self.pid.force(est[1:4], est[4:7], sp.position, dt)
+                # The + 0.0 is on purpose: it turns a -0.0 in x or y into
+                # +0.0, and the recorded runs depend on that sign.
+                f_d = (fx + 0.0, fy + 0.0, fz + self.weight)
                 thrust = thrust_magnitude(f_d, q)
                 q_d = desired_attitude(f_d, yaw)
             else:
-                thrust = self.altitude.thrust(est.z, est.vz, sp.position[2], dt)
+                (fz,) = self.pid.force(est[3:4], est[6:7], sp.position[2:], dt)
+                thrust = fz + self.weight
                 q_d = Quaternion.from_yaw(yaw)
         except ControlError:
             return self.last_command

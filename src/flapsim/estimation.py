@@ -13,9 +13,10 @@ estimator rebuilds the full vehicle state from poses alone:
 
   The operator is discretized with the bilinear (Tustin) transform at the
   measurement rate.  The scalar part of the product is a diagnostic residual
-  that stays near zero for slow smooth motion.
-* Linear velocity from a backward difference of position followed by a
-  first-order low-pass, also Tustin-discretized.
+  (``Estimator.scalar_residual``) that stays near zero for slow smooth motion.
+* Linear velocity from a backward difference of position followed by the
+  first-order low-pass lambda_v / (s + lambda_v), also Tustin-discretized.
+  The first sample has no difference yet and feeds zero velocity.
 * Position and attitude are passed through directly.
 
 Measured quaternions are flipped to the hemisphere of the previous sample
@@ -44,8 +45,6 @@ __all__ = [
     "MocapSensor",
     "LowPassDerivative",
     "LowPass",
-    "AngularRateFilter",
-    "VelocityFilter",
     "Estimator",
 ]
 
@@ -143,42 +142,6 @@ class LowPass:
         return y
 
 
-class AngularRateFilter:
-    """Body angular rate from a unit-quaternion stream at a fixed rate."""
-
-    def __init__(self, corner: float, dt: float) -> None:
-        self._lpd = LowPassDerivative(corner, dt)
-        self.scalar_residual = 0.0  # diagnostic, see module docstring
-
-    def update(self, q: Quaternion) -> tuple[float, float, float]:
-        """Return the rate estimate [rad/s] after ingesting sample ``q``.
-
-        ``q`` must already be hemisphere-continuous with the previous sample.
-        """
-        qdot = self._lpd.update(q)
-        prod = q.conjugate() * Quaternion(*qdot)
-        self.scalar_residual = 2.0 * prod.w
-        return 2.0 * prod.x, 2.0 * prod.y, 2.0 * prod.z
-
-
-class VelocityFilter:
-    """Backward-difference velocity smoothed by a first-order low-pass."""
-
-    def __init__(self, corner: float, dt: float) -> None:
-        self.dt = float(dt)
-        self._lp = LowPass(corner, dt)
-        self._r_prev: tuple[float, ...] | None = None
-
-    def update(self, position: tuple[float, ...]) -> tuple[float, ...]:
-        if self._r_prev is None:
-            self._r_prev = position
-            return self._lp.update((0.0,) * len(position))
-        dt = self.dt
-        diff = tuple((r - rp) / dt for r, rp in zip(position, self._r_prev))
-        self._r_prev = position
-        return self._lp.update(diff)
-
-
 class Estimator:
     """Full-state estimate from a pose stream, updated once per measurement.
 
@@ -187,17 +150,24 @@ class Estimator:
     """
 
     def __init__(self, config: FilterConfig) -> None:
-        self._rate_filter = AngularRateFilter(config.rate_corner, config.measurement_dt)
-        self._velocity_filter = VelocityFilter(
-            config.velocity_corner, config.measurement_dt
-        )
+        self._dt = dt = config.measurement_dt
+        self._rate = LowPassDerivative(config.rate_corner, dt)
+        self._velocity = LowPass(config.velocity_corner, dt)
         self._q_prev: Quaternion | None = None
+        self._r_prev: tuple[float, ...] | None = None
+        self.scalar_residual = 0.0  # diagnostic, see module docstring
 
     def tick(self, sample: MocapSample) -> VehicleState:
-        q = sample.attitude.normalized()
-        if self._q_prev is not None and q.dot(self._q_prev) < 0.0:
-            q = -q
-        self._q_prev = q
-        omega = self._rate_filter.update(q)
-        velocity = self._velocity_filter.update(sample.position)
-        return VehicleState(sample.t, *sample.position, *velocity, *q, *omega)
+        q, position, dt = sample.attitude.normalized(), sample.position, self._dt
+        if self._q_prev is None:
+            diff = (0.0, 0.0, 0.0)
+        else:
+            if q.dot(self._q_prev) < 0.0:
+                q = -q
+            diff = tuple((r - rp) / dt for r, rp in zip(position, self._r_prev))
+        self._q_prev, self._r_prev = q, position
+        velocity = self._velocity.update(diff)
+        prod = q.conjugate() * Quaternion(*self._rate.update(q))
+        self.scalar_residual = 2.0 * prod.w
+        omega = 2.0 * prod.x, 2.0 * prod.y, 2.0 * prod.z
+        return VehicleState(sample.t, *position, *velocity, *q, *omega)

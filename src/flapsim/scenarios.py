@@ -108,7 +108,10 @@ def read_csv(path: str | Path) -> np.ndarray:
         for lineno, line in enumerate(f, start=3):
             fields = line.split(",")
             if len(fields) == n:
-                rows.append([float(v) for v in fields])
+                try:
+                    rows.append([float(v) for v in fields])
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
             elif line.strip():
                 raise ValueError(f"{path}, line {lineno}: {len(fields)} fields, not {n}")
     if not rows:

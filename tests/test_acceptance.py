@@ -26,7 +26,7 @@ import flapsim
 from flapsim.aero import allocate, cycle_avg_damping, cycle_avg_lift, mix
 from flapsim.config import bundled_config_path, default_vehicle, load_config
 from flapsim.dynamics import InertialConfig, VehicleState, step
-from flapsim.estimation import AngularRateFilter, Estimator, FilterConfig, MocapSample
+from flapsim.estimation import Estimator, FilterConfig, MocapSample
 from flapsim.scenarios import lift_report, run_scenario
 from flapsim.spatial import Quaternion, _euler_zyx, rotmat_to_quat
 from flapsim.aero import Wrench
@@ -221,15 +221,11 @@ def test_criterion_7_rate_estimator():
     corner = 2.0 * math.pi * 30.0
     rate = 2.0
 
-    filt = AngularRateFilter(corner, dt)
-    omega = np.zeros(3)
-    q_prev = None
+    estimator = Estimator(FilterConfig(corner, corner, dt))
     for k in range(500):
         q = Quaternion.from_yaw(rate * k * dt)
-        if q_prev is not None and q.dot(q_prev) < 0.0:
-            q = -q
-        q_prev = q
-        omega = filt.update(q)
+        sample = MocapSample(position=(0.0, 0.0, 0.0), attitude=q, t=k * dt)
+        omega = estimator.tick(sample)[11:]
     rate_err = abs(omega[2] - rate) / rate
 
     # identical estimators, one receiving a sign-flipped suffix

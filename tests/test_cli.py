@@ -225,6 +225,17 @@ def test_run_bad_overrides_are_config_errors(tmp_path, capsys, override, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_measurement_faster_than_control_is_a_config_error(tmp_path, capsys, command):
+    """The ratio 1e-10 is within 1e-9 of the integer 0; it must not reach the
+    run loop's ``k % every``."""
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("name: fast\nrates: {control_hz: 0.001, measurement_hz: 1.0e+7}\n")
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: rates: measurement_hz must not exceed control_hz" in err
+
+
 def test_sweep_bad_duration_is_a_config_error(tmp_path, capsys):
     code = main(["sweep", BALLISTIC, "--param", "seed", "--values", "1,2",
                  "--duration", "-2", "--out", str(tmp_path)])

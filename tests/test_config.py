@@ -419,6 +419,10 @@ MESSAGES = {
         minimal(rates={"control_hz": 2000.0, "measurement_hz": 300.0}),
         ["rates: control_hz must be an integer multiple of measurement_hz"],
     ),
+    "rates-below-one": (
+        minimal(rates={"control_hz": 0.001, "measurement_hz": 1.0e7}),
+        ["rates: measurement_hz must not exceed control_hz"],
+    ),
     "comparison-required": (
         minimal(mode="yaw-damping-compare"),
         ["comparison_vehicle: required for mode yaw-damping-compare"],

@@ -1,4 +1,4 @@
-"""Attitude law, outer position/altitude loops and the cascaded controller."""
+"""Attitude law, the outer-loop PID and the cascaded controller."""
 
 import math
 from dataclasses import replace
@@ -17,17 +17,14 @@ from flapsim.config import (
 )
 import oracles
 from flapsim.control import (
-    AltitudeController,
-    AltitudeGains,
+    PID,
     AttitudeGains,
     ControlError,
     DegenerateThrust,
     DegenerateYaw,
     FlightController,
-    PositionController,
-    PositionGains,
+    PIDGains,
     Setpoint,
-    _Integrator,
     attitude_torque,
     desired_attitude,
     thrust_magnitude,
@@ -137,41 +134,65 @@ def test_position_force_matches_law_with_zero_feedforward(states, r_sp, kp, kd, 
     """Bit for bit, signed zeros included, the former law with zero velocity
     and acceleration feedforward, over a sequence of ticks."""
     dt = 5e-4
-    gains = PositionGains(kp=kp, kd=kd, ki=ki, integral_limit=0.05)
-    ctrl = PositionController(gains, MASS, G)
-    integ = oracles._Integrator(3, gains.integral_limit)
+    pid = PID(PIDGains(*(tuple(k.tolist()) for k in (kp, kd, ki)), 0.05))
+    integ = oracles._Integrator(3, 0.05)
     for position, velocity in states:
-        state = VehicleState(0.0, *position, *velocity)
-        f = ctrl.force(state, Setpoint(position=r_sp), dt)
+        f = pid.force(*(tuple(v.tolist()) for v in (position, velocity, r_sp)), dt)
         e = position - r_sp
         edot = velocity - np.zeros(3)
         expect = -kp * e - kd * edot - ki * integ.advance(e, dt)
-        expect = expect + MASS * G * np.array([0.0, 0.0, 1.0])
-        expect = expect + MASS * np.zeros(3)
+        assert all(type(v) is float for v in f)
         assert np.array_equal(f, expect)
         assert np.array_equal(np.signbit(f), np.signbit(expect))
 
 
 _error = st.floats(-1e100, 1e100)
-
-
-@given(
-    st.floats(1e-6, 1e6),
-    st.floats(1e-6, 1.0),
-    st.sampled_from((1, 3)).flatmap(
-        lambda n: st.lists(st.tuples(*[_error] * n), min_size=1, max_size=20)
-    ),
+_errors = st.sampled_from((1, 3)).flatmap(
+    lambda n: st.lists(st.tuples(*[_error] * n), min_size=1, max_size=20)
 )
+
+
+def zero_gains(n: int, limit: float) -> PIDGains:
+    return PIDGains(kp=(0.0,) * n, kd=(0.0,) * n, ki=(0.0,) * n, integral_limit=limit)
+
+
+@given(st.floats(1e-6, 1e6), st.floats(1e-6, 1.0), _errors)
 def test_integrator_matches_numpy_oracle(limit, dt, errors):
-    """Python floats equal, bit for bit and sign bits included, to the numpy
+    """``PID.integral`` equals, bit for bit and sign bits included, the numpy
     integrator, clamped or not, at the sizes the altitude and position loops
-    use."""
-    integ, oracle = _Integrator(limit), oracles._Integrator(len(errors[0]), limit)
+    use.  With a zero setpoint the error is the position itself."""
+    n = len(errors[0])
+    pid, oracle = PID(zero_gains(n, limit)), oracles._Integrator(n, limit)
     for e in errors:
-        got, want = integ.advance(e, dt), oracle.advance(np.array(e), dt)
+        pid.force(e, (0.0,) * n, (0.0,) * n, dt)
+        got, want = pid.integral, oracle.advance(np.array(e), dt)
         assert all(type(v) is float for v in got)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_gain = st.floats(0.0, 1e3)
+
+
+@given(
+    st.tuples(_gain, _gain, _gain),
+    st.tuples(_gain, _gain, _gain),
+    st.tuples(_gain, _gain, _gain),
+    st.floats(1e-6, 1e6),
+    st.floats(1e-6, 1.0),
+    st.lists(st.tuples(*[st.tuples(*[_error] * 3)] * 3), min_size=1, max_size=20),
+)
+def test_one_axis_pid_is_the_z_axis_of_three(kp, kd, ki, limit, dt, ticks):
+    """The altitude loop's 1-axis PID equals, bit for bit, the z component of
+    the position loop's 3-axis PID with the same z gains."""
+    three = PID(PIDGains(kp, kd, ki, limit))
+    one = PID(PIDGains(kp[2:], kd[2:], ki[2:], limit))
+    for r, rdot, r_sp in ticks:
+        (fz,) = one.force(r[2:], rdot[2:], r_sp[2:], dt)
+        want = three.force(r, rdot, r_sp, dt)[2]
+        assert fz == want
+        assert math.copysign(1.0, fz) == math.copysign(1.0, want)
+        assert one.integral == three.integral[2:]
 
 
 def test_thrust_projection():
@@ -245,46 +266,26 @@ def test_desired_attitude_degeneracies():
 
 
 def test_position_hover_feedforward():
-    ctrl = PositionController(
-        PositionGains(
-            kp=np.array([1.5e-3, 1.5e-3, 2.4e-3]),
-            kd=np.array([6.8e-4, 6.8e-4, 9.5e-4]),
-            ki=np.array([2.0e-4, 2.0e-4, 2.0e-3]),
-            integral_limit=0.05,
-        ),
-        MASS,
-        G,
-    )
-    state = VehicleState(x=0.1, y=-0.2, z=0.5)
-    sp = Setpoint(position=np.array([0.1, -0.2, 0.5]))
-    f = ctrl.force(state, sp, 5e-4)
-    assert f == pytest.approx([0.0, 0.0, WEIGHT], abs=1e-15)
+    """At the setpoint the position loop commands the weight alone."""
+    ctrl = flight_controller(mode="position-hold")
+    sp = Setpoint(position=(0.1, -0.2, 0.5))
+    cmd = ctrl.tick(VehicleState(x=0.1, y=-0.2, z=0.5), sp, 5e-4)
+    assert_commands(cmd, hover_wrench())
 
 
-def test_position_proportional_and_feedforward_terms():
-    kp = np.array([1.5e-3, 1.5e-3, 2.4e-3])
-    kd = np.array([6.8e-4, 6.8e-4, 9.5e-4])
-    ctrl = PositionController(
-        PositionGains(kp=kp, kd=kd, ki=np.zeros(3), integral_limit=1.0), MASS, G
-    )
-    state = VehicleState(x=0.02, vy=0.1)
-    f = ctrl.force(state, Setpoint(position=np.zeros(3)), 5e-4)
-    want = np.array([-kp[0] * 0.02, -kd[1] * 0.1, WEIGHT])
-    assert f == pytest.approx(want, rel=1e-12)
+def test_position_proportional_and_derivative_terms():
+    kp = (1.5e-3, 1.5e-3, 2.4e-3)
+    kd = (6.8e-4, 6.8e-4, 9.5e-4)
+    pid = PID(PIDGains(kp=kp, kd=kd, ki=(0.0, 0.0, 0.0), integral_limit=1.0))
+    f = pid.force((0.02, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 0.0), 5e-4)
+    assert f == pytest.approx([-kp[0] * 0.02, -kd[1] * 0.1, 0.0], rel=1e-12)
 
 
 def test_integrator_clamp():
-    ctrl = PositionController(
-        PositionGains(
-            kp=np.zeros(3), kd=np.zeros(3), ki=np.ones(3), integral_limit=0.01
-        ),
-        MASS,
-        G,
-    )
-    state = VehicleState(x=1.0, y=-1.0)
-    sp = Setpoint(position=np.zeros(3))
+    pid = PID(PIDGains((0.0,) * 3, (0.0,) * 3, (1.0,) * 3, integral_limit=0.01))
     for _ in range(100):
-        f = ctrl.force(state, sp, 1.0)
+        f = pid.force((1.0, -1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
+    assert pid.integral == (0.01, -0.01, 0.0)
     # ki = 1 makes the integral term visible directly in the force
     assert f[0] == pytest.approx(-0.01)
     assert f[1] == pytest.approx(0.01)
@@ -292,14 +293,11 @@ def test_integrator_clamp():
 
 def simulate_altitude(controller_mass, plant_mass, ki, t_end, z_ref=0.3):
     """Scalar vertical plant under the altitude loop, forward Euler."""
-    ctrl = AltitudeController(
-        AltitudeGains(kp=2.4e-3, kd=9.5e-4, ki=ki, integral_limit=0.5),
-        controller_mass,
-        G,
-    )
+    pid = PID(PIDGains(kp=(2.4e-3,), kd=(9.5e-4,), ki=(ki,), integral_limit=0.5))
     z, zdot, dt = 0.0, 0.0, 1e-3
     for _ in range(int(t_end / dt)):
-        f = max(0.0, ctrl.thrust(z, zdot, z_ref, dt))
+        (fz,) = pid.force((z,), (zdot,), (z_ref,), dt)
+        f = max(0.0, fz + controller_mass * G)
         zddot = f / plant_mass - G
         zdot += zddot * dt
         z += zdot * dt
@@ -323,13 +321,13 @@ def test_altitude_integrator_removes_droop():
 def flight_controller(mode="altitude-attitude", yaw_feedback=False):
     control = ControlParams(
         attitude=gains(),
-        position=PositionGains(
-            kp=np.array([1.5e-3, 1.5e-3, 2.4e-3]),
-            kd=np.array([6.8e-4, 6.8e-4, 9.5e-4]),
-            ki=np.zeros(3),
+        position=PIDGains(
+            kp=(1.5e-3, 1.5e-3, 2.4e-3),
+            kd=(6.8e-4, 6.8e-4, 9.5e-4),
+            ki=(0.0, 0.0, 0.0),
             integral_limit=0.05,
         ),
-        altitude=AltitudeGains(kp=2.4e-3, kd=9.5e-4, ki=0.0, integral_limit=0.5),
+        altitude=PIDGains(kp=(2.4e-3,), kd=(9.5e-4,), ki=(0.0,), integral_limit=0.5),
         yaw_feedback=yaw_feedback,
         feedback="estimated",
     )

@@ -13,13 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flapsim.estimation import (
-    AngularRateFilter,
     Estimator,
     FilterConfig,
     LowPass,
     LowPassDerivative,
+    MocapSample,
     MocapSensor,
-    VelocityFilter,
 )
 from flapsim.dynamics import VehicleState
 from flapsim.spatial import Quaternion
@@ -163,47 +162,48 @@ def test_derivative_filter_matches_numpy_oracle(corner, dt, xs):
         assert_same_bits(filt.update(x), oracle.update(np.array(x)))
 
 
+def pose(position=(0.0, 0.0, 0.0), attitude=Quaternion()):
+    return MocapSample(position=position, attitude=attitude, t=0.0)
+
+
 @given(_corner, _dt, _streams(3))
 def test_velocity_filter_matches_numpy_oracle(corner, dt, xs):
-    filt, oracle = VelocityFilter(corner, dt), oracles.VelocityFilter(corner, dt)
+    """The velocity columns of the estimate, against the numpy backward
+    difference and low-pass."""
+    est = Estimator(filter_config(velocity_corner=corner, measurement_dt=dt))
+    oracle = oracles.VelocityFilter(corner, dt)
     for x in xs:
-        assert_same_bits(filt.update(x), oracle.update(np.array(x)))
+        assert_same_bits(est.tick(pose(x))[4:7], oracle.update(np.array(x)))
 
 
 def test_velocity_filter_constant_velocity():
     v = np.array([0.08, -0.05, 0.02])
-    filt = VelocityFilter(VEL_CORNER, DT)
+    est = Estimator(filter_config())
     out = np.zeros(3)
     for k in range(300):
-        out = filt.update(v * (k * DT))
+        out = est.tick(pose(tuple(v * (k * DT))))[4:7]
     assert out == pytest.approx(v, rel=1e-2)
 
 
 def test_rate_filter_stationary():
-    filt = AngularRateFilter(RATE_CORNER, DT)
+    est = Estimator(filter_config())
     q = Quaternion.from_euler_zyx(0.2, -0.1, 0.4)
     for _ in range(50):
-        omega = filt.update(q)
+        omega = est.tick(pose(attitude=q))[11:]
     assert np.max(np.abs(omega)) < 1e-9
-    assert abs(filt.scalar_residual) < 1e-9
+    assert abs(est.scalar_residual) < 1e-9
 
 
 def test_rate_filter_constant_spin():
     """A 2 rad/s yaw spin is recovered within 2% once the transient decays."""
-    filt = AngularRateFilter(RATE_CORNER, DT)
+    est = Estimator(filter_config())
     rate = 2.0
-    omega = np.zeros(3)
-    q_prev = None
     for k in range(int(1.0 / DT)):
-        q = Quaternion.from_yaw(rate * k * DT)
-        if q_prev is not None and q.dot(q_prev) < 0.0:
-            q = -q
-        q_prev = q
-        omega = filt.update(q)
+        omega = est.tick(pose(attitude=Quaternion.from_yaw(rate * k * DT)))[11:]
     assert omega[2] == pytest.approx(rate, rel=2e-2)
     assert abs(omega[0]) < 1e-2 and abs(omega[1]) < 1e-2
     # the residual reflects the filter lag, roughly rate^2 / (2 corner)
-    assert abs(filt.scalar_residual) < 0.01 * rate
+    assert abs(est.scalar_residual) < 0.01 * rate
 
 
 def test_sensor_noise_statistics():
@@ -258,8 +258,6 @@ def test_estimator_hemisphere_continuity():
     """Sign flips in the incoming stream do not disturb any estimate."""
     plain = Estimator(filter_config())
     flipped = Estimator(filter_config())
-    from flapsim.estimation import MocapSample
-
     for k, (qa, qb) in enumerate(zip(spin_samples(400), spin_samples(400, flip_from=123))):
         ea = plain.tick(MocapSample(position=np.zeros(3), attitude=qa, t=k * DT))
         eb = flipped.tick(MocapSample(position=np.zeros(3), attitude=qb, t=k * DT))
@@ -274,8 +272,6 @@ def test_estimator_hemisphere_continuity():
 def test_estimator_zero_order_hold():
     """Each sample gives a new estimate; holding it in between is the run
     loop's job (see tests/test_scenarios.py)."""
-    from flapsim.estimation import MocapSample
-
     est = Estimator(filter_config())
     first = est.tick(
         MocapSample(position=np.array([1.0, 2.0, 3.0]), attitude=Quaternion(), t=0.0)
@@ -288,8 +284,6 @@ def test_estimator_zero_order_hold():
 
 
 def test_estimator_position_passthrough():
-    from flapsim.estimation import MocapSample
-
     est = Estimator(filter_config())
     rng = np.random.default_rng(44)
     for k in range(50):

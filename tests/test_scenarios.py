@@ -1,8 +1,10 @@
 """Scenario harness: replay fidelity, metrics, divergence and determinism."""
 
 import ast
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +103,15 @@ def test_float_core_modules_import_no_numpy(module):
     assert [n for n in names if n.split(".")[0] == "numpy"] == []
 
 
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(flapsim.__path__))
+)
+def test_every_exported_name_resolves(module):
+    """A stale ``__all__`` entry would fail only on a star import."""
+    mod = importlib.import_module(f"flapsim.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
 def test_ballistic_trajectory_in_rows():
     rec = run_scenario(short_ballistic())
     z = rec.column("pos_z_m")
@@ -146,8 +157,12 @@ def test_read_csv_rejects_other_files(tmp_path):
         (lambda lines: [], "no rows after the header"),
         (lambda lines: [line.rsplit(",", 1)[0] + "\n" for line in lines], "line 3: 48 fields"),
         (lambda lines: lines[:2] + [lines[2].rstrip() + ",0.0\n"] + lines[3:], "line 5: 50 fields"),
+        (
+            lambda lines: lines[:1] + ["abc," + lines[1].split(",", 1)[1]] + lines[2:],
+            "line 4: could not convert string to float: 'abc'",
+        ),
     ],
-    ids=["header-only", "every-row-short", "one-row-long"],
+    ids=["header-only", "every-row-short", "one-row-long", "non-numeric-field"],
 )
 def test_read_csv_rejects_malformed_rows(tmp_path, edit, message):
     path = tmp_path / "run.csv"
