@@ -18,7 +18,6 @@ from .config import (
     config_from_dict,
     default_vehicle,
     load_config,
-    validate_config,
 )
 from .control import (
     PID,

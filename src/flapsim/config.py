@@ -44,7 +44,6 @@ __all__ = [
     "read_raw",
     "parse_yaml",
     "config_from_dict",
-    "validate_config",
     "bundled_config_path",
     "default_vehicle",
 ]
@@ -84,6 +83,7 @@ _SEED = (lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
 _FEEDBACK = (lambda v: v in ("estimated", "true"), 'must be "estimated" or "true"')
 _BOOL = (lambda v: isinstance(v, bool), "must be a boolean")
+_COMPARISON = (lambda v: v is None or isinstance(v, dict), "must be a mapping or null")
 
 # Bounds on the SI value: (test, message).
 _POSITIVE = (lambda x: x > 0.0, "must be positive")
@@ -184,12 +184,13 @@ _SCHEMA = (
     _Key("initial.attitude_rpy_deg", [0.0, 0.0, 0.0], _VECTOR, si=_DEG),
     _Key("initial.omega_rad_per_s", [0.0, 0.0, 0.0], _VECTOR),
     _Key("open_loop.command_v", [0.0, 0.0, 0.0, 0.0], _VECTOR),
+    # A second "vehicle" section, required by yaw-damping-compare.
+    _Key("comparison_vehicle", None, _COMPARISON),
 )
 
 _SPEC = _tree(_SCHEMA, lambda row: row)
 _ENTRY_SPEC = _tree(_ENTRY, lambda row: row)
 DEFAULTS: dict = _tree(_SCHEMA, lambda row: copy.deepcopy(row.default))
-DEFAULTS["comparison_vehicle"] = None  # a second "vehicle" for yaw-damping-compare
 
 
 class ConfigError(ValueError):
@@ -284,22 +285,21 @@ def _to_si(value, si) -> float:
     return si(value) if callable(si) else value * si
 
 
-def _walk(spec: dict, user, path: str, errors: list[str]) -> tuple[dict, dict]:
-    """Merge ``user`` onto ``spec``; return it and its SI values (None if invalid)."""
+def _walk(spec: dict, user, path: str, errors: list[str]) -> dict:
+    """SI values of ``user`` merged onto ``spec`` (None where invalid)."""
     if not isinstance(user, dict):
         errors.append(f"{path}: must be a mapping")
         user = {}
     prefix = f"{path}." if path else ""
     errors.extend(f"{prefix}{key}: unknown key" for key in user if key not in spec)
-    merged, si = {}, {}
+    si = {}
     for key, node in spec.items():
         if isinstance(node, dict):
-            merged[key], section = _walk(node, user.get(key, {}), prefix + key, errors)
+            section = _walk(node, user.get(key, {}), prefix + key, errors)
             si[key] = section if _complete(section) else None
         else:
-            merged[key] = user[key] if key in user else copy.deepcopy(node.default)
-            si[key] = _check(node, merged[key], prefix + key, errors)
-    return merged, si
+            si[key] = _check(node, user.get(key, node.default), prefix + key, errors)
+    return si
 
 
 def _check(key: _Key, value, where: str, errors: list[str]):
@@ -309,6 +309,9 @@ def _check(key: _Key, value, where: str, errors: list[str]):
     if test(value) and (size is None or len(value) == size):
         if key.kind is _SCHEDULE:
             return _schedule(value, errors)
+        if key.kind is _COMPARISON and value is not None:
+            section = _walk(_SPEC["vehicle"], value, where, errors)
+            return section if _complete(section) else None
         if key.kind not in (_NUMBER, _AUTO, _VECTOR) or value == "auto":
             return value
         si = tuple(_to_si(v, key.si) for v in (value if size else [value]))
@@ -323,11 +326,20 @@ def _check(key: _Key, value, where: str, errors: list[str]):
     return None
 
 
+def _checked(path: str, value):
+    """SI value of top-level key ``path`` set to ``value``, or ConfigError."""
+    errors: list[str] = []
+    si = _check(_SPEC[path], value, path, errors)
+    if errors:
+        raise ConfigError(errors)
+    return si
+
+
 def _schedule(entries: list, errors: list[str]) -> list[tuple[float, Setpoint]]:
     schedule: list[tuple[float, Setpoint]] = []
     for i, entry in enumerate(entries):
         where = f"setpoint.schedule[{i}]"
-        _, si = _walk(_ENTRY_SPEC, entry, where, errors)
+        si = _walk(_ENTRY_SPEC, entry, where, errors)
         if not isinstance(entry, dict) or not _complete(si):
             continue
         t = si["t_s"]
@@ -388,19 +400,10 @@ def config_from_dict(user: dict) -> SimConfig:
     if not isinstance(user, dict):
         raise ConfigError(["config root must be a mapping"])
     errors: list[str] = []
-    top = {key: value for key, value in user.items() if key != "comparison_vehicle"}
-    merged, si = _walk(_SPEC, top, "", errors)
-    comparison = merged["comparison_vehicle"] = user.get("comparison_vehicle")
-    if isinstance(comparison, dict):
-        merged["comparison_vehicle"], comparison = _walk(
-            _SPEC["vehicle"], comparison, "comparison_vehicle", errors
-        )
-    elif comparison is not None:
-        errors.append("comparison_vehicle: must be a mapping or null")
-        merged["comparison_vehicle"] = None
+    si = _walk(_SPEC, user, "", errors)
 
     # Rules that span several keys; each runs once the keys it reads are valid.
-    mode, rates = merged["mode"], si["rates"]
+    mode, rates = si["mode"], si["rates"]
     if rates is not None:
         ratio = rates["control_hz"] / rates["measurement_hz"]
         if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
@@ -409,7 +412,7 @@ def config_from_dict(user: dict) -> SimConfig:
             )
         elif round(ratio) < 1:
             errors.append("rates: measurement_hz must not exceed control_hz")
-    if mode == "yaw-damping-compare" and merged["comparison_vehicle"] is None:
+    if mode == "yaw-damping-compare" and user.get("comparison_vehicle") is None:
         errors.append("comparison_vehicle: required for mode yaw-damping-compare")
     vehicle = si["vehicle"] and _vehicle(si["vehicle"], si["disturbance"])
     if vehicle is not None:
@@ -430,12 +433,13 @@ def config_from_dict(user: dict) -> SimConfig:
         raise ConfigError(errors)
 
     c, estimation, initial = si["control"], si["estimation"], si["initial"]
+    comparison = si["comparison_vehicle"]
     q = Quaternion.from_euler_zyx(*initial["attitude_rpy_deg"])
     return SimConfig(
-        name=merged["name"],
+        name=si["name"],
         mode=mode,
         duration=si["duration_s"],
-        seed=merged["seed"],
+        seed=si["seed"],
         control_rate=rates["control_hz"],
         measurement_rate=rates["measurement_hz"],
         vehicle=vehicle,
@@ -512,15 +516,6 @@ def load_config(path: str | Path) -> SimConfig:
     return config_from_dict(read_raw(path))
 
 
-def validate_config(path: str | Path) -> list[str]:
-    """Return the violation list for a scenario file (empty when valid)."""
-    try:
-        load_config(path)
-    except ConfigError as exc:
-        return exc.errors
-    return []
-
-
 def bundled_config_path(name: str) -> Path:
     """Path of a scenario file shipped with the package."""
     return Path(str(resources.files("flapsim").joinpath("configs", name)))
@@ -528,4 +523,4 @@ def bundled_config_path(name: str) -> Path:
 
 def default_vehicle() -> VehicleParams:
     """The stock four-wing vehicle built from the calibrated defaults."""
-    return _vehicle(_walk(_SPEC["vehicle"], {}, "vehicle", [])[1], None)
+    return _vehicle(_walk(_SPEC["vehicle"], {}, "vehicle", []), None)

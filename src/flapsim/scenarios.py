@@ -9,29 +9,30 @@ estimate between measurements (zero-order hold).  Four modes exist:
 * ``position-hold``: full position PID through tilt allocation.
 * ``yaw-damping-compare``: no feedback; the plant is driven by an ideal
   weight-cancelling wrench while the yaw rate decays through the passive
-  damping of the wings.  When the config carries a comparison vehicle the
-  same scenario runs again with only the vehicle swapped, and the fitted
-  time constants are reported side by side.
+  damping of the wings.  The config's comparison vehicle then flies the
+  same scenario in a second pass of the loop, and the fitted time
+  constants are reported side by side.
 * ``open-loop``: constant drive amplitudes from the config.
 
 Every run produces a :class:`RunRecord` with one row per control tick plus a
 final row (``duration * rate + 1`` rows), the true and estimated states,
 setpoints, the realized wrench and the per-wing commands.  Summary metrics
 are computed from the recorded rows alone so they can be recomputed exactly
-from the CSV.  Floats are written with ``repr`` so the CSV round-trips
-bit-exactly and identical (config, seed) pairs produce identical bytes.
+from the CSV.  ``RunRecord.write_csv`` writes floats with ``repr`` so the CSV
+round-trips bit-exactly and identical (config, seed) pairs produce identical
+bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .aero import ActuatorCommand, Wrench, cycle_avg_lift, mix
-from .config import SimConfig, VehicleParams
+from .config import SimConfig, VehicleParams, _checked, default_vehicle
 from .control import FlightController, Setpoint
 from .dynamics import VehicleState, step
 from .estimation import Estimator, MocapSensor
@@ -211,25 +212,12 @@ def _diverged(state: VehicleState) -> bool:
     return math.sqrt(x * x + y * y + z * z) > DIVERGENCE_RADIUS
 
 
-def run_scenario(
-    config: SimConfig,
-    seed: int | None = None,
-    out: str | Path | None = None,
-    duration: float | None = None,
-) -> RunRecord:
-    """Execute a scenario and optionally write its CSV.
-
-    ``seed`` and ``duration`` override the config values.  A diverged run
-    (non-finite state or position norm beyond 10 m) stops early and is
-    returned with status 2 and the rows recorded so far.
-    """
-    seed = config.seed if seed is None else seed
-    duration = config.duration if duration is None else duration
+def _simulate(
+    config: SimConfig, vehicle: VehicleParams, seed: int, n_steps: int
+) -> tuple[np.ndarray, int]:
+    """Rows and status (0 completed, 2 diverged) of ``vehicle`` in the scenario."""
     dt = config.dt
-    n_steps = int(round(duration * config.control_rate))
     every = config.measurement_every
-
-    vehicle = config.vehicle
     sensor = MocapSensor(config.estimation, seed)
     estimator = Estimator(config.estimation)
 
@@ -264,40 +252,43 @@ def run_scenario(
             rows.append(_row(state, est, est_euler, sp, wrench, command))
             status = 2
             break
+    return np.array(rows), status
 
-    rows = np.array(rows)
+
+def run_scenario(
+    config: SimConfig, seed: int | None = None, duration: float | None = None
+) -> RunRecord:
+    """Execute a scenario; ``record.write_csv`` writes its CSV.
+
+    ``seed`` and ``duration`` override the config values and are checked
+    like the file's ``seed`` and ``duration_s``.  A diverged run (non-finite
+    state or position norm beyond 10 m) stops early and is returned with
+    status 2 and the rows recorded so far.
+    """
+    seed = config.seed if seed is None else _checked("seed", seed)
+    duration = config.duration if duration is None else _checked("duration_s", duration)
+    n_steps = int(round(duration * config.control_rate))
+    rows, status = _simulate(config, config.vehicle, seed, n_steps)
     record = RunRecord(
-        name=config.name,
-        mode=config.mode,
-        seed=seed,
-        rows=rows,
-        metrics=metrics_from_rows(rows),
-        status=status,
+        config.name, config.mode, seed, rows, metrics_from_rows(rows), status=status
     )
 
-    if config.mode == "yaw-damping-compare" and config.comparison_vehicle is not None:
-        comparison = replace(
-            config, vehicle=config.comparison_vehicle, comparison_vehicle=None
+    if config.mode == "yaw-damping-compare":
+        compared, _ = _simulate(config, config.comparison_vehicle, seed, n_steps)
+        tau_cmp = _yaw_decay_tau(
+            compared[:, _COL["t_s"]], compared[:, _COL["omega_z_radps"]]
         )
-        tau_cmp = run_scenario(comparison, seed, duration=duration).metrics[
-            "yaw_decay_tau_s"
-        ]
         tau_primary = record.metrics["yaw_decay_tau_s"]
         record.extra_metrics["comparison_yaw_decay_tau_s"] = tau_cmp
         record.extra_metrics["yaw_decay_tau_ratio"] = (
             tau_primary / tau_cmp if tau_cmp and not math.isnan(tau_cmp) else float("nan")
         )
-
-    if out is not None:
-        record.write_csv(out)
     return record
 
 
 def lift_report(vehicle: VehicleParams | None = None) -> dict:
     """Design-point lift summary for a vehicle (stock vehicle by default)."""
     if vehicle is None:
-        from .config import default_vehicle
-
         vehicle = default_vehicle()
     return {
         "per_wing_lift_n": cycle_avg_lift(vehicle.wing),

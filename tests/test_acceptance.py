@@ -374,7 +374,9 @@ def bundled_pins() -> dict:
         for name in BUNDLED:
             out = Path(tmp) / f"{name}.csv"
             config = load_config(bundled_config_path(name))
-            pins[name] = pin(run_scenario(config, out=out), out)
+            record = run_scenario(config)
+            record.write_csv(out)
+            pins[name] = pin(record, out)
     return pins
 
 
@@ -397,8 +399,9 @@ def test_criterion_9_determinism(tmp_path):
         config = load_config(bundled_config_path(name))
         a = tmp_path / f"{config.name}_a.csv"
         b = tmp_path / f"{config.name}_b.csv"
-        record = run_scenario(config, out=a)
-        run_scenario(config, out=b)
+        record = run_scenario(config)
+        record.write_csv(a)
+        run_scenario(config).write_csv(b)
         if a.read_bytes() != b.read_bytes():
             mismatched.append(name)
         figures = pin(record, a)

@@ -299,7 +299,7 @@ def test_sweep_mapping_value_replaces_the_section(tmp_path):
                           ({"attitude_k1_n_m": [2.4e-6, 2.4e-6, 1.2e-6],
                             "altitude_kp_n_per_m": 3.0e-3}, False)):
         raw["control"] = control
-        run_scenario(config_from_dict(raw), out=tmp_path / "direct.out")
+        run_scenario(config_from_dict(raw)).write_csv(tmp_path / "direct.out")
         assert (swept.read_bytes() == (tmp_path / "direct.out").read_bytes()) is same
 
 

@@ -20,7 +20,6 @@ from flapsim.config import (
     load_config,
     parse_yaml,
     read_raw,
-    validate_config,
 )
 from flapsim.dynamics import InertialConfig
 from flapsim.spatial import _euler_zyx
@@ -51,7 +50,7 @@ def test_defaults_build():
 
 def test_bundled_configs_are_valid():
     for name in BUNDLED:
-        assert validate_config(bundled_config_path(name)) == []
+        load_config(bundled_config_path(name))
 
 
 def test_default_vehicle_figures():
@@ -274,10 +273,12 @@ def test_defaults_not_mutated_by_loading():
 def test_load_config_bad_yaml(tmp_path):
     p = tmp_path / "broken.cfg"
     p.write_text("mode: [unclosed\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         load_config(p)
-    assert validate_config(p) != []
-    assert validate_config(tmp_path / "missing.cfg") != []
+    assert info.value.errors[0].startswith("invalid YAML: ")
+    with pytest.raises(ConfigError) as info:
+        load_config(tmp_path / "missing.cfg")
+    assert info.value.errors != []
 
 
 
@@ -426,6 +427,21 @@ MESSAGES = {
     "comparison-required": (
         minimal(mode="yaw-damping-compare"),
         ["comparison_vehicle: required for mode yaw-damping-compare"],
+    ),
+    # New: a comparison vehicle that is not a mapping was also reported as
+    # missing.
+    "comparison-mapping-in-compare-mode": (
+        minimal(mode="yaw-damping-compare", comparison_vehicle=[]),
+        ["comparison_vehicle: must be a mapping or null"],
+    ),
+    # New: an invalid mode also ran the steering rule of the closed-loop
+    # modes.
+    "mode-skips-mode-rules": (
+        minimal(mode="foo", vehicle={"wing": {"k_steer_n_per_v": 0}}),
+        [
+            "mode: must be one of altitude-attitude, position-hold, "
+            "yaw-damping-compare, open-loop; got 'foo'"
+        ],
     ),
     "four-wings": (
         minimal(mode="position-hold", vehicle={"n_wings": 2}),

@@ -14,7 +14,7 @@ import pytest
 
 import flapsim
 from flapsim.aero import allocate, mix
-from flapsim.config import bundled_config_path, config_from_dict, load_config
+from flapsim.config import ConfigError, bundled_config_path, config_from_dict, load_config
 from flapsim.control import FlightController
 from flapsim.dynamics import VehicleState, step
 from flapsim.estimation import Estimator, MocapSensor
@@ -142,6 +142,22 @@ def test_seed_changes_noisy_run(tmp_path):
     a = run_scenario(config, duration=0.25)
     b = run_scenario(config, duration=0.25, seed=config.seed + 1)
     assert not np.array_equal(a.rows, b.rows)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"duration": -1.0}, "duration_s: must be positive"),
+        ({"duration": 0.0}, "duration_s: must be positive"),
+        ({"duration": math.nan}, "duration_s: must be finite"),
+        ({"seed": 1.5}, "seed: must be a non-negative integer"),
+    ],
+)
+def test_run_scenario_checks_overrides_against_the_schema(override, message):
+    """The library overrides fail as the same values in a scenario file do."""
+    with pytest.raises(ConfigError) as info:
+        run_scenario(short_ballistic(), **override)
+    assert info.value.errors == [message]
 
 
 def test_read_csv_rejects_other_files(tmp_path):
@@ -354,7 +370,7 @@ def test_compare_variants_ratios():
 
 def test_run_writes_csv(tmp_path):
     out = tmp_path / "out.csv"
-    run_scenario(short_ballistic(), out=out)
+    run_scenario(short_ballistic()).write_csv(out)
     assert out.exists()
     assert read_csv(out).shape[0] == 201
 
@@ -377,16 +393,40 @@ print(*(tracer.calls(name) for name in spans))
 """
 
 
-def test_benchmark_trace_hooks_resolve():
-    """The benchmark's tracer installs on, runs through and uninstalls from
-    the names it patches; run in a child so this process stays unpatched."""
+def traced_calls(child: str) -> list[int]:
+    """The counts ``child`` prints after a traced run; run in a child process
+    so this process stays unpatched."""
     root = Path(__file__).resolve().parents[1]
     path = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACE_CHILD],
+        [sys.executable, "-c", child],
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    calls = [int(n) for n in proc.stdout.split()]
-    assert len(calls) == 7 and all(n > 0 for n in calls), proc.stdout
+    return [int(n) for n in proc.stdout.split()]
+
+
+def test_benchmark_trace_hooks_resolve():
+    """The benchmark's tracer installs on, runs through and uninstalls from
+    the names it patches."""
+    calls = traced_calls(_TRACE_CHILD)
+    assert len(calls) == 7 and all(n > 0 for n in calls), calls
+
+
+# The comparison vehicle is a second pass of the loop inside one
+# run_scenario call: 2 x 100 ticks at 2 kHz, and no nested run_scenario.
+_TRACE_COMPARE_CHILD = """
+import run
+from flapsim import bundled_config_path, load_config, scenarios
+
+tracer = run.Tracer()
+tracer.install()
+scenarios.run_scenario(load_config(bundled_config_path("yaw_damp.cfg")), duration=0.05)
+tracer.uninstall()
+print(tracer.calls("scenarios.run_scenario"), tracer.calls("dynamics.step"))
+"""
+
+
+def test_comparison_is_one_run_scenario_call():
+    assert traced_calls(_TRACE_COMPARE_CHILD) == [1, 200]
