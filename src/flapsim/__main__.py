@@ -1,0 +1,8 @@
+"""``python -m flapsim``: the ``flapsim`` command line, see :mod:`flapsim.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

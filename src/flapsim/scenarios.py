@@ -16,16 +16,19 @@ estimate between measurements (zero-order hold).  Four modes exist:
 
 Every run produces a :class:`RunRecord` with one row per control tick plus a
 final row (``duration * rate + 1`` rows), the true and estimated states,
-setpoints, the realized wrench and the per-wing commands.  Summary metrics
-are computed from the recorded rows alone so they can be recomputed exactly
-from the CSV.  ``RunRecord.write_csv`` writes floats with ``repr`` so the CSV
-round-trips bit-exactly and identical (config, seed) pairs produce identical
-bytes.
+setpoints, the realized wrench and the per-wing commands.  The rows live in
+one flat float64 buffer, 392 B per row, that the loop extends tick by tick;
+``RunRecord.rows`` and :func:`read_csv` expose such a buffer as an
+``(n, 49)`` array view without copying it.  Summary metrics are computed
+from the recorded rows alone so they can be recomputed exactly from the CSV.
+``RunRecord.write_csv`` writes floats with ``repr`` so the CSV round-trips
+bit-exactly and identical (config, seed) pairs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,8 +95,8 @@ class RunRecord:
         with open(path, "w", newline="") as f:
             f.write(f"# {CSV_SCHEMA}\n")
             f.write(",".join(CSV_COLUMNS) + "\n")
-            for row in self.rows.tolist():
-                f.write(",".join(map(repr, row)) + "\n")
+            for row in self.rows:
+                f.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_csv(path: str | Path) -> np.ndarray:
@@ -105,19 +108,19 @@ def read_csv(path: str | Path) -> np.ndarray:
         header = f.readline().strip().split(",")
         if header != CSV_COLUMNS:
             raise ValueError("CSV columns do not match the current schema")
-        rows, n = [], len(header)
+        buf, n = array("d"), len(header)
         for lineno, line in enumerate(f, start=3):
             fields = line.split(",")
             if len(fields) == n:
                 try:
-                    rows.append([float(v) for v in fields])
+                    buf.extend(map(float, fields))
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
             elif line.strip():
                 raise ValueError(f"{path}, line {lineno}: {len(fields)} fields, not {n}")
-    if not rows:
+    if not buf:
         raise ValueError(f"{path}: no rows after the header")
-    return np.array(rows)
+    return np.frombuffer(buf).reshape(-1, n)
 
 
 def metrics_from_rows(rows: np.ndarray) -> dict[str, float]:
@@ -235,7 +238,7 @@ def _simulate(
         true_feedback = config.control.feedback == "true"
 
     state = config.initial
-    rows, status = [], 0
+    buf, status = array("d"), 0  # row after row, 49 floats each
     for k in range(n_steps + 1):
         if k % every == 0:  # a measurement; est is held until the next one
             est = estimator.tick(sensor.sample(state))
@@ -244,15 +247,15 @@ def _simulate(
         if controller is not None:
             command = controller.tick(state if true_feedback else est, sp, dt)
             wrench = mix(vehicle.wing, command.amplitudes)
-        rows.append(_row(state, est, est_euler, sp, wrench, command))
+        buf.extend(_row(state, est, est_euler, sp, wrench, command))
         if k == n_steps:
             break
         state = step(state, wrench, vehicle, dt)
         if _diverged(state):
-            rows.append(_row(state, est, est_euler, sp, wrench, command))
+            buf.extend(_row(state, est, est_euler, sp, wrench, command))
             status = 2
             break
-    return np.array(rows), status
+    return np.frombuffer(buf).reshape(-1, len(CSV_COLUMNS)), status
 
 
 def run_scenario(
@@ -263,7 +266,8 @@ def run_scenario(
     ``seed`` and ``duration`` override the config values and are checked
     like the file's ``seed`` and ``duration_s``.  A diverged run (non-finite
     state or position norm beyond 10 m) stops early and is returned with
-    status 2 and the rows recorded so far.
+    status 2 and the rows recorded so far.  In ``yaw-damping-compare`` a
+    divergence of the comparison pass also sets status 2.
     """
     seed = config.seed if seed is None else _checked("seed", seed)
     duration = config.duration if duration is None else _checked("duration_s", duration)
@@ -274,7 +278,10 @@ def run_scenario(
     )
 
     if config.mode == "yaw-damping-compare":
-        compared, _ = _simulate(config, config.comparison_vehicle, seed, n_steps)
+        compared, compared_status = _simulate(
+            config, config.comparison_vehicle, seed, n_steps
+        )
+        record.status = max(record.status, compared_status)
         tau_cmp = _yaw_decay_tau(
             compared[:, _COL["t_s"]], compared[:, _COL["omega_z_radps"]]
         )

@@ -1,5 +1,10 @@
 """Command-line interface: exit codes and outputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -328,3 +333,20 @@ def test_sweep_refuses_an_out_that_is_a_file(tmp_path, monkeypatch, capsys):
     assert code == EXIT_CONFIG
     assert f"config error: --out: cannot make directory {out}: " in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "name, code, out",
+    [("hover.cfg", EXIT_OK, "ok\n"), ("missing.cfg", EXIT_CONFIG, "")],
+)
+def test_python_m_flapsim_runs_the_cli(tmp_path, name, code, out):
+    """``python -m flapsim`` from a source checkout exits with the CLI's status."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    cfg = bundled_config_path(name) if name == "hover.cfg" else tmp_path / name
+    proc = subprocess.run(
+        [sys.executable, "-m", "flapsim", "validate", str(cfg)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
