@@ -1,6 +1,7 @@
 """Scenario harness: replay fidelity, metrics, divergence and determinism."""
 
 import ast
+import hashlib
 import importlib
 import math
 import os
@@ -394,14 +395,18 @@ def test_scheduled_setpoint_switch():
     assert x[-1] == pytest.approx(0.1, abs=5e-3)
 
 
-def test_true_state_feedback_option():
-    raw = {
+def true_feedback_raw():
+    return {
         "name": "truefb",
         "mode": "position-hold",
         "duration_s": 1.0,
         "control": {"feedback": "true"},
         "setpoint": {"schedule": [{"t_s": 0.0, "position_m": [0.0, 0.0, 0.2]}]},
     }
+
+
+def test_true_state_feedback_option():
+    raw = true_feedback_raw()
     rec = run_scenario(config_from_dict(raw))
     assert rec.status == 0
     raw["control"]["feedback"] = "estimated"
@@ -410,6 +415,18 @@ def test_true_state_feedback_option():
     # noise-free estimated feedback tracks the true-feedback run closely
     dz = rec.column("pos_z_m") - rec_est.column("pos_z_m")
     assert np.max(np.abs(dz)) < 5e-3
+
+
+def test_true_state_feedback_csv_digest(tmp_path):
+    """No bundled scenario flies on the true state; this pins the bytes of
+    that path's CSV."""
+    rec = run_scenario(config_from_dict(true_feedback_raw()), duration=0.25)
+    assert rec.status == 0
+    path = tmp_path / "truefb.csv"
+    rec.write_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "8ce01757b1ac2397de4c24fdc6401a6472e82897a82d425feb30c6a0c4a64d76"
+    )
 
 
 def test_open_loop_constant_command():
