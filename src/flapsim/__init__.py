@@ -43,7 +43,6 @@ from .estimation import Estimator, FilterConfig, MocapSample, MocapSensor
 from .scenarios import (
     RunRecord,
     compare_variants,
-    lift_report,
     metrics_from_rows,
     read_csv,
     run_scenario,

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from .aero import ActuatorCommand, Wrench, allocate
 from .dynamics import VehicleState
-from .spatial import Quaternion, _euler_zyx, _shepperd, quat_error, sign
+from .spatial import Quaternion, _shepperd, quat_error, sign
 # Unused here since desired_attitude calls _shepperd; the per-layer trace of
 # perfbench/run.py wraps control.rotmat_to_quat, so the name stays.
 from .spatial import rotmat_to_quat  # noqa: F401
@@ -200,10 +200,13 @@ class FlightController:
     ``mode`` selects the outer loop:
 
     * ``"altitude-attitude"``: the PID on height alone; the attitude target
-      is the measured yaw, so roll and pitch are regulated to zero and
-      heading is left to drift.
+      is pure yaw at the ``yaw`` argument, so roll and pitch are regulated
+      to zero and heading is left to drift.
     * ``"position-hold"``: the PID on all three axes with tilt allocation;
-      the yaw reference tracks the measured yaw.
+      the heading reference is the ``yaw`` argument.
+
+    ``tick`` reads the attitude as ``est[7:11]``; ``yaw`` is the heading of
+    that attitude, which the caller has already extracted.
 
     The gains come from ``control``, the config's control section.  Unless
     ``control.yaw_feedback`` is set, the yaw command is zeroed after the
@@ -221,21 +224,16 @@ class FlightController:
         self.attitude_gains = control.attitude
         self.mode = mode
         self.yaw_feedback = control.yaw_feedback
-        self.weight = vehicle.mass * vehicle.gravity
+        self.weight = vehicle.weight
         self.pid = PID(
             control.position if mode == "position-hold" else control.altitude
         )
         self.last_command = ActuatorCommand((0.0, 0.0, 0.0, 0.0))
-        # The attitude and yaw of the last feedback: the run loop holds the
-        # estimate, so it stays the same object until the next measurement.
-        self._feedback: VehicleState | None = None
 
-    def tick(self, est: VehicleState, sp: Setpoint, dt: float) -> ActuatorCommand:
-        if est is not self._feedback:
-            self._feedback = est
-            self._q = Quaternion(*est[7:11])
-            self._yaw = _euler_zyx(*est[7:11])[2]
-        q, yaw = self._q, self._yaw
+    def tick(
+        self, est: VehicleState, yaw: float, sp: Setpoint, dt: float
+    ) -> ActuatorCommand:
+        q = est[7:11]
         try:
             if self.mode == "position-hold":
                 fx, fy, fz = self.pid.force(est[1:4], est[4:7], sp.position, dt)

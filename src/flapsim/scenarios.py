@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .aero import ActuatorCommand, Wrench, cycle_avg_lift, mix
-from .config import SimConfig, VehicleParams, _checked, default_vehicle
+from .aero import ActuatorCommand, Wrench, mix
+from .config import SimConfig, VehicleParams, _checked
 from .control import FlightController, Setpoint
 from .dynamics import VehicleState, step
 from .estimation import Estimator, MocapSensor
@@ -48,7 +48,6 @@ __all__ = [
     "RunRecord",
     "run_scenario",
     "compare_variants",
-    "lift_report",
     "read_csv",
     "metrics_from_rows",
 ]
@@ -191,6 +190,7 @@ def _yaw_decay_tau(t: np.ndarray, omega_z: np.ndarray) -> float:
 
 def _row(
     state: VehicleState,
+    euler: tuple[float, float, float],
     est: VehicleState,
     est_euler: tuple[float, float, float],
     sp: Setpoint,
@@ -198,9 +198,10 @@ def _row(
     command: ActuatorCommand,
 ) -> list:
     """One CSV row: the state tuple is laid out like the first 14 columns;
-    ``est_euler`` is the estimate's (roll, pitch, yaw)."""
+    ``euler`` and ``est_euler`` are the (roll, pitch, yaw) of the state and
+    of the estimate."""
     return [
-        *state, *_euler_zyx(*state[7:11]),
+        *state, *euler,
         *est[1:], *est_euler,
         *sp.position, sp.yaw,
         wrench.thrust, *wrench.torque,
@@ -239,20 +240,27 @@ def _simulate(
 
     state = config.initial
     buf, status = array("d"), 0  # row after row, 49 floats each
+    # Each attitude is turned into Euler angles once: the state's every row,
+    # the estimate's every measurement.  The controller gets the heading.
     for k in range(n_steps + 1):
         if k % every == 0:  # a measurement; est is held until the next one
             est = estimator.tick(sensor.sample(state))
             est_euler = _euler_zyx(*est[7:11])
+        euler = _euler_zyx(*state[7:11])
         sp = config.setpoint_at(state.t)
         if controller is not None:
-            command = controller.tick(state if true_feedback else est, sp, dt)
+            if true_feedback:
+                command = controller.tick(state, euler[2], sp, dt)
+            else:
+                command = controller.tick(est, est_euler[2], sp, dt)
             wrench = mix(vehicle.wing, command.amplitudes)
-        buf.extend(_row(state, est, est_euler, sp, wrench, command))
+        buf.extend(_row(state, euler, est, est_euler, sp, wrench, command))
         if k == n_steps:
             break
         state = step(state, wrench, vehicle, dt)
         if _diverged(state):
-            buf.extend(_row(state, est, est_euler, sp, wrench, command))
+            euler = _euler_zyx(*state[7:11])
+            buf.extend(_row(state, euler, est, est_euler, sp, wrench, command))
             status = 2
             break
     return np.frombuffer(buf).reshape(-1, len(CSV_COLUMNS)), status
@@ -291,24 +299,6 @@ def run_scenario(
             tau_primary / tau_cmp if tau_cmp and not math.isnan(tau_cmp) else float("nan")
         )
     return record
-
-
-def lift_report(vehicle: VehicleParams | None = None) -> dict:
-    """Design-point lift summary for a vehicle (stock vehicle by default)."""
-    if vehicle is None:
-        vehicle = default_vehicle()
-    return {
-        "per_wing_lift_n": cycle_avg_lift(vehicle.wing),
-        "total_lift_n": vehicle.total_lift,
-        "weight_n": vehicle.weight,
-        "lift_to_weight": vehicle.lift_to_weight,
-        "wing_loading_n_per_m2": vehicle.wing_loading,
-        "note": (
-            "lift_to_weight is computed from the configured lift and mass; "
-            "it lands near 1.50 for the stock vehicle even though the design "
-            "figure is commonly rounded to about 1.4"
-        ),
-    }
 
 
 def compare_variants(config_a: SimConfig, config_b: SimConfig) -> dict[str, dict]:

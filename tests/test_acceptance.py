@@ -27,7 +27,7 @@ from flapsim.aero import allocate, cycle_avg_damping, cycle_avg_lift, mix
 from flapsim.config import bundled_config_path, default_vehicle, load_config
 from flapsim.dynamics import InertialConfig, VehicleState, step
 from flapsim.estimation import Estimator, FilterConfig, MocapSample
-from flapsim.scenarios import lift_report, run_scenario
+from flapsim.scenarios import run_scenario
 from flapsim.spatial import Quaternion, _euler_zyx, rotmat_to_quat
 from flapsim.aero import Wrench
 from oracles import mixing_matrix, rotation_matrix
@@ -53,15 +53,15 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_lift_calibration():
     t0 = time.perf_counter()
-    figures = lift_report()
-    lift_err = abs(figures["total_lift_n"] - 1.4e-3) / 1.4e-3
-    ltw = figures["lift_to_weight"]
+    vehicle = default_vehicle()
+    lift_err = abs(vehicle.total_lift - 1.4e-3) / 1.4e-3
+    ltw = vehicle.lift_to_weight
     elapsed = time.perf_counter() - t0
     ok = lift_err < 1e-3 and abs(ltw - 1.50) <= 0.01 and elapsed < 1.0
     report(
         1,
         ok,
-        f"total lift {figures['total_lift_n']:.6e} N (rel err {lift_err:.2e}), "
+        f"total lift {vehicle.total_lift:.6e} N (rel err {lift_err:.2e}), "
         f"lift/weight {ltw:.4f}, {elapsed:.2f} s",
     )
 

@@ -69,7 +69,8 @@ def test_compare_output(capsys):
     out = capsys.readouterr().out
     assert "wing_loading_n_per_m2" in out
     assert "ratio=" in out
-    assert "note:" in out
+    (note,) = [line for line in out.splitlines() if line.startswith("note: ")]
+    assert "1.4" in note
 
 
 def test_sweep_runs_each_value(tmp_path, capsys):

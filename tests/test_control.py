@@ -16,6 +16,7 @@ from flapsim.config import (
     load_config,
 )
 import oracles
+from flapsim import control
 from flapsim.control import (
     PID,
     AttitudeGains,
@@ -269,7 +270,7 @@ def test_position_hover_feedforward():
     """At the setpoint the position loop commands the weight alone."""
     ctrl = flight_controller(mode="position-hold")
     sp = Setpoint(position=(0.1, -0.2, 0.5))
-    cmd = ctrl.tick(VehicleState(x=0.1, y=-0.2, z=0.5), sp, 5e-4)
+    cmd = ctrl.tick(VehicleState(x=0.1, y=-0.2, z=0.5), 0.0, sp, 5e-4)
     assert_commands(cmd, hover_wrench())
 
 
@@ -351,7 +352,7 @@ def test_tick_hover_commands():
     """At the setpoint with level attitude all four wings share the weight."""
     ctrl = flight_controller()
     sp = Setpoint(position=np.array([0.0, 0.0, 0.3]))
-    cmd = ctrl.tick(VehicleState(z=0.3), sp, 5e-4)
+    cmd = ctrl.tick(VehicleState(z=0.3), 0.0, sp, 5e-4)
     kf = default_vehicle().wing.k_thrust
     assert cmd.amplitudes == pytest.approx(np.full(4, WEIGHT / (4 * kf)), rel=1e-12)
     assert cmd.amplitudes[0] == pytest.approx(133.1357142857143, rel=1e-12)
@@ -364,7 +365,7 @@ def test_tick_ignores_yaw_in_altitude_mode():
     ctrl = flight_controller()
     q = Quaternion.from_yaw(1.2)
     est = VehicleState(z=0.3, qw=q.w, qx=q.x, qy=q.y, qz=q.z)
-    cmd = ctrl.tick(est, Setpoint(position=np.array([0.0, 0.0, 0.3])), 5e-4)
+    cmd = ctrl.tick(est, 1.2, Setpoint(position=np.array([0.0, 0.0, 0.3])), 5e-4)
     assert_commands(cmd, hover_wrench())
 
 
@@ -373,20 +374,43 @@ def test_tick_yaw_feedback_gate():
     sp = Setpoint(position=np.zeros(3))
 
     passive = flight_controller()
-    assert_commands(passive.tick(est, sp, 5e-4), hover_wrench())
+    assert_commands(passive.tick(est, 0.0, sp, 5e-4), hover_wrench())
 
     active = flight_controller(yaw_feedback=True)
-    assert_commands(active.tick(est, sp, 5e-4), hover_wrench(yaw=-8.0e-9 * 5.0))
+    assert_commands(active.tick(est, 0.0, sp, 5e-4), hover_wrench(yaw=-8.0e-9 * 5.0))
+
+
+def test_tick_heading_is_the_yaw_argument(monkeypatch):
+    """Position-hold with yaw feedback takes its heading reference from the
+    ``yaw`` argument alone.  The same level estimate at yaw 0 gives the hover
+    at heading 0, and at heading 0.3 the yaw torque K1z sin(0.15) of a
+    0.3 rad heading error."""
+    ctrl = flight_controller(mode="position-hold", yaw_feedback=True)
+    est = VehicleState(z=0.3)
+    sp = Setpoint(position=(0.0, 0.0, 0.3))
+    assert_commands(ctrl.tick(est, 0.0, sp, 5e-4), hover_wrench())
+
+    wrenches = []
+
+    def recorded_allocate(wing, wrench):
+        wrenches.append(wrench)
+        return allocate(wing, wrench)
+
+    monkeypatch.setattr(control, "allocate", recorded_allocate)
+    ctrl.tick(est, 0.3, sp, 5e-4)
+    (wrench,) = wrenches
+    k1z = gains().attitude[2]
+    assert wrench.torque[2] == pytest.approx(k1z * math.sin(0.15), rel=1e-12)
 
 
 def test_tick_holds_last_command_on_degeneracy():
     ctrl = flight_controller(mode="position-hold")
     sp = Setpoint(position=np.array([0.0, 0.0, 0.3]))
-    good = ctrl.tick(VehicleState(z=0.3), sp, 5e-4)
+    good = ctrl.tick(VehicleState(z=0.3), 0.0, sp, 5e-4)
     assert good.amplitudes[0] > 0.0
 
     # position error chosen so the proportional term cancels the weight
-    held = ctrl.tick(VehicleState(z=0.3 + WEIGHT / 2.4e-3), sp, 5e-4)
+    held = ctrl.tick(VehicleState(z=0.3 + WEIGHT / 2.4e-3), 0.0, sp, 5e-4)
     assert held is good
 
 
@@ -410,7 +434,8 @@ def test_closed_loop_attitude_recovery():
         tilt = Quaternion.from_rotation_vector([half, half, 0.0])
         state = VehicleState(z=0.3, qw=tilt.w, qx=tilt.x, qy=tilt.y, qz=tilt.z)
         for _ in range(4000):
-            cmd = ctrl.tick(state, Setpoint(position=np.array(state[1:4])), dt)
+            yaw = _euler_zyx(*state[7:11])[2]
+            cmd = ctrl.tick(state, yaw, Setpoint(position=np.array(state[1:4])), dt)
             state = step(state, mix(wing, cmd.amplitudes), vehicle, dt)
         roll, pitch, _ = _euler_zyx(*state[7:11])
         assert abs(roll) < math.radians(1.0)

@@ -18,8 +18,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import flapsim
-from flapsim.aero import allocate, mix
-from flapsim.config import ConfigError, bundled_config_path, config_from_dict, load_config
+from flapsim import spatial
+from flapsim.aero import allocate, cycle_avg_lift, mix
+from flapsim.config import (
+    ConfigError,
+    bundled_config_path,
+    config_from_dict,
+    default_vehicle,
+    load_config,
+)
 from flapsim.control import FlightController
 from flapsim.dynamics import VehicleState, step
 from flapsim.estimation import Estimator, MocapSensor
@@ -27,7 +34,6 @@ from flapsim.scenarios import (
     CSV_COLUMNS,
     RunRecord,
     compare_variants,
-    lift_report,
     metrics_from_rows,
     read_csv,
     run_scenario,
@@ -80,7 +86,8 @@ def test_the_tick_passes_on_python_floats(name):
     for _ in range(2):  # the second sample runs the filters past priming
         sample = sensor.sample(state)
         est = estimator.tick(sample)
-        command = controller.tick(est, config.setpoint_at(state.t), config.dt)
+        yaw = spatial._euler_zyx(*est[7:11])[2]
+        command = controller.tick(est, yaw, config.setpoint_at(state.t), config.dt)
         wrench = mix(vehicle.wing, command.amplitudes)
         again = allocate(vehicle.wing, wrench)
         state = step(state, wrench, vehicle, config.dt)
@@ -310,6 +317,27 @@ def test_one_sample_and_one_update_per_measurement_tick(monkeypatch, name, durat
     assert np.array_equal(est[held], est[[k - 1 for k in held]])
 
 
+def test_one_euler_extraction_per_row_and_measurement(monkeypatch):
+    """The run loop turns each attitude into Euler angles once: the true
+    state on every row, the estimate on every measurement; the controller
+    extracts none."""
+    calls, euler_zyx = [], spatial._euler_zyx
+
+    def counted_euler_zyx(*q):
+        calls.append(q)
+        return euler_zyx(*q)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("flapsim") and (
+            getattr(module, "_euler_zyx", None) is euler_zyx
+        ):
+            monkeypatch.setattr(module, "_euler_zyx", counted_euler_zyx)
+    rec = run_scenario(load_config(bundled_config_path("position_hold.cfg")), duration=0.01)
+    assert rec.status == 0
+    assert len(rec.rows) == 21
+    assert len(calls) == 21 + 6  # rows + measurements, one every 4 ticks
+
+
 def test_yaw_damping_compare_extras():
     rec = run_scenario(load_config(bundled_config_path("yaw_damp.cfg")))
     assert rec.status == 0
@@ -446,11 +474,11 @@ def test_open_loop_constant_command():
 
 
 def test_lift_report_values():
-    report = lift_report()
-    assert report["per_wing_lift_n"] == pytest.approx(3.5e-4, rel=1e-9)
-    assert report["total_lift_n"] == pytest.approx(1.4e-3, rel=1e-9)
-    assert report["lift_to_weight"] == pytest.approx(1.5022, abs=1e-3)
-    assert "1.4" in report["note"]
+    """The stock vehicle's design-point lift figures."""
+    vehicle = default_vehicle()
+    assert cycle_avg_lift(vehicle.wing) == pytest.approx(3.5e-4, rel=1e-9)
+    assert vehicle.total_lift == pytest.approx(1.4e-3, rel=1e-9)
+    assert vehicle.lift_to_weight == pytest.approx(1.5022, abs=1e-3)
 
 
 def test_compare_variants_ratios():
@@ -472,9 +500,9 @@ def test_run_writes_csv(tmp_path):
 
 
 # What perfbench/run.py --trace 1 patches and reads: scenarios.step and
-# scenarios.mix, FlightController.tick and last_command, control.allocate,
-# control.desired_attitude and control.rotmat_to_quat, MocapSensor.sample
-# and Estimator.tick.
+# scenarios.mix, FlightController.tick and last_command, control.allocate
+# and the any_saturated of the command it returns, control.desired_attitude
+# and control.rotmat_to_quat, MocapSensor.sample and Estimator.tick.
 _TRACE_CHILD = """
 import run
 from flapsim import bundled_config_path, load_config, run_scenario
