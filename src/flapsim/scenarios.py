@@ -91,6 +91,12 @@ class RunRecord:
         return self.rows[:, _COL[name]]
 
     def write_csv(self, path: str | Path) -> None:
+        # A regular file at ``path`` is replaced, not truncated: ext4 starts
+        # writing a file truncated to zero to disk as it is closed, and the
+        # next rewrite of the same path then waits on that write.
+        path = Path(path)
+        if path.is_file() and not path.is_symlink():
+            path.unlink()
         with open(path, "w", newline="") as f:
             f.write(f"# {CSV_SCHEMA}\n")
             f.write(",".join(CSV_COLUMNS) + "\n")

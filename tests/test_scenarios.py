@@ -258,6 +258,23 @@ def test_read_csv_rejects_malformed_rows(tmp_path, edit, message):
         read_csv(path)
 
 
+def test_write_csv_replaces_a_regular_file_and_writes_through_a_symlink(tmp_path):
+    """A rewrite goes to a new inode, so it never truncates the old file's
+    data; a symlink at the path is kept and its target rewritten."""
+    record = run_scenario(short_ballistic(), duration=0.01)
+    path, link, target = tmp_path / "run.csv", tmp_path / "link.csv", tmp_path / "target.csv"
+    path.write_text("old\n")
+    with open(path) as old:  # holds the old inode, so its number is not reused
+        record.write_csv(path)
+        assert os.fstat(old.fileno()).st_ino != path.stat().st_ino
+        assert old.read() == "old\n"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    record.write_csv(link)
+    assert link.is_symlink()
+    assert target.read_bytes() == path.read_bytes()
+
+
 def test_metrics_recomputable_from_rows():
     for name in ("ballistic.cfg", "position_hold.cfg"):
         rec = run_scenario(load_config(bundled_config_path(name)), duration=1.0)
