@@ -23,6 +23,12 @@ one flat float64 buffer, 392 B per row, that the loop extends tick by tick;
 from the recorded rows alone so they can be recomputed exactly from the CSV.
 ``RunRecord.write_csv`` writes floats with ``repr`` so the CSV round-trips
 bit-exactly and identical (config, seed) pairs produce identical bytes.
+``repr`` is most of a write's cost, and much of it would repeat the row
+above: the estimate is held between measurements, the setpoint and the
+saturation flags are piecewise constant, and the open-loop and
+yaw-damping drives never change.  So the writer formats each column block
+(state, estimate, setpoint, drive, flags) only in the rows where its bits
+differ from the previous row's, and reuses its text otherwise.
 """
 
 from __future__ import annotations
@@ -73,6 +79,11 @@ CSV_COLUMNS = (
     + ["sat_1", "sat_2", "sat_3", "sat_4"]
 )
 _COL = {name: i for i, name in enumerate(CSV_COLUMNS)}
+# Where the state, estimate, setpoint, drive and flag blocks of a row start.
+_BLOCK_STARTS = tuple(
+    _COL[name] for name in ("t_s", "est_pos_x_m", "sp_x_m", "thrust_n", "sat_1")
+)
+_BLOCKS = tuple(zip(_BLOCK_STARTS, _BLOCK_STARTS[1:] + (len(CSV_COLUMNS),)))
 
 
 @dataclass
@@ -97,11 +108,25 @@ class RunRecord:
         path = Path(path)
         if path.is_file() and not path.is_symlink():
             path.unlink()
+        # A block is formatted where its bits differ from the row above;
+        # bits, not ==, so that 0.0 and -0.0 keep their own text.  Any other
+        # dtype is made float64 first, which keeps its text.
+        rows = np.asarray(self.rows, dtype=np.float64)
+        bits = rows.view(np.uint64)
+        changed = np.ones((len(rows), len(_BLOCKS)), dtype=bool)
+        for i, (lo, hi) in enumerate(_BLOCKS):
+            changed[1:, i] = (bits[1:, lo:hi] != bits[:-1, lo:hi]).any(axis=1)
+        text = [""] * len(_BLOCKS)
         with open(path, "w", newline="") as f:
             f.write(f"# {CSV_SCHEMA}\n")
             f.write(",".join(CSV_COLUMNS) + "\n")
-            for row in self.rows:
-                f.write(",".join(map(repr, row.tolist())) + "\n")
+            for row, row_changed in zip(rows, changed):
+                values = row.tolist()
+                for i, hit in enumerate(row_changed.tolist()):
+                    if hit:
+                        lo, hi = _BLOCKS[i]
+                        text[i] = ",".join(map(repr, values[lo:hi]))
+                f.write(",".join(text) + "\n")
 
 
 def read_csv(path: str | Path) -> np.ndarray:

@@ -132,7 +132,14 @@ def _euler_zyx(w: float, x: float, y: float, z: float) -> tuple[float, float, fl
     r22 = 1.0 - 2.0 * (x * x + y * y)
     r00 = 1.0 - 2.0 * (y * y + z * z)
     r10 = 2.0 * (x * y + w * z)
-    pitch = math.asin(max(-1.0, min(1.0, -r20)))
+    # Clamp by comparisons, not min/max: min(1.0, nan) is 1.0, and a NaN
+    # attitude must give a NaN pitch, not 90 degrees.
+    sin_pitch = -r20
+    if sin_pitch > 1.0:
+        sin_pitch = 1.0
+    elif sin_pitch < -1.0:
+        sin_pitch = -1.0
+    pitch = math.asin(sin_pitch)
     roll = math.atan2(r21, r22)
     yaw = math.atan2(r10, r00)
     return roll, pitch, yaw

@@ -1,7 +1,7 @@
 """Dense numpy forms of closed forms the package evaluates on floats.
 
 They are the oracles of the allocation, mixing, desired-attitude, rotation,
-filter and integrator tests.
+filter and integrator tests, and of the CSV writer's bytes.
 """
 
 import math
@@ -10,6 +10,7 @@ import numpy as np
 
 from flapsim.aero import WingConfig, Wrench
 from flapsim.control import DegenerateThrust, DegenerateYaw
+from flapsim.scenarios import CSV_COLUMNS, CSV_SCHEMA
 from flapsim.spatial import Quaternion, rotmat_to_quat
 
 
@@ -146,3 +147,12 @@ class VelocityFilter:
         diff = (position - self._r_prev) / self.dt
         self._r_prev = position.copy()
         return self._lp.update(diff)
+
+
+def csv_text(rows) -> str:
+    """The run CSV of ``rows`` with every row formatted in full: the schema
+    line, the header, then each row's floats as ``repr`` joined by commas."""
+    lines = [f"# {CSV_SCHEMA}\n", ",".join(CSV_COLUMNS) + "\n"]
+    for row in np.asarray(rows):
+        lines.append(",".join(map(repr, row.tolist())) + "\n")
+    return "".join(lines)

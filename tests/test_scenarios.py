@@ -31,6 +31,7 @@ from flapsim.control import FlightController
 from flapsim.dynamics import VehicleState, step
 from flapsim.estimation import Estimator, MocapSensor
 from flapsim.scenarios import (
+    _BLOCKS,
     CSV_COLUMNS,
     RunRecord,
     compare_variants,
@@ -38,6 +39,7 @@ from flapsim.scenarios import (
     read_csv,
     run_scenario,
 )
+from oracles import csv_text
 
 
 def short_ballistic():
@@ -175,6 +177,82 @@ def test_csv_round_trip_is_exact(tmp_path, rows):
     assert np.array_equal(back[~nan], rows[~nan])
 
 
+@st.composite
+def rows_with_repeated_blocks(draw):
+    """Rows whose column blocks are copies of a few distinct rows, so a block
+    often repeats the row above.  The pool holds a twin of its first row
+    that differs only by the sign of one zero."""
+    pool = draw(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.just(len(CSV_COLUMNS))),
+            elements=st.floats() | st.sampled_from(_SPECIAL_FLOATS),
+        )
+    )
+    twin = pool[0].copy()
+    col = draw(st.integers(0, len(CSV_COLUMNS) - 1))
+    pool[0, col], twin[col] = 0.0, -0.0
+    pool = np.vstack([pool, twin])
+    picks = draw(
+        arrays(
+            np.intp,
+            st.tuples(st.integers(1, 30), st.just(len(_BLOCKS))),
+            elements=st.integers(0, len(pool) - 1),
+        )
+    )
+    rows = np.empty((len(picks), len(CSV_COLUMNS)))
+    for (lo, hi), pick in zip(_BLOCKS, picks.T):
+        rows[:, lo:hi] = pool[pick, lo:hi]
+    return rows
+
+
+def _signed_zero_swap():
+    """Three rows of the special floats that differ only in est_pos_x_m:
+    0.0, then -0.0, then 0.0.  The estimate block holds no NaN, so only its
+    bits, not ==, tell these rows apart."""
+    row = np.resize(np.array(_SPECIAL_FLOATS), len(CSV_COLUMNS))
+    est = slice(*_BLOCKS[1])
+    row[est] = np.where(np.isnan(row[est]), 1.0, row[est])
+    rows = np.tile(row, (3, 1))
+    rows[:, CSV_COLUMNS.index("est_pos_x_m")] = [0.0, -0.0, 0.0]
+    return rows
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(rows_with_repeated_blocks())
+@example(_signed_zero_swap())
+def test_write_csv_bytes_match_the_row_by_row_oracle(tmp_path, rows):
+    """Reusing a repeated block's text writes the bytes of formatting every
+    row in full, a signed zero's sign included."""
+    path = tmp_path / "run.csv"
+    RunRecord("blocks", "open-loop", 0, rows, {}).write_csv(path)
+    assert path.read_bytes() == csv_text(rows).encode()
+
+
+def _run_rows():
+    return run_scenario(load_config(bundled_config_path("hover.cfg")), duration=0.02).rows
+
+
+@pytest.mark.parametrize(
+    "make_rows",
+    [
+        lambda: np.empty((0, len(CSV_COLUMNS))),
+        lambda: _run_rows()[:1],
+        lambda: _run_rows()[::2],
+        lambda: np.asfortranarray(_run_rows()),
+        lambda: _run_rows().astype(np.float32),
+    ],
+    ids=["no-rows", "one-row", "strided", "fortran", "float32"],
+)
+def test_write_csv_takes_any_row_layout(tmp_path, make_rows):
+    rows = make_rows()
+    path = tmp_path / "run.csv"
+    RunRecord("layout", "open-loop", 0, rows, {}).write_csv(path)
+    assert path.read_bytes() == csv_text(rows).encode()
+
+
 def test_a_run_and_its_csv_round_trip_hold_no_row_lists(tmp_path):
     """A run, its CSV write and the read-back hold their 2001 rows of 392 B
     as float64 buffers: peak traced memory measured 2.1x to 2.5x the rows'
@@ -285,6 +363,26 @@ def test_metrics_recomputable_from_rows():
                 assert math.isnan(recomputed[key])
             else:
                 assert recomputed[key] == pytest.approx(value, rel=1e-12)
+
+
+def test_a_nan_attitude_records_nan_angles():
+    """A NaN divergence's last row has NaN roll, pitch and yaw, so the
+    maximum pitch is NaN rather than 90 degrees."""
+    config = config_from_dict(
+        {
+            "name": "nanfall",
+            "mode": "open-loop",
+            "duration_s": 0.01,
+            "vehicle": {"inertia_kg_m2": [1e-300] * 3},
+            "disturbance": {"vibration_amplitude_n_m": 1e-8, "vibration_ramp_s": 0.0},
+        }
+    )
+    rec = run_scenario(config)
+    assert rec.status == 2
+    assert rec.rows.shape[0] == 2
+    for name in ("roll_rad", "pitch_rad", "yaw_rad"):
+        assert math.isnan(rec.column(name)[-1])
+    assert math.isnan(rec.metrics["max_abs_pitch_rad"])
 
 
 def test_divergence_sets_status():

@@ -170,6 +170,15 @@ def test_euler_zyx_round_trip():
         assert (r2, p2, y2) == pytest.approx((roll, pitch, yaw), abs=1e-9)
 
 
+def test_euler_zyx_keeps_nan_and_clamps_the_pitch_sine():
+    """A NaN attitude gives NaN angles, not a 90 degree pitch; a pitch sine
+    beyond +-1 (a quaternion slightly over unit norm) is clamped."""
+    assert all(map(math.isnan, _euler_zyx(math.nan, 0.0, 0.0, 0.0)))
+    a = 0.7072  # 2 a^2 = 1.00026
+    assert _euler_zyx(a, 0.0, a, 0.0)[1] == math.pi / 2
+    assert _euler_zyx(a, 0.0, -a, 0.0)[1] == -math.pi / 2
+
+
 def test_matrix_quaternion_round_trip():
     """rotmat_to_quat inverts rotation_matrix up to the double cover."""
     rng = np.random.default_rng(19)
