@@ -16,15 +16,11 @@ from .config import (
     SimConfig,
     bundled_config_path,
     config_from_dict,
-    default_vehicle,
     load_config,
 )
 from .control import (
     PID,
     AttitudeGains,
-    ControlError,
-    DegenerateThrust,
-    DegenerateYaw,
     FlightController,
     PIDGains,
     Setpoint,

@@ -37,6 +37,7 @@ __all__ = [
     "cycle_avg_damping",
     "yaw_damping_coefficient",
     "mix",
+    "singular_entry",
     "allocate",
 ]
 
@@ -145,6 +146,17 @@ def mix(wing: WingConfig, amplitudes) -> Wrench:
     )
 
 
+def singular_entry(wing: WingConfig) -> str | None:
+    """The first zero entry of D = diag(k_f, k_f d1, k_f d2, k_s d3), named by
+    its factors, or None when Gamma (see :func:`allocate`) can be inverted.
+    The entries are tested, since non-zero factors can underflow to zero."""
+    kf, ks = wing.k_thrust, wing.k_steer
+    entries = (kf, kf * wing.lever_roll, kf * wing.lever_pitch, ks * wing.lever_yaw)
+    names = ("k_thrust", "k_thrust * lever_roll", "k_thrust * lever_pitch",
+             "k_steer * lever_yaw")
+    return names[entries.index(0.0)] if 0.0 in entries else None
+
+
 def allocate(wing: WingConfig, wrench: Wrench) -> ActuatorCommand:
     """Invert :func:`mix` and clamp the amplitudes to [0, v_max].
 
@@ -154,12 +166,13 @@ def allocate(wing: WingConfig, wrench: Wrench) -> ActuatorCommand:
     when its unclamped solution fell outside the drive range; the returned
     amplitudes always respect the limits.
 
-    Raises ValueError when any coefficient is zero (Gamma is then singular).
+    Raises ValueError when an entry of D is zero; see :func:`singular_entry`.
     """
+    entry = singular_entry(wing)
+    if entry is not None:
+        raise ValueError(f"mixing matrix is singular: {entry} is zero")
     kf, ks = wing.k_thrust, wing.k_steer
     d1, d2, d3 = wing.lever_roll, wing.lever_pitch, wing.lever_yaw
-    if kf == 0.0 or ks == 0.0 or d1 == 0.0 or d2 == 0.0 or d3 == 0.0:
-        raise ValueError("mixing matrix is singular: zero coefficient")
     t1, t2, t3 = wrench.torque
     a = wrench.thrust / kf
     b = t1 / (kf * d1)

@@ -27,8 +27,8 @@ from typing import Any, NamedTuple
 
 import yaml
 
-from .aero import WingConfig, cycle_avg_lift, yaw_damping_coefficient
-from .control import AttitudeGains, PIDGains, Setpoint
+from .aero import WingConfig, cycle_avg_lift, singular_entry, yaw_damping_coefficient
+from .control import AttitudeGains, FlightController, PIDGains, Setpoint
 from .dynamics import InertialConfig, VehicleState
 from .estimation import FilterConfig
 from .spatial import Quaternion
@@ -45,10 +45,9 @@ __all__ = [
     "parse_yaml",
     "config_from_dict",
     "bundled_config_path",
-    "default_vehicle",
 ]
 
-MODES = ("altitude-attitude", "position-hold", "yaw-damping-compare", "open-loop")
+MODES = (*FlightController.MODES, "yaw-damping-compare", "open-loop")
 
 # Design-point calibration of the lift coefficient: 0.35 mN per wing at
 # 100 Hz and 65 deg per-quadrant amplitude on a 50 mm^2 wing.
@@ -417,14 +416,19 @@ def config_from_dict(user: dict) -> SimConfig:
     vehicle = si["vehicle"] and _vehicle(si["vehicle"], si["disturbance"])
     if vehicle is not None:
         wing = vehicle.wing
-        if mode in ("altitude-attitude", "position-hold") and vehicle.n_wings != 4:
+        closed_loop = mode in FlightController.MODES
+        if closed_loop and vehicle.n_wings != 4:
             errors.append(
                 "vehicle.n_wings: closed-loop control requires the four-wing layout"
             )
-        if mode is not None and mode != "open-loop" and wing.k_steer == 0.0:
+        entry = singular_entry(wing)
+        if closed_loop and entry is not None:
             errors.append(
                 "vehicle.wing.k_steer_n_per_v: zero steering gain makes the "
                 "mixing matrix singular"
+                if wing.k_steer == 0.0
+                else f"vehicle.wing: {entry} is zero, which makes the mixing "
+                "matrix singular"
             )
         command = si["open_loop"] and si["open_loop"]["command_v"]
         if command is not None and not all(0.0 <= v <= wing.v_max for v in command):
@@ -520,7 +524,3 @@ def bundled_config_path(name: str) -> Path:
     """Path of a scenario file shipped with the package."""
     return Path(str(resources.files("flapsim").joinpath("configs", name)))
 
-
-def default_vehicle() -> VehicleParams:
-    """The stock four-wing vehicle built from the calibrated defaults."""
-    return _vehicle(_walk(_SPEC["vehicle"], {}, "vehicle", []), None)

@@ -19,9 +19,11 @@ setpoint,
 The position loop runs it on three axes and realizes the force vector by
 tilting: the desired body z axis is aligned with f_d while a reference
 heading fixes the rotation about it, and the scalar thrust is the projection
-of f_d onto the current body z axis.  The altitude loop is the same PID on
-the z axis alone, with pure yaw as the attitude target, which is how the
-vehicle flies before lateral position feedback is enabled.
+of f_d onto the current body z axis.  Where f_d gives no thrust axis or no
+heading, ``desired_attitude`` is None and the tick holds its last command.
+The altitude loop is the same PID on the z axis alone, with pure yaw as the
+attitude target (it never holds), which is how the vehicle flies before
+lateral position feedback is enabled.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ if TYPE_CHECKING:  # config imports this module
     from .config import ControlParams, VehicleParams
 
 __all__ = [
-    "ControlError",
-    "DegenerateThrust",
-    "DegenerateYaw",
     "AttitudeGains",
     "PIDGains",
     "Setpoint",
@@ -59,18 +58,6 @@ __all__ = [
 _EPS_THRUST = 1e-6
 # Below this cross-product norm the heading reference is parallel to f_d.
 _EPS_AXIS = 1e-6
-
-
-class ControlError(Exception):
-    """Base class for controller geometry failures."""
-
-
-class DegenerateThrust(ControlError):
-    """Desired force vector too small to define a thrust direction."""
-
-
-class DegenerateYaw(ControlError):
-    """Heading reference nearly parallel to the desired thrust axis."""
 
 
 @dataclass
@@ -128,7 +115,9 @@ def thrust_magnitude(f_desired: tuple[float, ...], q: Quaternion) -> float:
     return max(0.0, projection)
 
 
-def desired_attitude(f_desired: tuple[float, ...], yaw_desired: float) -> Quaternion:
+def desired_attitude(
+    f_desired: tuple[float, ...], yaw_desired: float
+) -> Quaternion | None:
     """Attitude whose body z axis carries f_desired at the reference heading.
 
     The desired z axis i3 is f_desired normalized.  The desired x axis is
@@ -138,21 +127,21 @@ def desired_attitude(f_desired: tuple[float, ...], yaw_desired: float) -> Quater
     completes the frame (Lee, Leok & McClamroch, CDC 2010).  The frame is
     orthonormal by construction, so it goes to Shepperd's branch unchecked.
 
-    Raises DegenerateThrust when |f_desired| is too small and DegenerateYaw
-    when the heading reference is parallel to the thrust axis (pitch or roll
-    near 90 deg), where the construction loses rank.
+    Returns None where the construction loses rank: when |f_desired| is too
+    small to define a thrust axis, or when the heading reference is parallel
+    to the thrust axis (pitch or roll near 90 deg).
     """
     fx, fy, fz = f_desired
     norm_f = math.sqrt(fx * fx + fy * fy + fz * fz)
     if norm_f <= _EPS_THRUST:
-        raise DegenerateThrust(f"|f_desired| = {norm_f:.3e} defines no thrust axis")
+        return None
     zx, zy, zz = fx / norm_f, fy / norm_f, fz / norm_f
     hx, hy = -math.sin(yaw_desired), math.cos(yaw_desired)
     # i1 = h x i3 with h_z = 0.
     xx, xy, xz = hy * zz, -hx * zz, hx * zy - hy * zx
     norm_x = math.sqrt(xx * xx + xy * xy + xz * xz)
     if norm_x <= _EPS_AXIS:
-        raise DegenerateYaw("heading reference parallel to the thrust axis")
+        return None
     xx, xy, xz = xx / norm_x, xy / norm_x, xz / norm_x
     # i2 = i3 x i1.
     yx, yy, yz = zy * xz - zz * xy, zz * xx - zx * xz, zx * xy - zy * xx
@@ -197,7 +186,7 @@ class PID:
 class FlightController:
     """Cascaded controller producing per-wing commands once per tick.
 
-    ``mode`` selects the outer loop:
+    ``mode`` selects the outer loop, one of ``MODES``:
 
     * ``"altitude-attitude"``: the PID on height alone; the attitude target
       is pure yaw at the ``yaw`` argument, so roll and pitch are regulated
@@ -210,15 +199,17 @@ class FlightController:
 
     The gains come from ``control``, the config's control section.  Unless
     ``control.yaw_feedback`` is set, the yaw command is zeroed after the
-    attitude law, leaving heading to the passive damping of the wings.  When
-    the thrust-axis construction degenerates the previous command is held
-    for one tick.
+    attitude law, leaving heading to the passive damping of the wings.  On a
+    tick where ``desired_attitude`` returns None the PID has still advanced,
+    and ``tick`` returns ``last_command`` itself, held for one tick.
     """
+
+    MODES = ("altitude-attitude", "position-hold")
 
     def __init__(
         self, vehicle: VehicleParams, control: ControlParams, mode: str
     ) -> None:
-        if mode not in ("altitude-attitude", "position-hold"):
+        if mode not in self.MODES:
             raise ValueError(f"unknown controller mode {mode!r}")
         self.wing = vehicle.wing
         self.attitude_gains = control.attitude
@@ -234,20 +225,19 @@ class FlightController:
         self, est: VehicleState, yaw: float, sp: Setpoint, dt: float
     ) -> ActuatorCommand:
         q = est[7:11]
-        try:
-            if self.mode == "position-hold":
-                fx, fy, fz = self.pid.force(est[1:4], est[4:7], sp.position, dt)
-                # The + 0.0 is on purpose: it turns a -0.0 in x or y into
-                # +0.0, and the recorded runs depend on that sign.
-                f_d = (fx + 0.0, fy + 0.0, fz + self.weight)
-                thrust = thrust_magnitude(f_d, q)
-                q_d = desired_attitude(f_d, yaw)
-            else:
-                (fz,) = self.pid.force(est[3:4], est[6:7], sp.position[2:], dt)
-                thrust = fz + self.weight
-                q_d = Quaternion.from_yaw(yaw)
-        except ControlError:
-            return self.last_command
+        if self.mode == "position-hold":
+            fx, fy, fz = self.pid.force(est[1:4], est[4:7], sp.position, dt)
+            # The + 0.0 is on purpose: it turns a -0.0 in x or y into
+            # +0.0, and the recorded runs depend on that sign.
+            f_d = (fx + 0.0, fy + 0.0, fz + self.weight)
+            q_d = desired_attitude(f_d, yaw)
+            if q_d is None:
+                return self.last_command
+            thrust = thrust_magnitude(f_d, q)
+        else:
+            (fz,) = self.pid.force(est[3:4], est[6:7], sp.position[2:], dt)
+            thrust = fz + self.weight
+            q_d = Quaternion.from_yaw(yaw)
 
         tau = attitude_torque(q, q_d, est[11:], self.attitude_gains)
         if not self.yaw_feedback:

@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from flapsim.aero import WingConfig, Wrench
-from flapsim.control import DegenerateThrust, DegenerateYaw
 from flapsim.scenarios import CSV_COLUMNS, CSV_SCHEMA
 from flapsim.spatial import Quaternion, rotmat_to_quat
 
@@ -49,18 +48,19 @@ def rotation_matrix(q: Quaternion) -> np.ndarray:
     )
 
 
-def desired_attitude(f_desired: np.ndarray, yaw_desired: float) -> Quaternion:
+def desired_attitude(f_desired: np.ndarray, yaw_desired: float) -> Quaternion | None:
     """The body-axis construction with np.cross, np.linalg.norm and the
-    checked rotmat_to_quat, as the package computed it before the float core."""
+    checked rotmat_to_quat, as the package computed it before the float core;
+    None where the construction loses rank."""
     norm_f = float(np.linalg.norm(f_desired))
     if norm_f <= 1e-6:
-        raise DegenerateThrust(f"|f_desired| = {norm_f:.3e} defines no thrust axis")
+        return None
     i3 = np.asarray(f_desired, dtype=float) / norm_f
     heading = np.array([-math.sin(yaw_desired), math.cos(yaw_desired), 0.0])
     i1 = np.cross(heading, i3)
     norm_i1 = float(np.linalg.norm(i1))
     if norm_i1 <= 1e-6:
-        raise DegenerateYaw("heading reference parallel to the thrust axis")
+        return None
     i1 /= norm_i1
     i2 = np.cross(i3, i1)
     return rotmat_to_quat(np.column_stack([i1, i2, i3]))

@@ -24,7 +24,7 @@ import numpy as np
 
 import flapsim
 from flapsim.aero import allocate, cycle_avg_damping, cycle_avg_lift, mix
-from flapsim.config import bundled_config_path, default_vehicle, load_config
+from flapsim.config import bundled_config_path, config_from_dict, load_config
 from flapsim.dynamics import InertialConfig, VehicleState, step
 from flapsim.estimation import Estimator, FilterConfig, MocapSample
 from flapsim.scenarios import run_scenario
@@ -53,7 +53,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_lift_calibration():
     t0 = time.perf_counter()
-    vehicle = default_vehicle()
+    vehicle = config_from_dict({}).vehicle
     lift_err = abs(vehicle.total_lift - 1.4e-3) / 1.4e-3
     ltw = vehicle.lift_to_weight
     elapsed = time.perf_counter() - t0
@@ -68,7 +68,7 @@ def test_criterion_1_lift_calibration():
 
 def test_criterion_2_sqrt2_damping():
     t0 = time.perf_counter()
-    wing4 = default_vehicle().wing
+    wing4 = config_from_dict({}).vehicle.wing
     wing2 = replace(wing4, flap_frequency=wing4.flap_frequency * math.sqrt(2.0))
     lift_match = abs(2 * cycle_avg_lift(wing2) - 4 * cycle_avg_lift(wing4))
     analytic = (4 * cycle_avg_damping(wing4, 1.0)) / (2 * cycle_avg_damping(wing2, 1.0))
@@ -141,7 +141,7 @@ def test_criterion_4_position_hold():
 
 def test_criterion_5_integrator_correctness():
     t0 = time.perf_counter()
-    vehicle = default_vehicle()
+    vehicle = config_from_dict({}).vehicle
 
     ballistic = run_scenario(load_config(bundled_config_path("ballistic.cfg")))
     z_err = abs(ballistic.column("pos_z_m")[-1] - (-0.04905))
@@ -192,7 +192,7 @@ def test_criterion_6_allocation_round_trip():
     worst_round_trip = 0.0
     for _ in range(1000):
         wing = replace(
-            default_vehicle().wing,
+            config_from_dict({}).vehicle.wing,
             k_thrust=rng.uniform(1e-7, 1e-5),
             k_steer=rng.uniform(1e-8, 1e-6),
             lever_roll=rng.uniform(1e-3, 2e-2),

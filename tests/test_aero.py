@@ -17,7 +17,7 @@ from flapsim.aero import (
     mix,
     yaw_damping_coefficient,
 )
-from flapsim.config import default_vehicle
+from flapsim.config import config_from_dict
 from oracles import mixing_matrix, wrench_vector
 
 # calibrated so four stock wings lift 1.4 mN: (1.4e-3/4) / (100^2 rad(65)^2 50e-6)
@@ -25,7 +25,7 @@ C_LIFT = 0.0005438969100611174
 
 
 def stock_wing(**overrides):
-    wing = default_vehicle().wing
+    wing = config_from_dict({}).vehicle.wing
     if overrides:
         from dataclasses import replace
 

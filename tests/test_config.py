@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flapsim.aero import yaw_damping_coefficient
+from flapsim.aero import Wrench, allocate, yaw_damping_coefficient
 from flapsim.config import (
     ConfigError,
     DEFAULTS,
     bundled_config_path,
     config_from_dict,
-    default_vehicle,
     load_config,
     parse_yaml,
     read_raw,
@@ -54,7 +54,7 @@ def test_bundled_configs_are_valid():
 
 
 def test_default_vehicle_figures():
-    v = default_vehicle()
+    v = config_from_dict({}).vehicle
     assert v.weight == pytest.approx(9.31950e-4, rel=1e-12)
     assert v.total_lift == pytest.approx(1.4e-3, rel=1e-9)
     assert v.lift_to_weight == pytest.approx(1.5022265142979772, rel=1e-9)
@@ -149,8 +149,32 @@ def test_zero_steer_gain_rejected_for_closed_loop():
     with pytest.raises(ConfigError) as info:
         config_from_dict(raw)
     assert any("singular" in e for e in info.value.errors)
-    raw["mode"] = "open-loop"
-    config_from_dict(raw)  # allowed: no allocation happens
+    # allowed: neither mode allocates
+    config_from_dict(dict(raw, mode="open-loop"))
+    config_from_dict(dict(raw, mode="yaw-damping-compare", comparison_vehicle={}))
+
+
+@pytest.mark.parametrize(
+    "key, value, entry",
+    [
+        ("lever_roll_mm", 1e-320, "k_thrust * lever_roll"),
+        ("lever_pitch_mm", 1e-320, "k_thrust * lever_pitch"),
+        ("lever_yaw_mm", 1e-320, "k_steer * lever_yaw"),
+        ("k_thrust_n_per_v", 1e-322, "k_thrust * lever_roll"),
+    ],
+)
+def test_underflowing_mixing_entry_rejected_for_closed_loop(key, value, entry):
+    """Positive factors whose product in the mixing matrix underflows to 0
+    make it singular as a zero steering gain does."""
+    raw = minimal(mode="position-hold", vehicle={"wing": {key: value}})
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    assert info.value.errors == [
+        f"vehicle.wing: {entry} is zero, which makes the mixing matrix singular"
+    ]
+    wing = config_from_dict(dict(raw, mode="open-loop")).vehicle.wing
+    with pytest.raises(ValueError, match=f"singular: {re.escape(entry)} is zero"):
+        allocate(wing, Wrench(1e-3, (0.0, 0.0, 0.0)))
 
 
 def test_open_loop_command_range():

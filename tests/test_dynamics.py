@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flapsim.aero import Wrench
-from flapsim.config import default_vehicle
+from flapsim.config import config_from_dict
 from flapsim.dynamics import (
     InertialConfig,
     VehicleState,
@@ -29,7 +29,7 @@ DT = 5e-4
 
 
 def stock_config(**overrides) -> InertialConfig:
-    vehicle = default_vehicle()
+    vehicle = config_from_dict({}).vehicle
     base = dict(
         mass=vehicle.mass,
         inertia=vehicle.inertia,
@@ -155,7 +155,7 @@ def test_spin_up_closed_form():
 
 def test_yaw_decay_closed_form():
     """First-order decay omega3(t) = omega0 exp(-b t / J33)."""
-    vehicle = default_vehicle()
+    vehicle = config_from_dict({}).vehicle
     b = vehicle.yaw_damping
     config = stock_config(yaw_damping=b)
     omega0 = 20.0

@@ -24,7 +24,6 @@ from flapsim.config import (
     ConfigError,
     bundled_config_path,
     config_from_dict,
-    default_vehicle,
     load_config,
 )
 from flapsim.control import FlightController
@@ -590,7 +589,7 @@ def test_open_loop_constant_command():
 
 def test_lift_report_values():
     """The stock vehicle's design-point lift figures."""
-    vehicle = default_vehicle()
+    vehicle = config_from_dict({}).vehicle
     assert cycle_avg_lift(vehicle.wing) == pytest.approx(3.5e-4, rel=1e-9)
     assert vehicle.total_lift == pytest.approx(1.4e-3, rel=1e-9)
     assert vehicle.lift_to_weight == pytest.approx(1.5022, abs=1e-3)
@@ -651,6 +650,26 @@ def test_benchmark_trace_hooks_resolve():
     the names it patches."""
     calls = traced_calls(_TRACE_CHILD)
     assert len(calls) == 7 and all(n > 0 for n in calls), calls
+
+
+# A stubbed desired_attitude that never finds a thrust axis makes every
+# position-hold tick return the controller's last_command itself, which the
+# tracer counts as a hold: 21 ticks in 0.01 s at 2 kHz.
+_TRACE_HOLD_CHILD = """
+import run
+from flapsim import bundled_config_path, control, load_config, run_scenario
+
+control.desired_attitude = lambda f_desired, yaw_desired: None
+tracer = run.Tracer()
+tracer.install()
+run_scenario(load_config(bundled_config_path("position_hold.cfg")), duration=0.01)
+tracer.uninstall()
+print(tracer.counts["control.tick.holds"], tracer.calls("control.tick"))
+"""
+
+
+def test_benchmark_counts_held_ticks():
+    assert traced_calls(_TRACE_HOLD_CHILD) == [21, 21]
 
 
 # The comparison vehicle is a second pass of the loop inside one
