@@ -31,7 +31,6 @@ from .control import (
 from .dynamics import (
     InertialConfig,
     VehicleState,
-    passive_yaw_damping,
     step,
     vibration_torque,
 )

@@ -11,14 +11,7 @@ import re
 import sys
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    SimConfig,
-    config_from_dict,
-    load_config,
-    parse_yaml,
-    read_raw,
-)
+from .config import ConfigError, config_from_dict, load_config, parse_yaml, read_raw
 from .scenarios import compare_variants, run_scenario
 
 EXIT_OK = 0
@@ -52,17 +45,8 @@ def _csv_name(stem: str) -> str:
     return re.sub(r"[^\w.+-]", "_", stem) + ".csv"
 
 
-def _with_overrides(raw, args: argparse.Namespace) -> SimConfig:
-    """Validate ``raw`` with the --seed and --duration overrides set on it."""
-    if isinstance(raw, dict):
-        for key, value in (("seed", args.seed), ("duration_s", args.duration)):
-            if value is not None:
-                raw[key] = value
-    return config_from_dict(raw)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _with_overrides(read_raw(args.config), args)
+    config = load_config(args.config).with_run(args.seed, args.duration)
     out = args.out if args.out else _csv_name(f"{config.name}_run")
     # The CSV is written after the last tick; refuse a path that cannot take it.
     path = Path(out)
@@ -124,7 +108,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raw = copy.deepcopy(base_raw)
         try:
             _set_by_path(raw, args.param, value)
-            config = _with_overrides(raw, args)
+            config = config_from_dict(raw).with_run(args.seed, args.duration)
         except ConfigError as exc:
             return _config_errors(exc.errors, f"config error ({value})")
         out = out_dir / _csv_name(f"{config.name}__{leaf}_{value}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import copy
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -40,6 +40,7 @@ __all__ = [
     "ControlParams",
     "DEFAULTS",
     "MODES",
+    "MAX_TICKS",
     "load_config",
     "read_raw",
     "parse_yaml",
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 MODES = (*FlightController.MODES, "yaw-damping-compare", "open-loop")
+
+# Most control ticks in one run: 3.9 GB of 392 B rows, 5000 s at the default 2 kHz.
+MAX_TICKS = 10**7
 
 # Design-point calibration of the lift coefficient: 0.35 mN per wing at
 # 100 Hz and 65 deg per-quadrant amplitude on a 50 mm^2 wing.
@@ -90,6 +94,7 @@ _NON_NEGATIVE = (lambda x: x >= 0.0, "must be non-negative")
 # Each wing sweeps a single quadrant of the stroke.
 _QUADRANT = (lambda x: 0.0 < x <= 0.5 * math.pi, "must lie in (0, 90] deg")
 _TILT = (lambda x: 0.0 <= x < 0.5 * math.pi, "must lie in [0, 90) deg")
+_HALF_TURN = (lambda x: 0.0 <= x <= math.pi, "must lie in [0, 180] deg")
 
 _DEG = math.radians
 _HZ = 2.0 * math.pi  # Hz -> rad/s
@@ -176,7 +181,7 @@ _SCHEMA = (
     _Key("estimation.rate_corner_hz", 30.0, bound=_POSITIVE, si=_HZ),
     _Key("estimation.velocity_corner_hz", 20.0, bound=_POSITIVE, si=_HZ),
     _Key("estimation.position_noise_std_mm", 0.0, bound=_NON_NEGATIVE, si=1e-3),
-    _Key("estimation.attitude_noise_std_deg", 0.0, bound=_NON_NEGATIVE, si=_DEG),
+    _Key("estimation.attitude_noise_std_deg", 0.0, bound=_HALF_TURN, si=_DEG),
     _Key("setpoint.schedule", [_tree(_ENTRY, lambda row: row.default)], _SCHEDULE),
     _Key("initial.position_m", [0.0, 0.0, 0.0], _VECTOR),
     _Key("initial.velocity_m_per_s", [0.0, 0.0, 0.0], _VECTOR),
@@ -262,6 +267,30 @@ class SimConfig:
     def measurement_every(self) -> int:
         return int(round(self.control_rate / self.measurement_rate))
 
+    @property
+    def n_steps(self) -> int:
+        """Control ticks of the run; it records one row more."""
+        return int(round(self.duration * self.control_rate))
+
+    def with_run(
+        self, seed: int | None = None, duration: float | None = None
+    ) -> SimConfig:
+        """A copy of this scenario run with the given seed and duration [s].
+
+        Each override is checked like the file's ``seed`` and ``duration_s``,
+        the duration also against ``MAX_TICKS``; a ConfigError lists every
+        failure.  The config itself is left unchanged.
+        """
+        errors: list[str] = []
+        given = (("seed", "seed", seed), ("duration", "duration_s", duration))
+        changes = {
+            f: _check(_SPEC[k], v, k, errors) for f, k, v in given if v is not None
+        }
+        _check_ticks(changes.get("duration"), self.control_rate, errors)
+        if errors:
+            raise ConfigError(errors)
+        return replace(self, **changes)
+
     def setpoint_at(self, t: float) -> Setpoint:
         current = self.schedule[0][1]
         for t_start, sp in self.schedule:
@@ -325,13 +354,10 @@ def _check(key: _Key, value, where: str, errors: list[str]):
     return None
 
 
-def _checked(path: str, value):
-    """SI value of top-level key ``path`` set to ``value``, or ConfigError."""
-    errors: list[str] = []
-    si = _check(_SPEC[path], value, path, errors)
-    if errors:
-        raise ConfigError(errors)
-    return si
+def _check_ticks(duration: float | None, control_rate: float, errors: list[str]):
+    """Record why a valid ``duration`` [s] (None: not given) is too long."""
+    if duration is not None and not duration * control_rate <= MAX_TICKS:  # inf too
+        errors.append(f"duration_s: must span at most {MAX_TICKS} control ticks")
 
 
 def _schedule(entries: list, errors: list[str]) -> list[tuple[float, Setpoint]]:
@@ -411,6 +437,7 @@ def config_from_dict(user: dict) -> SimConfig:
             )
         elif round(ratio) < 1:
             errors.append("rates: measurement_hz must not exceed control_hz")
+        _check_ticks(si["duration_s"], rates["control_hz"], errors)
     if mode == "yaw-damping-compare" and user.get("comparison_vehicle") is None:
         errors.append("comparison_vehicle: required for mode yaw-damping-compare")
     vehicle = si["vehicle"] and _vehicle(si["vehicle"], si["disturbance"])

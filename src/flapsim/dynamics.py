@@ -33,7 +33,6 @@ from .spatial import Quaternion
 __all__ = [
     "VehicleState",
     "InertialConfig",
-    "passive_yaw_damping",
     "vibration_torque",
     "step",
 ]
@@ -83,11 +82,6 @@ class InertialConfig:
         self.inertia = moments
 
 
-def passive_yaw_damping(config: InertialConfig, yaw_rate: float) -> float:
-    """Torque about body z opposing the yaw rate [N m]."""
-    return -config.yaw_damping * yaw_rate
-
-
 def vibration_torque(config: InertialConfig, t: float) -> tuple[float, float, float]:
     """Flapping-induced roll/pitch disturbance torque at time ``t``.
 
@@ -118,7 +112,7 @@ def _deriv(y, t: float, u: Wrench, c: InertialConfig) -> tuple[float, ...]:
     # Euler's equations: J_i wdot_i = tau_i - (w x J w)_i.
     px, py, pz = vibration_torque(c, t)
     tx, ty, tz = u.torque
-    tx, ty, tz = tx + px, ty + py, tz + pz + passive_yaw_damping(c, wz)
+    tx, ty, tz = tx + px, ty + py, tz + pz - c.yaw_damping * wz
     j1, j2, j3 = c.inertia
     hx, hy, hz = j1 * wx, j2 * wy, j3 * wz
     return (

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .aero import ActuatorCommand, Wrench, mix
-from .config import SimConfig, VehicleParams, _checked
+from .config import SimConfig, VehicleParams
 from .control import FlightController, Setpoint
 from .dynamics import VehicleState, step
 from .estimation import Estimator, MocapSensor
@@ -247,13 +247,11 @@ def _diverged(state: VehicleState) -> bool:
     return math.sqrt(x * x + y * y + z * z) > DIVERGENCE_RADIUS
 
 
-def _simulate(
-    config: SimConfig, vehicle: VehicleParams, seed: int, n_steps: int
-) -> tuple[np.ndarray, int]:
+def _simulate(config: SimConfig, vehicle: VehicleParams) -> tuple[np.ndarray, int]:
     """Rows and status (0 completed, 2 diverged) of ``vehicle`` in the scenario."""
-    dt = config.dt
+    dt, n_steps = config.dt, config.n_steps
     every = config.measurement_every
-    sensor = MocapSensor(config.estimation, seed)
+    sensor = MocapSensor(config.estimation, config.seed)
     estimator = Estimator(config.estimation)
 
     # The drive is decided once: a fixed command and wrench, or a controller
@@ -302,24 +300,21 @@ def run_scenario(
 ) -> RunRecord:
     """Execute a scenario; ``record.write_csv`` writes its CSV.
 
-    ``seed`` and ``duration`` override the config values and are checked
-    like the file's ``seed`` and ``duration_s``.  A diverged run (non-finite
+    ``seed`` and ``duration`` override the config values through
+    ``config.with_run``, which checks them.  A diverged run (non-finite
     state or position norm beyond 10 m) stops early and is returned with
     status 2 and the rows recorded so far.  In ``yaw-damping-compare`` a
     divergence of the comparison pass also sets status 2.
     """
-    seed = config.seed if seed is None else _checked("seed", seed)
-    duration = config.duration if duration is None else _checked("duration_s", duration)
-    n_steps = int(round(duration * config.control_rate))
-    rows, status = _simulate(config, config.vehicle, seed, n_steps)
+    config = config.with_run(seed, duration)
+    rows, status = _simulate(config, config.vehicle)
     record = RunRecord(
-        config.name, config.mode, seed, rows, metrics_from_rows(rows), status=status
+        config.name, config.mode, config.seed, rows, metrics_from_rows(rows),
+        status=status,
     )
 
     if config.mode == "yaw-damping-compare":
-        compared, compared_status = _simulate(
-            config, config.comparison_vehicle, seed, n_steps
-        )
+        compared, compared_status = _simulate(config, config.comparison_vehicle)
         record.status = max(record.status, compared_status)
         tau_cmp = _yaw_decay_tau(
             compared[:, _COL["t_s"]], compared[:, _COL["omega_z_radps"]]

@@ -16,6 +16,17 @@ from flapsim.scenarios import read_csv, run_scenario
 BALLISTIC = str(bundled_config_path("ballistic.cfg"))
 
 
+def flapsim_process(args, cwd, timeout=120):
+    """``python -m flapsim *args`` from the source checkout, run in ``cwd``."""
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "flapsim", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
 def test_run_writes_csv_and_metrics(tmp_path, capsys):
     out = tmp_path / "b.csv"
     code = main(["run", BALLISTIC, "--out", str(out)])
@@ -31,6 +42,17 @@ def test_run_duration_and_seed_override(tmp_path):
     code = main(["run", BALLISTIC, "--out", str(out), "--duration", "0.05", "--seed", "9"])
     assert code == EXIT_OK
     assert read_csv(out).shape[0] == 101
+
+
+def test_run_overrides_match_the_library_overrides(tmp_path):
+    """``--seed``/``--duration`` and ``run_scenario(seed=, duration=)`` are one
+    route: the same CSV bytes."""
+    hover = bundled_config_path("hover.cfg")
+    out = tmp_path / "cli.csv"
+    code = main(["run", str(hover), "--seed", "5", "--duration", "0.05", "--out", str(out)])
+    assert code == EXIT_OK
+    run_scenario(load_config(hover), seed=5, duration=0.05).write_csv(tmp_path / "lib.csv")
+    assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
 def test_run_reports_divergence(tmp_path, capsys):
@@ -242,6 +264,46 @@ def test_measurement_faster_than_control_is_a_config_error(tmp_path, capsys, com
     assert "config error: rates: measurement_hz must not exceed control_hz" in err
 
 
+def test_huge_attitude_noise_is_a_config_error(tmp_path, capsys):
+    """1e300 deg overflowed in the first noisy sample of the run."""
+    raw = read_raw(bundled_config_path("hover.cfg"))
+    raw["estimation"]["attitude_noise_std_deg"] = 1e300
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "noisy.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: estimation.attitude_noise_std_deg: must lie in [0, 180] deg" in err
+
+
+@pytest.mark.parametrize(
+    "command, scenario, override",
+    [
+        ("validate", "fast.cfg", []),
+        ("run", "fast.cfg", []),
+        # The file's own 5 s at 1e308 Hz is refused, though 0.3 s would
+        # still ask for 3e307 ticks.
+        ("run", "fast.cfg", ["--duration", "0.3"]),
+        ("run", "ballistic.cfg", ["--duration", "1e308"]),
+    ],
+    ids=["validate", "run", "run-duration-0.3", "run-duration-1e308"],
+)
+def test_an_unbounded_tick_count_is_a_config_error(tmp_path, command, scenario, override):
+    """These ended in an OverflowError traceback, a run that did not end, or
+    (validate) ``ok``; each now exits 1 before the first tick."""
+    raw = read_raw(bundled_config_path("position_hold.cfg"))
+    raw["rates"] = {"control_hz": 1e308, "measurement_hz": 1e308}
+    (tmp_path / "fast.cfg").write_text(yaml.safe_dump(raw))
+    cfg = tmp_path / scenario if scenario == "fast.cfg" else bundled_config_path(scenario)
+    args = [command, str(cfg), *override]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out.csv")]
+    proc = flapsim_process(args, tmp_path, timeout=20)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    message = "config error: duration_s: must span at most 10000000 control ticks"
+    assert proc.stderr.splitlines() == [message]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_bad_duration_is_a_config_error(tmp_path, capsys):
     code = main(["sweep", BALLISTIC, "--param", "seed", "--values", "1,2",
                  "--duration", "-2", "--out", str(tmp_path)])
@@ -342,12 +404,6 @@ def test_sweep_refuses_an_out_that_is_a_file(tmp_path, monkeypatch, capsys):
 )
 def test_python_m_flapsim_runs_the_cli(tmp_path, name, code, out):
     """``python -m flapsim`` from a source checkout exits with the CLI's status."""
-    root = Path(__file__).resolve().parents[1]
-    path = [str(root / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     cfg = bundled_config_path(name) if name == "hover.cfg" else tmp_path / name
-    proc = subprocess.run(
-        [sys.executable, "-m", "flapsim", "validate", str(cfg)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = flapsim_process(["validate", str(cfg)], tmp_path)
     assert (proc.returncode, proc.stdout) == (code, out), proc.stderr

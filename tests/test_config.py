@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from flapsim.aero import Wrench, allocate, yaw_damping_coefficient
 from flapsim.config import (
+    MAX_TICKS,
     ConfigError,
     DEFAULTS,
     bundled_config_path,
@@ -448,6 +449,25 @@ MESSAGES = {
         minimal(rates={"control_hz": 0.001, "measurement_hz": 1.0e7}),
         ["rates: measurement_hz must not exceed control_hz"],
     ),
+    # New: duration_s * control_hz overflowed to inf and the run ended in an
+    # OverflowError, or asked for more ticks than memory holds.
+    "tick-count-overflow": (
+        minimal(rates={"control_hz": 1e308, "measurement_hz": 1e308}),
+        ["duration_s: must span at most 10000000 control ticks"],
+    ),
+    "tick-count-limit": (
+        minimal(duration_s=5000.5),
+        ["duration_s: must span at most 10000000 control ticks"],
+    ),
+    # New: a huge noise std overflowed in the first noisy sample.
+    "attitude-noise-huge": (
+        minimal(estimation={"attitude_noise_std_deg": 1e300}),
+        ["estimation.attitude_noise_std_deg: must lie in [0, 180] deg"],
+    ),
+    "attitude-noise-negative": (
+        minimal(estimation={"attitude_noise_std_deg": -0.1}),
+        ["estimation.attitude_noise_std_deg: must lie in [0, 180] deg"],
+    ),
     "comparison-required": (
         minimal(mode="yaw-damping-compare"),
         ["comparison_vehicle: required for mode yaw-damping-compare"],
@@ -509,6 +529,44 @@ def test_error_messages(case):
     with pytest.raises(ConfigError) as info:
         config_from_dict(copy.deepcopy(raw))
     assert info.value.errors == expected
+
+
+def test_attitude_noise_may_reach_half_a_turn():
+    raw = minimal(estimation={"attitude_noise_std_deg": 180.0})
+    assert config_from_dict(raw).estimation.attitude_noise_std == math.pi
+
+
+def test_tick_count_limit_is_inclusive():
+    """MAX_TICKS ticks at the default 2 kHz are 5000 s; the file and the
+    override draw the line at the same duration."""
+    assert MAX_TICKS == 10**7
+    cfg = config_from_dict(minimal(duration_s=5000.0))
+    assert cfg.n_steps == MAX_TICKS
+    assert cfg.with_run(duration=5000.0).n_steps == MAX_TICKS
+    with pytest.raises(ConfigError) as info:
+        cfg.with_run(duration=5000.5)
+    assert info.value.errors == ["duration_s: must span at most 10000000 control ticks"]
+
+
+def test_with_run_returns_a_copy_and_leaves_the_config_unchanged():
+    cfg = config_from_dict(minimal(seed=3, duration_s=2.0))
+    before = copy.deepcopy(cfg)
+    run = cfg.with_run(seed=7, duration=0.5)
+    assert (run.seed, run.duration, run.n_steps) == (7, 0.5, 1000)
+    assert cfg == before
+    same = cfg.with_run()
+    assert (same.seed, same.duration) == (3, 2.0)
+    assert same == cfg
+
+
+def test_with_run_reports_every_failure_together():
+    cfg = config_from_dict(minimal())
+    with pytest.raises(ConfigError) as info:
+        cfg.with_run(seed=-1, duration=-2.0)
+    assert info.value.errors == [
+        "seed: must be a non-negative integer",
+        "duration_s: must be positive",
+    ]
 
 
 def test_wing_range_errors_are_all_reported():

@@ -297,6 +297,8 @@ def test_seed_changes_noisy_run(tmp_path):
         ({"duration": 0.0}, "duration_s: must be positive"),
         ({"duration": math.nan}, "duration_s: must be finite"),
         ({"seed": 1.5}, "seed: must be a non-negative integer"),
+        # 1e308 s at 2 kHz overflowed the tick count to inf.
+        ({"duration": 1e308}, "duration_s: must span at most 10000000 control ticks"),
     ],
 )
 def test_run_scenario_checks_overrides_against_the_schema(override, message):
