@@ -23,11 +23,17 @@ amplitudes.  Wing numbering, viewed from above with body x forward:
 
 Wings 1 and 4 share one stroke-plane handedness and 2 and 3 the other, so the
 diagonal pairs steer yaw in opposite senses.
+
+:class:`Wrench` and :class:`ActuatorCommand` are named tuples, like
+``Quaternion`` and ``VehicleState``: a closed-loop tick builds three of them,
+and a tuple is cheaper to build than a frozen dataclass.  A ``Wrench``
+therefore compares equal to the plain tuple ``(thrust, torque)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "WingConfig",
@@ -65,16 +71,14 @@ class WingConfig:
     v_max: float  # drive amplitude limit [V]
 
 
-@dataclass(frozen=True)
-class Wrench:
+class Wrench(NamedTuple):
     """Total thrust [N] along body z plus body torque [N m]."""
 
     thrust: float
     torque: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class ActuatorCommand:
+class ActuatorCommand(NamedTuple):
     """Per-wing drive amplitudes after clamping, with saturation flags."""
 
     amplitudes: tuple[float, float, float, float]  # [V], clamped to [0, v_max]
@@ -137,8 +141,8 @@ def mix(wing: WingConfig, amplitudes) -> Wrench:
     v1, v2, v3, v4 = amplitudes
     kf = wing.k_thrust
     return Wrench(
-        thrust=kf * (v1 + v2 + v3 + v4),
-        torque=(
+        kf * (v1 + v2 + v3 + v4),
+        (
             kf * wing.lever_roll * (-v1 - v2 + v3 + v4),
             kf * wing.lever_pitch * (v1 - v2 + v3 - v4),
             wing.k_steer * wing.lever_yaw * (v1 - v2 - v3 + v4),
@@ -186,6 +190,6 @@ def allocate(wing: WingConfig, wrench: Wrench) -> ActuatorCommand:
     )
     v_max = wing.v_max
     return ActuatorCommand(
-        amplitudes=tuple(min(max(v, 0.0), v_max) for v in raw),
-        saturated=tuple(v < 0.0 or v > v_max for v in raw),
+        tuple([min(max(v, 0.0), v_max) for v in raw]),
+        tuple([v < 0.0 or v > v_max for v in raw]),
     )

@@ -101,16 +101,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(["--values: no values given"])
     out_dir = Path(args.out) if args.out else Path(".")
 
-    # Every value is checked, and every CSV name claimed, before any run.
+    # Every value is checked, and every CSV name claimed, before any run.  A
+    # failed override is labelled with its flags, not with the swept value.
     leaf = args.param.split(".")[-1]
+    overrides = " ".join(
+        f"--{name}" for name in ("seed", "duration") if getattr(args, name) is not None
+    )
     runs: dict[Path, tuple] = {}
     for value in values:
         raw = copy.deepcopy(base_raw)
         try:
             _set_by_path(raw, args.param, value)
-            config = config_from_dict(raw).with_run(args.seed, args.duration)
+            config = config_from_dict(raw)
         except ConfigError as exc:
             return _config_errors(exc.errors, f"config error ({value})")
+        try:
+            config = config.with_run(args.seed, args.duration)
+        except ConfigError as exc:
+            return _config_errors(exc.errors, f"config error ({overrides})")
         out = out_dir / _csv_name(f"{config.name}__{leaf}_{value}")
         if out in runs:
             raise ConfigError(

@@ -90,11 +90,15 @@ def attitude_torque(
     q: Quaternion, q_desired: Quaternion, omega: tuple[float, ...], gains: AttitudeGains
 ) -> tuple[float, ...]:
     """Quaternion PD attitude law; see the module docstring."""
-    qe = quat_error(q_desired, q)
-    s = sign(qe.w)
-    return tuple(
-        -k1 * (s * v) - k2 * w
-        for k1, k2, v, w in zip(gains.attitude, gains.rate, qe[1:], omega)
+    ew, ex, ey, ez = quat_error(q_desired, q)
+    s = sign(ew)
+    k1x, k1y, k1z = gains.attitude
+    k2x, k2y, k2z = gains.rate
+    wx, wy, wz = omega
+    return (
+        -k1x * (s * ex) - k2x * wx,
+        -k1y * (s * ey) - k2y * wy,
+        -k1z * (s * ez) - k2z * wz,
     )
 
 

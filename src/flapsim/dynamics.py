@@ -100,18 +100,19 @@ def vibration_torque(config: InertialConfig, t: float) -> tuple[float, float, fl
 
 
 def _deriv(y, t: float, u: Wrench, c: InertialConfig) -> tuple[float, ...]:
-    """Packed-state derivative; y = [r(3), v(3), q(4), omega(3)] as floats."""
+    """Packed-state derivative; y = [r(3), v(3), q(4), omega(3)] as floats
+    and u = (thrust, torque), a Wrench or a plain tuple."""
     _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
+    thrust, (tx, ty, tz) = u
 
     # Thrust along the third column of R(q), the body z axis in inertial axes.
-    f = u.thrust / c.mass
+    f = thrust / c.mass
     ax = f * (2.0 * (qx * qz + qw * qy))
     ay = f * (2.0 * (qy * qz - qw * qx))
     az = f * (1.0 - 2.0 * (qx * qx + qy * qy)) - c.gravity
 
     # Euler's equations: J_i wdot_i = tau_i - (w x J w)_i.
     px, py, pz = vibration_torque(c, t)
-    tx, ty, tz = u.torque
     tx, ty, tz = tx + px, ty + py, tz + pz - c.yaw_damping * wz
     j1, j2, j3 = c.inertia
     hx, hy, hz = j1 * wx, j2 * wy, j3 * wz
@@ -141,15 +142,19 @@ def step(
         raise ValueError(f"dt must be positive, got {dt}")
     if not all(map(math.isfinite, state)):
         raise ValueError("non-finite vehicle state")
-    if not (math.isfinite(wrench.thrust) and all(map(math.isfinite, wrench.torque))):
+    thrust, torque = wrench
+    if not (math.isfinite(thrust) and all(map(math.isfinite, torque))):
         raise ValueError("non-finite wrench")
 
+    # The stages get the wrench as a plain tuple: the interpreter specialises
+    # unpacking one, but not the attribute reads of a NamedTuple.
+    u = (thrust, torque)
     t, y0 = state[0], state[1:]
     h = 0.5 * dt
-    k1 = _deriv(y0, t, wrench, config)
-    k2 = _deriv([a + h * b for a, b in zip(y0, k1)], t + h, wrench, config)
-    k3 = _deriv([a + h * b for a, b in zip(y0, k2)], t + h, wrench, config)
-    k4 = _deriv([a + dt * b for a, b in zip(y0, k3)], t + dt, wrench, config)
+    k1 = _deriv(y0, t, u, config)
+    k2 = _deriv([a + h * b for a, b in zip(y0, k1)], t + h, u, config)
+    k3 = _deriv([a + h * b for a, b in zip(y0, k2)], t + h, u, config)
+    k4 = _deriv([a + dt * b for a, b in zip(y0, k3)], t + dt, u, config)
     h6 = dt / 6.0
     y1 = [
         a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)

@@ -48,6 +48,8 @@ __all__ = [
     "Estimator",
 ]
 
+_NOISE_BLOCK = 256  # samples of sensor noise drawn per numpy call
+
 
 @dataclass
 class FilterConfig:
@@ -68,15 +70,27 @@ class MocapSample:
 
 
 class MocapSensor:
-    """Samples the true state, adding seeded Gaussian pose noise."""
+    """Samples the true state, adding seeded Gaussian pose noise.
+
+    The noise is drawn for ``_NOISE_BLOCK`` samples at a time, one numpy
+    call per block instead of one per sample; the stream is the same as six
+    draws per sample.
+    """
 
     def __init__(self, config: FilterConfig, seed: int) -> None:
         self.config = config
         self._rng = np.random.default_rng(seed)
+        self._noise = iter(())
 
     def sample(self, state: VehicleState) -> MocapSample:
+        noise = next(self._noise, None)
+        if noise is None:
+            self._noise = iter(
+                self._rng.standard_normal((_NOISE_BLOCK, 6)).tolist()
+            )
+            noise = next(self._noise)
         # Position noise first, then attitude: the pinned noisy runs use this order.
-        nx, ny, nz, rx, ry, rz = self._rng.standard_normal(6).tolist()
+        nx, ny, nz, rx, ry, rz = noise
         std = self.config.position_noise_std
         position = (state.x + std * nx, state.y + std * ny, state.z + std * nz)
         std = self.config.attitude_noise_std
@@ -109,9 +123,9 @@ class LowPassDerivative:
             self._x_prev, self._y_prev = x, (0.0,) * len(x)
             return self._y_prev
         b0, a1 = self.b0, self.a1
-        y = tuple(
+        y = tuple([
             b0 * (xk - xp) - a1 * yp for xk, xp, yp in zip(x, self._x_prev, self._y_prev)
-        )
+        ])
         self._x_prev, self._y_prev = x, y
         return y
 
@@ -135,9 +149,9 @@ class LowPass:
             self._x_prev = self._y_prev = x
             return x
         b0, a1 = self.b0, self.a1
-        y = tuple(
+        y = tuple([
             b0 * (xk + xp) - a1 * yp for xk, xp, yp in zip(x, self._x_prev, self._y_prev)
-        )
+        ])
         self._x_prev, self._y_prev = x, y
         return y
 
@@ -164,7 +178,7 @@ class Estimator:
         else:
             if q.dot(self._q_prev) < 0.0:
                 q = -q
-            diff = tuple((r - rp) / dt for r, rp in zip(position, self._r_prev))
+            diff = tuple([(r - rp) / dt for r, rp in zip(position, self._r_prev)])
         self._q_prev, self._r_prev = q, position
         velocity = self._velocity.update(diff)
         prod = q.conjugate() * Quaternion(*self._rate.update(q))

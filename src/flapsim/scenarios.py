@@ -18,8 +18,9 @@ Every run produces a :class:`RunRecord` with one row per control tick plus a
 final row (``duration * rate + 1`` rows), the true and estimated states,
 setpoints, the realized wrench and the per-wing commands.  The rows live in
 one flat float64 buffer, 392 B per row, that the loop extends tick by tick;
-``RunRecord.rows`` and :func:`read_csv` expose such a buffer as an
-``(n, 49)`` array view without copying it.  Summary metrics are computed
+the loop and :func:`read_csv` both pack a row with one ``struct.Struct`` and
+append its bytes.  ``RunRecord.rows`` and :func:`read_csv` expose such a
+buffer as an ``(n, 49)`` array view without copying it.  Summary metrics are computed
 from the recorded rows alone so they can be recomputed exactly from the CSV.
 ``RunRecord.write_csv`` writes floats with ``repr`` so the CSV round-trips
 bit-exactly and identical (config, seed) pairs produce identical bytes.
@@ -34,6 +35,7 @@ differ from the previous row's, and reuses its text otherwise.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,6 +86,9 @@ _BLOCK_STARTS = tuple(
     _COL[name] for name in ("t_s", "est_pos_x_m", "sp_x_m", "thrust_n", "sat_1")
 )
 _BLOCKS = tuple(zip(_BLOCK_STARTS, _BLOCK_STARTS[1:] + (len(CSV_COLUMNS),)))
+# One row as native float64 bytes, the layout of array("d"): packing a row
+# and appending its bytes is cheaper than extending the array value by value.
+_ROW = struct.Struct(f"{len(CSV_COLUMNS)}d")
 
 
 @dataclass
@@ -143,7 +148,7 @@ def read_csv(path: str | Path) -> np.ndarray:
             fields = line.split(",")
             if len(fields) == n:
                 try:
-                    buf.extend(map(float, fields))
+                    buf.frombytes(_ROW.pack(*map(float, fields)))
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
             elif line.strip():
@@ -227,17 +232,17 @@ def _row(
     sp: Setpoint,
     wrench: Wrench,
     command: ActuatorCommand,
-) -> list:
-    """One CSV row: the state tuple is laid out like the first 14 columns;
-    ``euler`` and ``est_euler`` are the (roll, pitch, yaw) of the state and
-    of the estimate."""
-    return [
+) -> bytes:
+    """One CSV row packed as float64 bytes: the state tuple is laid out like
+    the first 14 columns; ``euler`` and ``est_euler`` are the (roll, pitch,
+    yaw) of the state and of the estimate."""
+    return _ROW.pack(
         *state, *euler,
         *est[1:], *est_euler,
         *sp.position, sp.yaw,
         wrench.thrust, *wrench.torque,
         *command.amplitudes, *command.saturated,
-    ]
+    )
 
 
 def _diverged(state: VehicleState) -> bool:
@@ -283,13 +288,13 @@ def _simulate(config: SimConfig, vehicle: VehicleParams) -> tuple[np.ndarray, in
             else:
                 command = controller.tick(est, est_euler[2], sp, dt)
             wrench = mix(vehicle.wing, command.amplitudes)
-        buf.extend(_row(state, euler, est, est_euler, sp, wrench, command))
+        buf.frombytes(_row(state, euler, est, est_euler, sp, wrench, command))
         if k == n_steps:
             break
         state = step(state, wrench, vehicle, dt)
         if _diverged(state):
             euler = _euler_zyx(*state[7:11])
-            buf.extend(_row(state, euler, est, est_euler, sp, wrench, command))
+            buf.frombytes(_row(state, euler, est, est_euler, sp, wrench, command))
             status = 2
             break
     return np.frombuffer(buf).reshape(-1, len(CSV_COLUMNS)), status

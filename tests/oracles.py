@@ -1,16 +1,20 @@
 """Dense numpy forms of closed forms the package evaluates on floats.
 
 They are the oracles of the allocation, mixing, desired-attitude, rotation,
-filter and integrator tests, and of the CSV writer's bytes.
+filter and integrator tests, and of the CSV writer's bytes.  The loop forms
+at the end are the package's own arithmetic as it was written before its
+tick was rewritten for speed; tests require the rewrite to match them bit
+for bit.
 """
 
 import math
+from array import array
 
 import numpy as np
 
 from flapsim.aero import WingConfig, Wrench
 from flapsim.scenarios import CSV_COLUMNS, CSV_SCHEMA
-from flapsim.spatial import Quaternion, rotmat_to_quat
+from flapsim.spatial import Quaternion, quat_error, rotmat_to_quat, sign
 
 
 def mixing_matrix(wing: WingConfig) -> np.ndarray:
@@ -156,3 +160,85 @@ def csv_text(rows) -> str:
     for row in np.asarray(rows):
         lines.append(",".join(map(repr, row.tolist())) + "\n")
     return "".join(lines)
+
+
+def bits(values) -> list[int]:
+    """The uint64 bit patterns of float64 ``values``, so that -0.0 and 0.0
+    differ and a NaN equals a NaN of the same payload."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def allocate(wing: WingConfig, wrench: Wrench) -> tuple[tuple, tuple]:
+    """``aero.allocate`` with generator-fed tuples: (amplitudes, saturated)."""
+    kf, ks = wing.k_thrust, wing.k_steer
+    d1, d2, d3 = wing.lever_roll, wing.lever_pitch, wing.lever_yaw
+    t1, t2, t3 = wrench.torque
+    a = wrench.thrust / kf
+    b = t1 / (kf * d1)
+    c = t2 / (kf * d2)
+    d = t3 / (ks * d3)
+    raw = (
+        0.25 * (a - b + c + d),
+        0.25 * (a - b - c - d),
+        0.25 * (a + b + c - d),
+        0.25 * (a + b - c + d),
+    )
+    v_max = wing.v_max
+    return (
+        tuple(min(max(v, 0.0), v_max) for v in raw),
+        tuple(v < 0.0 or v > v_max for v in raw),
+    )
+
+
+def attitude_torque(q, q_desired, omega, gains) -> tuple[float, ...]:
+    """``control.attitude_torque`` as one generator over the three axes."""
+    qe = quat_error(q_desired, q)
+    s = sign(qe.w)
+    return tuple(
+        -k1 * (s * v) - k2 * w
+        for k1, k2, v, w in zip(gains.attitude, gains.rate, qe[1:], omega)
+    )
+
+
+def tustin_derivative(b0: float, a1: float, xs) -> list[tuple[float, ...]]:
+    """The outputs of ``estimation.LowPassDerivative.update`` over the
+    stream ``xs``, each step a generator-fed tuple."""
+    x_prev = y_prev = None
+    out = []
+    for x in xs:
+        if x_prev is None:
+            x_prev, y_prev = x, (0.0,) * len(x)
+        else:
+            y = tuple(b0 * (xk - xp) - a1 * yp for xk, xp, yp in zip(x, x_prev, y_prev))
+            x_prev, y_prev = x, y
+        out.append(y_prev)
+    return out
+
+
+def tustin_lowpass(b0: float, a1: float, xs) -> list[tuple[float, ...]]:
+    """The outputs of ``estimation.LowPass.update`` over the stream ``xs``,
+    each step a generator-fed tuple."""
+    x_prev = y_prev = None
+    out = []
+    for x in xs:
+        if x_prev is None:
+            x_prev = y_prev = x
+        else:
+            y = tuple(b0 * (xk + xp) - a1 * yp for xk, xp, yp in zip(x, x_prev, y_prev))
+            x_prev, y_prev = x, y
+        out.append(y_prev)
+    return out
+
+
+def row_bytes(state, euler, est, est_euler, sp, wrench, command) -> bytes:
+    """One run row as the loop appended it: its values listed in column
+    order, then ``array("d").extend``."""
+    buf = array("d")
+    buf.extend([
+        *state, *euler,
+        *est[1:], *est_euler,
+        *sp.position, sp.yaw,
+        wrench.thrust, *wrench.torque,
+        *command.amplitudes, *command.saturated,
+    ])
+    return buf.tobytes()

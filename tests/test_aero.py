@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flapsim.aero import (
@@ -18,7 +18,8 @@ from flapsim.aero import (
     yaw_damping_coefficient,
 )
 from flapsim.config import config_from_dict
-from oracles import mixing_matrix, wrench_vector
+import oracles
+from oracles import bits, mixing_matrix, wrench_vector
 
 # calibrated so four stock wings lift 1.4 mN: (1.4e-3/4) / (100^2 rad(65)^2 50e-6)
 C_LIFT = 0.0005438969100611174
@@ -236,3 +237,40 @@ def test_mix_works_where_allocation_is_singular():
 def test_actuator_command_default_flags():
     cmd = ActuatorCommand(amplitudes=np.zeros(4))
     assert not cmd.any_saturated
+
+
+# Amplitudes on and next to the drive bounds, so that the unclamped solution
+# of allocate(mix(v)) lands on, just inside or just outside them.
+_bound_amplitude = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, V_MAX, math.nextafter(V_MAX, 0.0),
+    math.nextafter(V_MAX, math.inf),
+])
+_signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@given(st.one_of(
+    st.tuples(*[_bound_amplitude] * 4).map(lambda v: mix(stock_wing(), v)),
+    st.builds(Wrench, st.floats(), st.tuples(*[_signed_zero] * 3)),
+    st.builds(Wrench, st.floats(), st.tuples(*[st.floats()] * 3)),
+))
+@example(Wrench(4.0 * stock_wing().k_thrust * V_MAX, (0.0, -0.0, 0.0)))
+@example(Wrench(0.0, (-0.0, -0.0, -0.0)))
+@example(Wrench(-0.0, (0.0, 0.0, -0.0)))
+def test_allocate_matches_the_generator_loop(wrench):
+    """allocate's list-built tuples hold the loop oracle's bits, signed zeros
+    and NaN included, and the same saturation flags, on the bounds too."""
+    amplitudes, saturated = oracles.allocate(stock_wing(), wrench)
+    cmd = allocate(stock_wing(), wrench)
+    assert bits(cmd.amplitudes) == bits(amplitudes)
+    assert cmd.saturated == saturated
+    assert type(cmd.amplitudes) is tuple and type(cmd.saturated) is tuple
+
+
+def test_wrench_and_command_are_tuples():
+    """Wrench and ActuatorCommand compare equal to plain tuples; the command
+    keeps its default flags and its any_saturated."""
+    assert Wrench(1.0, (0.0, 0.0, 0.0)) == (1.0, (0.0, 0.0, 0.0))
+    cmd = ActuatorCommand((1.0, 2.0, 3.0, 4.0))
+    assert cmd == ((1.0, 2.0, 3.0, 4.0), (False, False, False, False))
+    assert not cmd.any_saturated
+    assert ActuatorCommand((0.0,) * 4, (False, True, False, False)).any_saturated

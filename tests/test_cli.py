@@ -308,7 +308,11 @@ def test_sweep_bad_duration_is_a_config_error(tmp_path, capsys):
     code = main(["sweep", BALLISTIC, "--param", "seed", "--values", "1,2",
                  "--duration", "-2", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
-    assert "duration_s: must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "duration_s: must be positive" in err
+    # The label names the override, not the swept value 1.
+    assert "config error (--duration): duration_s: must be positive" in err
+    assert "(1)" not in err
     assert list(tmp_path.iterdir()) == []
 
 

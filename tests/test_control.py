@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flapsim.aero import Wrench, allocate, mix
@@ -119,6 +119,27 @@ def test_attitude_torque_matches_law_with_zero_desired_rate(q, q_d, omega, k1, k
     omega_d = rotate(qe.inverse(), np.zeros(3))
     expect = -k1 * (sign(qe.w) * np.array(qe[1:])) - k2 * (omega - omega_d)
     assert np.array_equal(attitude_torque(q, q_d, omega, AttitudeGains(k1, k2)), expect)
+
+
+_signed_zero3 = st.tuples(*[st.sampled_from([0.0, -0.0])] * 3)
+
+
+@given(
+    _quaternion,
+    st.one_of(_quaternion, st.just(Quaternion())),
+    st.one_of(_signed_zero3, st.tuples(*[st.floats()] * 3)),
+    st.one_of(_signed_zero3, st.tuples(*[st.floats(0.0, 1e-2)] * 3)),
+    st.tuples(*[st.floats(0.0, 1e-2)] * 3),
+)
+@example(Quaternion(), Quaternion(), (0.0, -0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+@example(Quaternion(), Quaternion(), (-0.0, 0.0, -0.0), (0.0, -0.0, 0.0), (0.0, 0.0, 0.0))
+@example(Quaternion(-1.0), Quaternion(), (0.0, -0.0, math.nan), (1.0, 2.0, 3.0), (0.0, 1.0, 1.0))
+def test_attitude_torque_matches_the_generator_loop(q, q_d, omega, k1, k2):
+    """The unrolled law holds the loop oracle's bits: torques of +-0.0,
+    infinities and NaN included."""
+    g = AttitudeGains(k1, k2)
+    got = attitude_torque(q, q_d, omega, g)
+    assert oracles.bits(got) == oracles.bits(oracles.attitude_torque(q, q_d, omega, g))
 
 
 @given(

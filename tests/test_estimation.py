@@ -162,6 +162,26 @@ def test_derivative_filter_matches_numpy_oracle(corner, dt, xs):
         assert_same_bits(filt.update(x), oracle.update(np.array(x)))
 
 
+# Any float, with signed zeros drawn often.
+_any_entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
+
+
+@given(_corner, _dt, st.sampled_from([3, 4]).flatmap(
+    lambda n: st.lists(st.tuples(*[_any_entry] * n), min_size=1, max_size=20)
+))
+def test_filters_match_the_generator_loop(corner, dt, xs):
+    """Both filters' list-built tuples hold the bits of the generator loop,
+    -0.0, infinities and NaN included."""
+    for filt, oracle in (
+        (LowPassDerivative(corner, dt), oracles.tustin_derivative),
+        (LowPass(corner, dt), oracles.tustin_lowpass),
+    ):
+        want = oracle(filt.b0, filt.a1, xs)
+        got = [filt.update(x) for x in xs]
+        assert all(type(y) is tuple for y in got)
+        assert oracles.bits(got) == oracles.bits(want)
+
+
 def pose(position=(0.0, 0.0, 0.0), attitude=Quaternion()):
     return MocapSample(position=position, attitude=attitude, t=0.0)
 
@@ -241,6 +261,25 @@ def test_sensor_determinism():
         sa, sb = a.sample(state), b.sample(state)
         assert np.array_equal(sa.position, sb.position)
         assert np.array(sa.attitude) == pytest.approx(np.array(sb.attitude), abs=0.0)
+
+
+def test_sensor_noise_is_six_draws_per_sample():
+    """600 samples, which cross two blocks of drawn noise, carry the noise of
+    one standard_normal(6) call per sample; two sensors of one seed agree."""
+    c = filter_config(position_noise_std=1e-3, attitude_noise_std=2e-3)
+    yaw = Quaternion.from_yaw(0.3)
+    state = VehicleState(x=0.1, y=-0.2, z=0.3, qw=yaw.w, qx=yaw.x, qy=yaw.y, qz=yaw.z)
+    rng = np.random.default_rng(7)
+    a, b = MocapSensor(c, seed=7), MocapSensor(c, seed=7)
+    for _ in range(600):
+        nx, ny, nz, rx, ry, rz = rng.standard_normal(6).tolist()
+        position = (0.1 + 1e-3 * nx, -0.2 + 1e-3 * ny, 0.3 + 1e-3 * nz)
+        attitude = yaw * Quaternion.from_rotation_vector((2e-3 * rx, 2e-3 * ry, 2e-3 * rz))
+        sa, sb = a.sample(state), b.sample(state)
+        assert oracles.bits(sa.position) == oracles.bits(position)
+        assert oracles.bits(sa.attitude) == oracles.bits(attitude)
+        assert oracles.bits(sb.position) == oracles.bits(sa.position)
+        assert oracles.bits(sb.attitude) == oracles.bits(sa.attitude)
 
 
 def spin_samples(n, rate=2.0, flip_from=None):

@@ -18,15 +18,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import flapsim
-from flapsim import spatial
-from flapsim.aero import allocate, cycle_avg_lift, mix
+from flapsim import control, scenarios, spatial
+from flapsim.aero import ActuatorCommand, Wrench, allocate, cycle_avg_lift, mix
 from flapsim.config import (
     ConfigError,
     bundled_config_path,
     config_from_dict,
     load_config,
 )
-from flapsim.control import FlightController
+from flapsim.control import FlightController, Setpoint
 from flapsim.dynamics import VehicleState, step
 from flapsim.estimation import Estimator, MocapSensor
 from flapsim.scenarios import (
@@ -38,7 +38,7 @@ from flapsim.scenarios import (
     read_csv,
     run_scenario,
 )
-from oracles import csv_text
+from oracles import csv_text, row_bytes
 
 
 def short_ballistic():
@@ -174,6 +174,35 @@ def test_csv_round_trip_is_exact(tmp_path, rows):
     assert np.array_equal(np.isnan(back), nan)
     assert np.array_equal(np.signbit(back[~nan]), np.signbit(rows[~nan]))
     assert np.array_equal(back[~nan], rows[~nan])
+
+
+_row_float = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+
+
+def _row_floats(n):
+    return st.tuples(*[_row_float] * n)
+
+
+@given(
+    _row_floats(14).map(lambda v: VehicleState(*v)),
+    _row_floats(3),
+    _row_floats(14).map(lambda v: VehicleState(*v)),
+    _row_floats(3),
+    st.builds(Setpoint, _row_floats(3), _row_float),
+    st.builds(Wrench, _row_float, _row_floats(3)),
+    st.builds(ActuatorCommand, _row_floats(4), st.tuples(*[st.booleans()] * 4)),
+)
+def test_a_packed_row_holds_the_bits_of_an_extended_array(
+    state, euler, est, est_euler, sp, wrench, command
+):
+    """The loop's struct-packed row is the row array("d").extend appended:
+    every float's bits, signed zeros and NaN payloads included, and the
+    saturation flags as 0.0 and 1.0."""
+    values = (state, euler, est, est_euler, sp, wrench, command)
+    got = np.frombuffer(scenarios._row(*values), dtype=np.uint64)
+    want = np.frombuffer(row_bytes(*values), dtype=np.uint64)
+    assert got.shape == (len(CSV_COLUMNS),)
+    assert np.array_equal(got, want)
 
 
 @st.composite
@@ -652,6 +681,40 @@ def test_benchmark_trace_hooks_resolve():
     the names it patches."""
     calls = traced_calls(_TRACE_CHILD)
     assert len(calls) == 7 and all(n > 0 for n in calls), calls
+
+
+def test_the_run_loop_calls_the_names_the_benchmark_traces(monkeypatch):
+    """Every name the benchmark's tracer patches is looked up when it is
+    called: pre-binding or inlining one would silently zero its per-layer
+    metric.  A 0.01 s position hold is 21 ticks at 2 kHz (20 steps) and 6
+    measurements at 500 Hz."""
+    calls = dict.fromkeys(
+        ("step", "mix", "allocate", "desired_attitude", "sample", "tick"), 0
+    )
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in (
+        (scenarios, "step"), (scenarios, "mix"),
+        (control, "allocate"), (control, "desired_attitude"),
+        (MocapSensor, "sample"), (Estimator, "tick"),
+    ):
+        counted(owner, name)
+    rec = scenarios.run_scenario(
+        load_config(bundled_config_path("position_hold.cfg")), duration=0.01
+    )
+    assert len(rec.rows) == 21
+    assert calls == {
+        "step": 20, "mix": 21, "allocate": 21, "desired_attitude": 21,
+        "sample": 6, "tick": 6,
+    }
 
 
 # A stubbed desired_attitude that never finds a thrust axis makes every
