@@ -19,7 +19,6 @@ from .config import (
     load_config,
 )
 from .control import (
-    PID,
     AttitudeGains,
     FlightController,
     PIDGains,

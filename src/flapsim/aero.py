@@ -171,17 +171,21 @@ def allocate(wing: WingConfig, wrench: Wrench) -> ActuatorCommand:
     amplitudes always respect the limits.
 
     Raises ValueError when an entry of D is zero; see :func:`singular_entry`.
+    The zero is found by the division it breaks, which raises only for
+    Python floats: a numpy scalar divided by zero gives inf instead.
     """
-    entry = singular_entry(wing)
-    if entry is not None:
-        raise ValueError(f"mixing matrix is singular: {entry} is zero")
     kf, ks = wing.k_thrust, wing.k_steer
     d1, d2, d3 = wing.lever_roll, wing.lever_pitch, wing.lever_yaw
     t1, t2, t3 = wrench.torque
-    a = wrench.thrust / kf
-    b = t1 / (kf * d1)
-    c = t2 / (kf * d2)
-    d = t3 / (ks * d3)
+    try:  # a float divided by 0.0 raises, so no entry is tested per call
+        a = wrench.thrust / kf
+        b = t1 / (kf * d1)
+        c = t2 / (kf * d2)
+        d = t3 / (ks * d3)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"mixing matrix is singular: {singular_entry(wing)} is zero"
+        ) from None
     raw = (
         0.25 * (a - b + c + d),
         0.25 * (a - b - c - d),

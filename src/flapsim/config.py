@@ -438,6 +438,16 @@ def config_from_dict(user: dict) -> SimConfig:
         elif round(ratio) < 1:
             errors.append("rates: measurement_hz must not exceed control_hz")
         _check_ticks(si["duration_s"], rates["control_hz"], errors)
+        # The tick aliases a faster vibration; with MAX_TICKS this also keeps
+        # the phase 2 pi f t of vibration_torque finite.
+        d = si["disturbance"]
+        if d is not None and d["vibration_amplitude_n_m"] > 0.0 and not (
+            d["vibration_frequency_hz"] < 0.5 * rates["control_hz"]
+        ):
+            errors.append(
+                "disturbance.vibration_frequency_hz: must lie below half of "
+                "rates.control_hz while vibration_amplitude_n_m is non-zero"
+            )
     if mode == "yaw-damping-compare" and user.get("comparison_vehicle") is None:
         errors.append("comparison_vehicle: required for mode yaw-damping-compare")
     vehicle = si["vehicle"] and _vehicle(si["vehicle"], si["disturbance"])

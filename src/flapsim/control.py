@@ -11,10 +11,13 @@ sin(theta_e / 2) a_e for the error rotation of angle theta_e about axis a_e,
 so the restoring torque always turns through at most 180 deg.  Both quaternion
 representatives of the same attitude command the same torque.
 
-Both outer loops run one per-axis PID with gravity feedforward toward a fixed
-setpoint,
+Both outer loops run the per-axis PID of ``pid_force`` with gravity
+feedforward toward a fixed setpoint,
 
     f_d = -Kp e - Kd rdot - Ki int(e) + m g n3 ,   e = r - r_sp .
+
+``pid_force`` is a pure function of its memory ``(integral, e_prev)``;
+``FlightController.memory`` holds that tuple between ticks.
 
 The position loop runs it on three axes and realizes the force vector by
 tilting: the desired body z axis is aligned with f_d while a reference
@@ -50,7 +53,7 @@ __all__ = [
     "attitude_torque",
     "thrust_magnitude",
     "desired_attitude",
-    "PID",
+    "pid_force",
     "FlightController",
 ]
 
@@ -152,39 +155,26 @@ def desired_attitude(
     return _shepperd(xx, yx, zx, xy, yy, zy, xz, yz, zz)
 
 
-class PID:
+def pid_force(gains: PIDGains, memory, r, rdot, r_sp, dt: float) -> tuple:
     """Per-axis PID force -kp e - kd rdot - ki int(e) with e = r - r_sp.
 
-    ``integral`` is the trapezoid-rule integral of e, clamped symmetrically
-    at ``gains.integral_limit``; it starts at zero, one entry per gain.
+    ``memory`` is ``(integral, e_prev)``, or None before the first tick,
+    which starts the integral at zero; the new memory is returned with the
+    force.  The integral is the trapezoid rule over e, clamped
+    symmetrically at ``gains.integral_limit``.
     """
-
-    def __init__(self, gains: PIDGains) -> None:
-        self.gains = gains
-        self.integral: tuple[float, ...] = (0.0,) * len(gains.kp)
-        self._e_prev: tuple[float, ...] | None = None
-
-    def force(
-        self,
-        r: tuple[float, ...],
-        rdot: tuple[float, ...],
-        r_sp: tuple[float, ...],
-        dt: float,
-    ) -> tuple[float, ...]:
-        e = tuple(map(sub, r, r_sp))
-        e_prev = e if self._e_prev is None else self._e_prev
-        g, h = self.gains, 0.5 * dt
-        limit = g.integral_limit
-        integral, f = [], []
-        # One loop over the axes: cheaper than a comprehension per quantity.
-        for kp, kd, ki, ek, v, p, i in zip(
-            g.kp, g.kd, g.ki, e, rdot, e_prev, self.integral
-        ):
-            i = min(max(i + h * (p + ek), -limit), limit)
-            integral.append(i)
-            f.append(-kp * ek - kd * v - ki * i)
-        self.integral, self._e_prev = tuple(integral), e
-        return tuple(f)
+    e = tuple(map(sub, r, r_sp))
+    integral, e_prev = memory or ((0.0,) * len(e), e)
+    h, limit = 0.5 * dt, gains.integral_limit
+    new_integral, f = [], []
+    # One loop over the axes: cheaper than a comprehension per quantity.
+    for kp, kd, ki, ek, v, p, i in zip(
+        gains.kp, gains.kd, gains.ki, e, rdot, e_prev, integral
+    ):
+        i = min(max(i + h * (p + ek), -limit), limit)
+        new_integral.append(i)
+        f.append(-kp * ek - kd * v - ki * i)
+    return tuple(f), (tuple(new_integral), e)
 
 
 class FlightController:
@@ -206,6 +196,8 @@ class FlightController:
     attitude law, leaving heading to the passive damping of the wings.  On a
     tick where ``desired_attitude`` returns None the PID has still advanced,
     and ``tick`` returns ``last_command`` itself, held for one tick.
+    ``memory`` and ``last_command`` are the controller's whole state between
+    ticks.
     """
 
     MODES = ("altitude-attitude", "position-hold")
@@ -220,9 +212,10 @@ class FlightController:
         self.mode = mode
         self.yaw_feedback = control.yaw_feedback
         self.weight = vehicle.weight
-        self.pid = PID(
+        self.pid_gains = (
             control.position if mode == "position-hold" else control.altitude
         )
+        self.memory: tuple | None = None  # pid_force's (integral, e_prev)
         self.last_command = ActuatorCommand((0.0, 0.0, 0.0, 0.0))
 
     def tick(
@@ -230,7 +223,9 @@ class FlightController:
     ) -> ActuatorCommand:
         q = est[7:11]
         if self.mode == "position-hold":
-            fx, fy, fz = self.pid.force(est[1:4], est[4:7], sp.position, dt)
+            (fx, fy, fz), self.memory = pid_force(
+                self.pid_gains, self.memory, est[1:4], est[4:7], sp.position, dt
+            )
             # The + 0.0 is on purpose: it turns a -0.0 in x or y into
             # +0.0, and the recorded runs depend on that sign.
             f_d = (fx + 0.0, fy + 0.0, fz + self.weight)
@@ -239,7 +234,9 @@ class FlightController:
                 return self.last_command
             thrust = thrust_magnitude(f_d, q)
         else:
-            (fz,) = self.pid.force(est[3:4], est[6:7], sp.position[2:], dt)
+            (fz,), self.memory = pid_force(
+                self.pid_gains, self.memory, est[3:4], est[6:7], sp.position[2:], dt
+            )
             thrust = fz + self.weight
             q_d = Quaternion.from_yaw(yaw)
 

@@ -23,7 +23,10 @@ Measured quaternions are flipped to the hemisphere of the previous sample
 before any filtering, so the stream stays continuous even if the source
 flips representation sign.  The estimator runs once per measurement; the
 run loop in :mod:`flapsim.scenarios` decides when one arrives and holds the
-last estimate in between (zero-order hold).
+last estimate in between (zero-order hold).  Everything it remembers between
+samples, both filters' states included, is the one tuple
+``Estimator.memory``; a fresh estimator given that tuple continues the same
+stream bit for bit.
 
 Measurement noise is deterministic for a given seed: position noise is white
 Gaussian per axis, attitude noise a small random rotation vector applied on
@@ -43,8 +46,6 @@ __all__ = [
     "FilterConfig",
     "MocapSample",
     "MocapSensor",
-    "LowPassDerivative",
-    "LowPass",
     "Estimator",
 ]
 
@@ -99,89 +100,61 @@ class MocapSensor:
         return MocapSample(position=position, attitude=attitude, t=state.t)
 
 
-class LowPassDerivative:
-    """Tustin discretization of lambda * s / (s + lambda) on float tuples.
-
-    With sample period T the recurrence is
-
-        y[k] = b0 * (x[k] - x[k-1]) - a1 * y[k-1]
-        b0 = 2 lambda / (2 + lambda T),  a1 = (lambda T - 2) / (2 + lambda T)
-
-    The first call primes the state and returns zeros of the input's size.
-    """
-
-    def __init__(self, corner: float, dt: float) -> None:
-        if corner <= 0.0 or dt <= 0.0:
-            raise ValueError("corner frequency and dt must be positive")
-        self.b0 = 2.0 * corner / (2.0 + corner * dt)
-        self.a1 = (corner * dt - 2.0) / (2.0 + corner * dt)
-        self._x_prev: tuple[float, ...] | None = None
-        self._y_prev: tuple[float, ...] | None = None
-
-    def update(self, x: tuple[float, ...]) -> tuple[float, ...]:
-        if self._x_prev is None:
-            self._x_prev, self._y_prev = x, (0.0,) * len(x)
-            return self._y_prev
-        b0, a1 = self.b0, self.a1
-        y = tuple([
-            b0 * (xk - xp) - a1 * yp for xk, xp, yp in zip(x, self._x_prev, self._y_prev)
-        ])
-        self._x_prev, self._y_prev = x, y
-        return y
-
-
-class LowPass:
-    """Tustin discretization of lambda / (s + lambda) on float tuples."""
-
-    def __init__(self, corner: float, dt: float) -> None:
-        if corner <= 0.0 or dt <= 0.0:
-            raise ValueError("corner frequency and dt must be positive")
-        ct = corner * dt
-        self.b0 = ct / (2.0 + ct)
-        self.a1 = (ct - 2.0) / (2.0 + ct)
-        self._x_prev: tuple[float, ...] | None = None
-        self._y_prev: tuple[float, ...] | None = None
-
-    def update(self, x: tuple[float, ...]) -> tuple[float, ...]:
-        if self._x_prev is None:
-            # Prime at the first input so a constant stream passes unchanged
-            # (exactly on this sample, up to rounding after it).
-            self._x_prev = self._y_prev = x
-            return x
-        b0, a1 = self.b0, self.a1
-        y = tuple([
-            b0 * (xk + xp) - a1 * yp for xk, xp, yp in zip(x, self._x_prev, self._y_prev)
-        ])
-        self._x_prev, self._y_prev = x, y
-        return y
-
-
 class Estimator:
     """Full-state estimate from a pose stream, updated once per measurement.
 
     Call :meth:`tick` with each :class:`MocapSample` as it arrives; the
-    caller holds the returned state until the next one.
+    caller holds the returned state until the next one.  ``memory`` is None
+    before the first sample, which primes zero difference, velocity and
+    rate, and then 17 floats: the previous quaternion (4) and position (3),
+    the previous position difference (3), the velocity output (3) and the
+    rate filter's output (4).
     """
 
     def __init__(self, config: FilterConfig) -> None:
-        self._dt = dt = config.measurement_dt
-        self._rate = LowPassDerivative(config.rate_corner, dt)
-        self._velocity = LowPass(config.velocity_corner, dt)
-        self._q_prev: Quaternion | None = None
-        self._r_prev: tuple[float, ...] | None = None
+        dt, corner = config.measurement_dt, config.rate_corner
+        if corner <= 0.0 or config.velocity_corner <= 0.0 or dt <= 0.0:
+            raise ValueError("corner frequencies and dt must be positive")
+        self._dt = dt
+        # Tustin: y[k] = b0 (x[k] - x[k-1]) - a1 y[k-1] for the rate filter,
+        # y[k] = b0 (x[k] + x[k-1]) - a1 y[k-1] for the velocity filter.
+        self._rate_b0 = 2.0 * corner / (2.0 + corner * dt)
+        self._rate_a1 = (corner * dt - 2.0) / (2.0 + corner * dt)
+        ct = config.velocity_corner * dt
+        self._velocity_b0 = ct / (2.0 + ct)
+        self._velocity_a1 = (ct - 2.0) / (2.0 + ct)
+        self.memory: tuple[float, ...] | None = None
         self.scalar_residual = 0.0  # diagnostic, see module docstring
 
     def tick(self, sample: MocapSample) -> VehicleState:
-        q, position, dt = sample.attitude.normalized(), sample.position, self._dt
-        if self._q_prev is None:
-            diff = (0.0, 0.0, 0.0)
+        qw, qx, qy, qz = sample.attitude.normalized()
+        rx, ry, rz = sample.position
+        if self.memory is None:
+            dx = dy = dz = vx = vy = vz = yw = yx = yy = yz = 0.0
         else:
-            if q.dot(self._q_prev) < 0.0:
-                q = -q
-            diff = tuple([(r - rp) / dt for r, rp in zip(position, self._r_prev)])
-        self._q_prev, self._r_prev = q, position
-        velocity = self._velocity.update(diff)
-        prod = q.conjugate() * Quaternion(*self._rate.update(q))
-        self.scalar_residual = 2.0 * prod.w
-        omega = 2.0 * prod.x, 2.0 * prod.y, 2.0 * prod.z
-        return VehicleState(sample.t, *position, *velocity, *q, *omega)
+            (pw, px, py, pz, prx, pry, prz, pdx, pdy, pdz,
+             vx, vy, vz, yw, yx, yy, yz) = self.memory
+            if qw * pw + qx * px + qy * py + qz * pz < 0.0:
+                qw, qx, qy, qz = -qw, -qx, -qy, -qz
+            dt = self._dt
+            dx, dy, dz = (rx - prx) / dt, (ry - pry) / dt, (rz - prz) / dt
+            b0, a1 = self._velocity_b0, self._velocity_a1
+            vx = b0 * (dx + pdx) - a1 * vx
+            vy = b0 * (dy + pdy) - a1 * vy
+            vz = b0 * (dz + pdz) - a1 * vz
+            b0, a1 = self._rate_b0, self._rate_a1
+            yw = b0 * (qw - pw) - a1 * yw
+            yx = b0 * (qx - px) - a1 * yx
+            yy = b0 * (qy - py) - a1 * yy
+            yz = b0 * (qz - pz) - a1 * yz
+        self.memory = (qw, qx, qy, qz, rx, ry, rz, dx, dy, dz,
+                       vx, vy, vz, yw, yx, yy, yz)
+        # q^-1 * y as the Hamilton product of the conjugate, operand by operand.
+        cx, cy, cz = -qx, -qy, -qz
+        self.scalar_residual = 2.0 * (qw * yw - cx * yx - cy * yy - cz * yz)
+        return VehicleState(
+            sample.t, rx, ry, rz, vx, vy, vz, qw, qx, qy, qz,
+            2.0 * (qw * yx + cx * yw + cy * yz - cz * yy),
+            2.0 * (qw * yy - cx * yz + cy * yw + cz * yx),
+            2.0 * (qw * yz + cx * yy - cy * yx + cz * yw),
+        )

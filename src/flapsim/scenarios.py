@@ -164,7 +164,8 @@ def metrics_from_rows(rows: np.ndarray) -> dict[str, float]:
     err = rows[:, _COL["sp_x_m"] : _COL["sp_z_m"] + 1] - rows[
         :, _COL["pos_x_m"] : _COL["pos_z_m"] + 1
     ]
-    err_norm2 = (err**2).sum(axis=1)
+    with np.errstate(over="ignore"):  # a diverged run's error may overflow
+        err_norm2 = (err**2).sum(axis=1)
     metrics: dict[str, float] = {}
     metrics["rms_position_error_m"] = float(math.sqrt(err_norm2.mean()))
     window = t >= t[-1] - 2.0
@@ -291,7 +292,13 @@ def _simulate(config: SimConfig, vehicle: VehicleParams) -> tuple[np.ndarray, in
         buf.frombytes(_row(state, euler, est, est_euler, sp, wrench, command))
         if k == n_steps:
             break
-        state = step(state, wrench, vehicle, dt)
+        try:
+            state = step(state, wrench, vehicle, dt)
+        except ValueError:
+            if all(map(math.isfinite, (wrench.thrust, *wrench.torque))):
+                raise
+            status = 2  # a non-finite wrench: the row above is the last
+            break
         if _diverged(state):
             euler = _euler_zyx(*state[7:11])
             buf.frombytes(_row(state, euler, est, est_euler, sp, wrench, command))
@@ -307,9 +314,10 @@ def run_scenario(
 
     ``seed`` and ``duration`` override the config values through
     ``config.with_run``, which checks them.  A diverged run (non-finite
-    state or position norm beyond 10 m) stops early and is returned with
-    status 2 and the rows recorded so far.  In ``yaw-damping-compare`` a
-    divergence of the comparison pass also sets status 2.
+    state or wrench, or position norm beyond 10 m) stops early and is
+    returned with status 2 and the rows recorded so far.  In
+    ``yaw-damping-compare`` a divergence of the comparison pass also sets
+    status 2.
     """
     config = config.with_run(seed, duration)
     rows, status = _simulate(config, config.vehicle)

@@ -201,8 +201,10 @@ def attitude_torque(q, q_desired, omega, gains) -> tuple[float, ...]:
 
 
 def tustin_derivative(b0: float, a1: float, xs) -> list[tuple[float, ...]]:
-    """The outputs of ``estimation.LowPassDerivative.update`` over the
-    stream ``xs``, each step a generator-fed tuple."""
+    """The Tustin lambda s / (s + lambda) of the estimator's rate filter
+    over the stream ``xs``, primed to zeros, each step a generator-fed
+    tuple: the loop of the filter class the estimator's recurrence
+    replaced."""
     x_prev = y_prev = None
     out = []
     for x in xs:
@@ -216,8 +218,10 @@ def tustin_derivative(b0: float, a1: float, xs) -> list[tuple[float, ...]]:
 
 
 def tustin_lowpass(b0: float, a1: float, xs) -> list[tuple[float, ...]]:
-    """The outputs of ``estimation.LowPass.update`` over the stream ``xs``,
-    each step a generator-fed tuple."""
+    """The Tustin lambda / (s + lambda) of the estimator's velocity filter
+    over the stream ``xs``, primed at its first input, each step a
+    generator-fed tuple: the loop of the filter class the estimator's
+    recurrence replaced."""
     x_prev = y_prev = None
     out = []
     for x in xs:

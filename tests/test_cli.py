@@ -63,6 +63,43 @@ def test_run_reports_divergence(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, key, value, extra",
+    [
+        ("hover.cfg", ("control", "attitude_k1_n_m"), [1.7e308] * 3, {}),
+        ("position_hold.cfg", ("estimation", "position_noise_std_mm"), 1.7e308, {}),
+        (
+            "ballistic.cfg",
+            ("vehicle", "wing", "k_thrust_n_per_v"),
+            1.7e308,
+            {"open_loop": {"command_v": [130.0] * 4}},
+        ),
+    ],
+    ids=["attitude-gain", "position-noise", "open-loop-thrust-gain"],
+)
+def test_a_non_finite_wrench_ends_the_run_with_status_2(
+    tmp_path, capsys, scenario, key, value, extra
+):
+    """A controller or a drive that gives a non-finite wrench ended in a
+    ``non-finite wrench`` traceback from ``step``.  The run now stops at the
+    last row recorded, exits 2 and its CSV reads back."""
+    raw = read_raw(bundled_config_path(scenario))
+    raw.update(extra)
+    *sections, leaf = key
+    node = raw
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[leaf] = value
+    cfg, out = tmp_path / "big.cfg", tmp_path / "big.csv"
+    cfg.write_text(yaml.safe_dump(raw))
+    code = main(["run", str(cfg), "--out", str(out), "--duration", "0.05"])
+    assert code == EXIT_DIVERGED
+    assert "run diverged" in capsys.readouterr().err
+    rows = read_csv(out)
+    assert 1 <= len(rows) < 101
+    assert np.isfinite(rows[:, :14]).all()
+
+
 def test_run_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("name: bad\nmode: sideways\n")

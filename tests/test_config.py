@@ -356,6 +356,10 @@ def test_non_finite_numbers_rejected(path, text):
 
 # One row per message template: the input and the exact message list.  The
 # texts are those of earlier releases except where noted.
+_VIBRATION_ALIASED = (
+    "disturbance.vibration_frequency_hz: must lie below half of rates.control_hz "
+    "while vibration_amplitude_n_m is non-zero"
+)
 MESSAGES = {
     "root": ([1, 2], ["config root must be a mapping"]),
     "unknown-key": (minimal(turbo=True), ["turbo: unknown key"]),
@@ -520,6 +524,21 @@ MESSAGES = {
         minimal(vehicle={"wing": {"stroke_inclination_deg": 90.0}}),
         ["vehicle.wing.stroke_inclination_deg: must lie in [0, 90) deg"],
     ),
+    # The tick aliases the vibration; at 1.7e308 Hz its phase 2 pi f t was
+    # inf and vibration_torque raised "math domain error".
+    "vibration-at-nyquist": (
+        minimal(
+            rates={"control_hz": 500.0, "measurement_hz": 125.0},
+            disturbance={"vibration_amplitude_n_m": 2e-5, "vibration_frequency_hz": 250.0},
+        ),
+        [_VIBRATION_ALIASED],
+    ),
+    "vibration-huge": (
+        minimal(
+            disturbance={"vibration_amplitude_n_m": 2e-5, "vibration_frequency_hz": 1.7e308}
+        ),
+        [_VIBRATION_ALIASED],
+    ),
 }
 
 
@@ -529,6 +548,14 @@ def test_error_messages(case):
     with pytest.raises(ConfigError) as info:
         config_from_dict(copy.deepcopy(raw))
     assert info.value.errors == expected
+
+
+def test_vibration_frequency_is_checked_only_with_a_vibration():
+    """Below the Nyquist rate of the tick a vibration is accepted; without a
+    vibration its frequency is never used, so it is not checked."""
+    shaken = {"vibration_amplitude_n_m": 2e-5, "vibration_frequency_hz": 999.9}
+    config_from_dict(minimal(disturbance=shaken))
+    config_from_dict(minimal(disturbance={"vibration_frequency_hz": 1.7e308}))
 
 
 def test_attitude_noise_may_reach_half_a_turn():

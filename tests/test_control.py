@@ -18,13 +18,13 @@ from flapsim.config import (
 import oracles
 from flapsim import control
 from flapsim.control import (
-    PID,
     AttitudeGains,
     FlightController,
     PIDGains,
     Setpoint,
     attitude_torque,
     desired_attitude,
+    pid_force,
     thrust_magnitude,
 )
 from flapsim.dynamics import VehicleState, step
@@ -153,10 +153,12 @@ def test_position_force_matches_law_with_zero_feedforward(states, r_sp, kp, kd, 
     """Bit for bit, signed zeros included, the former law with zero velocity
     and acceleration feedforward, over a sequence of ticks."""
     dt = 5e-4
-    pid = PID(PIDGains(*(tuple(k.tolist()) for k in (kp, kd, ki)), 0.05))
+    gains, memory = PIDGains(*(tuple(k.tolist()) for k in (kp, kd, ki)), 0.05), None
     integ = oracles._Integrator(3, 0.05)
     for position, velocity in states:
-        f = pid.force(*(tuple(v.tolist()) for v in (position, velocity, r_sp)), dt)
+        f, memory = pid_force(
+            gains, memory, *(tuple(v.tolist()) for v in (position, velocity, r_sp)), dt
+        )
         e = position - r_sp
         edot = velocity - np.zeros(3)
         expect = -kp * e - kd * edot - ki * integ.advance(e, dt)
@@ -177,14 +179,16 @@ def zero_gains(n: int, limit: float) -> PIDGains:
 
 @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1.0), _errors)
 def test_integrator_matches_numpy_oracle(limit, dt, errors):
-    """``PID.integral`` equals, bit for bit and sign bits included, the numpy
-    integrator, clamped or not, at the sizes the altitude and position loops
-    use.  With a zero setpoint the error is the position itself."""
+    """The integral in ``pid_force``'s memory equals, bit for bit and sign
+    bits included, the numpy integrator, clamped or not, at the sizes the
+    altitude and position loops use.  With a zero setpoint the error is the
+    position itself."""
     n = len(errors[0])
-    pid, oracle = PID(zero_gains(n, limit)), oracles._Integrator(n, limit)
+    gains, memory = zero_gains(n, limit), None
+    oracle = oracles._Integrator(n, limit)
     for e in errors:
-        pid.force(e, (0.0,) * n, (0.0,) * n, dt)
-        got, want = pid.integral, oracle.advance(np.array(e), dt)
+        _, memory = pid_force(gains, memory, e, (0.0,) * n, (0.0,) * n, dt)
+        got, want = memory[0], oracle.advance(np.array(e), dt)
         assert all(type(v) is float for v in got)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -204,14 +208,14 @@ _gain = st.floats(0.0, 1e3)
 def test_one_axis_pid_is_the_z_axis_of_three(kp, kd, ki, limit, dt, ticks):
     """The altitude loop's 1-axis PID equals, bit for bit, the z component of
     the position loop's 3-axis PID with the same z gains."""
-    three = PID(PIDGains(kp, kd, ki, limit))
-    one = PID(PIDGains(kp[2:], kd[2:], ki[2:], limit))
+    three, one = PIDGains(kp, kd, ki, limit), PIDGains(kp[2:], kd[2:], ki[2:], limit)
+    three_memory = one_memory = None
     for r, rdot, r_sp in ticks:
-        (fz,) = one.force(r[2:], rdot[2:], r_sp[2:], dt)
-        want = three.force(r, rdot, r_sp, dt)[2]
-        assert fz == want
-        assert math.copysign(1.0, fz) == math.copysign(1.0, want)
-        assert one.integral == three.integral[2:]
+        (fz,), one_memory = pid_force(one, one_memory, r[2:], rdot[2:], r_sp[2:], dt)
+        f, three_memory = pid_force(three, three_memory, r, rdot, r_sp, dt)
+        assert fz == f[2]
+        assert math.copysign(1.0, fz) == math.copysign(1.0, f[2])
+        assert one_memory[0] == three_memory[0][2:]
 
 
 def test_thrust_projection():
@@ -290,16 +294,19 @@ def test_position_hover_feedforward():
 def test_position_proportional_and_derivative_terms():
     kp = (1.5e-3, 1.5e-3, 2.4e-3)
     kd = (6.8e-4, 6.8e-4, 9.5e-4)
-    pid = PID(PIDGains(kp=kp, kd=kd, ki=(0.0, 0.0, 0.0), integral_limit=1.0))
-    f = pid.force((0.02, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 0.0), 5e-4)
+    gains = PIDGains(kp=kp, kd=kd, ki=(0.0, 0.0, 0.0), integral_limit=1.0)
+    f, _ = pid_force(gains, None, (0.02, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 0.0), 5e-4)
     assert f == pytest.approx([-kp[0] * 0.02, -kd[1] * 0.1, 0.0], rel=1e-12)
 
 
 def test_integrator_clamp():
-    pid = PID(PIDGains((0.0,) * 3, (0.0,) * 3, (1.0,) * 3, integral_limit=0.01))
+    gains = PIDGains((0.0,) * 3, (0.0,) * 3, (1.0,) * 3, integral_limit=0.01)
+    memory = None
     for _ in range(100):
-        f = pid.force((1.0, -1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0)
-    assert pid.integral == (0.01, -0.01, 0.0)
+        f, memory = pid_force(
+            gains, memory, (1.0, -1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0
+        )
+    assert memory[0] == (0.01, -0.01, 0.0)
     # ki = 1 makes the integral term visible directly in the force
     assert f[0] == pytest.approx(-0.01)
     assert f[1] == pytest.approx(0.01)
@@ -307,10 +314,10 @@ def test_integrator_clamp():
 
 def simulate_altitude(controller_mass, plant_mass, ki, t_end, z_ref=0.3):
     """Scalar vertical plant under the altitude loop, forward Euler."""
-    pid = PID(PIDGains(kp=(2.4e-3,), kd=(9.5e-4,), ki=(ki,), integral_limit=0.5))
-    z, zdot, dt = 0.0, 0.0, 1e-3
+    gains = PIDGains(kp=(2.4e-3,), kd=(9.5e-4,), ki=(ki,), integral_limit=0.5)
+    memory, z, zdot, dt = None, 0.0, 0.0, 1e-3
     for _ in range(int(t_end / dt)):
-        (fz,) = pid.force((z,), (zdot,), (z_ref,), dt)
+        (fz,), memory = pid_force(gains, memory, (z,), (zdot,), (z_ref,), dt)
         f = max(0.0, fz + controller_mass * G)
         zddot = f / plant_mass - G
         zdot += zddot * dt
@@ -332,16 +339,16 @@ def test_altitude_integrator_removes_droop():
     assert abs(err) < 1e-4
 
 
-def flight_controller(mode="altitude-attitude", yaw_feedback=False):
+def flight_controller(mode="altitude-attitude", yaw_feedback=False, ki=(0.0, 0.0, 0.0)):
     control = ControlParams(
         attitude=gains(),
         position=PIDGains(
             kp=(1.5e-3, 1.5e-3, 2.4e-3),
             kd=(6.8e-4, 6.8e-4, 9.5e-4),
-            ki=(0.0, 0.0, 0.0),
+            ki=ki,
             integral_limit=0.05,
         ),
-        altitude=PIDGains(kp=(2.4e-3,), kd=(9.5e-4,), ki=(0.0,), integral_limit=0.5),
+        altitude=PIDGains(kp=(2.4e-3,), kd=(9.5e-4,), ki=ki[2:], integral_limit=0.5),
         yaw_feedback=yaw_feedback,
         feedback="estimated",
     )
@@ -425,6 +432,47 @@ def test_tick_holds_last_command_on_degeneracy():
     # position error chosen so the proportional term cancels the weight
     held = ctrl.tick(VehicleState(z=0.3 + WEIGHT / 2.4e-3), 0.0, sp, 5e-4)
     assert held is good
+
+
+# Estimates near the setpoint (0, 0, 0.3), and one whose height error makes
+# the position loop's force vanish, so that the tick holds its last command.
+_HOLD = VehicleState(z=0.3 + WEIGHT / 2.4e-3)
+_estimate = st.one_of(
+    st.just(_HOLD),
+    st.tuples(
+        st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        _quaternion,
+        st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+    ).map(lambda s: VehicleState(0.0, s[0][0], s[0][1], s[0][2] + 0.3, *s[1], *s[2], *s[3])),
+)
+
+
+@given(
+    st.sampled_from(FlightController.MODES),
+    st.booleans(),
+    st.lists(st.tuples(_estimate, st.floats(-4.0, 4.0)), min_size=1, max_size=12),
+    st.data(),
+)
+def test_a_fresh_controller_given_the_memory_continues_bit_for_bit(
+    mode, yaw_feedback, ticks, data
+):
+    """``memory`` and ``last_command`` are the controller's whole state: a
+    fresh controller handed another's at tick k commands the same from
+    there on, held ticks included."""
+    ki = (2e-4, 2e-4, 1e-4)
+    sp = Setpoint(position=(0.0, 0.0, 0.3))
+    k = data.draw(st.integers(0, len(ticks)))
+    a = flight_controller(mode, yaw_feedback, ki)
+    for est, yaw in ticks[:k]:
+        a.tick(est, yaw, sp, 5e-4)
+    b = flight_controller(mode, yaw_feedback, ki)
+    b.memory, b.last_command = a.memory, a.last_command
+    for est, yaw in ticks[k:]:
+        got, want = b.tick(est, yaw, sp, 5e-4), a.tick(est, yaw, sp, 5e-4)
+        assert oracles.bits(got.amplitudes) == oracles.bits(want.amplitudes)
+        assert got.saturated == want.saturated
+        assert oracles.bits(b.memory[0]) == oracles.bits(a.memory[0])
 
 
 def test_controller_rejects_unknown_mode():

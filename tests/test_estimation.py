@@ -1,8 +1,9 @@
-"""Pose sensor, derivative filters and the multi-rate estimator.
+"""Pose sensor and the multi-rate estimator.
 
-The discrete filters are verified against a difference-equation recursion
-written out independently in this file, and against continuous-time
-expectations (DC gain, ramp response, corner attenuation).
+The estimator's two discrete filters, read from its ``memory``, are verified
+against a difference-equation recursion written out independently in this
+file, against the numpy and generator-loop oracles, and against
+continuous-time expectations (DC gain, ramp response, corner attenuation).
 """
 
 import math
@@ -15,8 +16,6 @@ from hypothesis import strategies as st
 from flapsim.estimation import (
     Estimator,
     FilterConfig,
-    LowPass,
-    LowPassDerivative,
     MocapSample,
     MocapSensor,
 )
@@ -41,6 +40,10 @@ def filter_config(**overrides) -> FilterConfig:
     return FilterConfig(**base)
 
 
+def pose(position=(0.0, 0.0, 0.0), attitude=Quaternion()):
+    return MocapSample(position=position, attitude=attitude, t=0.0)
+
+
 def reference_derivative_filter(xs, corner, dt):
     """The published recurrence, recomputed from scratch."""
     b0 = 2.0 * corner / (2.0 + corner * dt)
@@ -51,47 +54,59 @@ def reference_derivative_filter(xs, corner, dt):
     return np.array(ys)
 
 
+def rate_filter_stream(est, attitudes):
+    """The rate filter's input (the stored quaternion) and output, as two
+    (n, 4) arrays, over the samples of ``attitudes``."""
+    stored, filtered = [], []
+    for q in attitudes:
+        est.tick(pose(attitude=q))
+        stored.append(est.memory[:4])
+        filtered.append(est.memory[13:])
+    return np.array(stored), np.array(filtered)
+
+
 def test_derivative_filter_matches_reference():
+    """The rate filter is the published recurrence, per quaternion component."""
     rng = np.random.default_rng(41)
-    xs = rng.standard_normal(300)
-    filt = LowPassDerivative(RATE_CORNER, DT)
-    got = np.array([filt.update([x])[0] for x in xs])
-    assert np.max(np.abs(got - reference_derivative_filter(xs, RATE_CORNER, DT))) < 1e-12
+    attitudes = [Quaternion(*v) for v in rng.standard_normal((300, 4)).tolist()]
+    stored, filtered = rate_filter_stream(Estimator(filter_config()), attitudes)
+    for i in range(4):
+        want = reference_derivative_filter(stored[:, i], RATE_CORNER, DT)
+        assert np.max(np.abs(filtered[:, i] - want)) < 1e-12
 
 
-def test_derivative_filter_linearity():
+def test_velocity_filter_linearity():
+    """The velocity path, a band-limited derivative of position, is linear
+    in the position stream."""
     rng = np.random.default_rng(42)
-    a = rng.standard_normal(200)
-    b = rng.standard_normal(200)
-    fa = LowPassDerivative(RATE_CORNER, DT)
-    fb = LowPassDerivative(RATE_CORNER, DT)
-    fab = LowPassDerivative(RATE_CORNER, DT)
+    a, b = rng.standard_normal((2, 200, 3))
+    fa, fb, fab = (Estimator(filter_config()) for _ in range(3))
     for xa, xb in zip(a, b):
-        ya = fa.update([xa])[0]
-        yb = fb.update([xb])[0]
-        yab = fab.update([xa + xb])[0]
-        assert yab == pytest.approx(ya + yb, abs=1e-12)
+        ya = np.array(fa.tick(pose(tuple(xa)))[4:7])
+        yb = np.array(fb.tick(pose(tuple(xb)))[4:7])
+        yab = np.array(fab.tick(pose(tuple(xa + xb)))[4:7])
+        assert yab == pytest.approx(ya + yb, abs=1e-9)
 
 
 def test_derivative_filter_ramp():
-    """A ramp of slope 0.1 settles to derivative 0.1 within 1%."""
-    filt = LowPassDerivative(VEL_CORNER, DT)
-    y = 0.0
+    """A slow yaw spin makes q_z = sin(0.1 t) a ramp of slope 0.1 to 0.4 %
+    over 0.8 s; its filtered derivative settles to 0.1 within 1 %."""
+    est = Estimator(filter_config(rate_corner=VEL_CORNER))
     for k in range(400):
-        y = filt.update([0.1 * k * DT])[0]
-    assert y == pytest.approx(0.1, rel=1e-2)
+        est.tick(pose(attitude=Quaternion.from_yaw(0.2 * k * DT)))
+    assert est.memory[16] == pytest.approx(0.1, rel=1e-2)
 
 
 def test_derivative_filter_corner_attenuation():
-    """At the corner frequency the gain is 2 pi f / sqrt(2), Tustin-warped."""
+    """At the corner frequency the gain is 2 pi f / sqrt(2), Tustin-warped.
+    The input is the z component of unit quaternions, 0.1 sin(2 pi f t)."""
     f = 30.0
     corner = 2.0 * math.pi * f
-    filt = LowPassDerivative(corner, DT)
     n = 2000
-    t = np.arange(n) * DT
-    xs = np.sin(2.0 * math.pi * f * t)
-    ys = np.array([filt.update([x])[0] for x in xs])
-    measured = np.max(np.abs(ys[n // 2 :]))
+    s = 0.1 * np.sin(2.0 * math.pi * f * np.arange(n) * DT)
+    attitudes = [Quaternion(math.sqrt(1.0 - v * v), 0.0, 0.0, v) for v in s.tolist()]
+    _, filtered = rate_filter_stream(Estimator(filter_config(rate_corner=corner)), attitudes)
+    measured = np.max(np.abs(filtered[n // 2 :, 3])) / 0.1
     # discrete-time gain of the Tustin filter at z = exp(j w dt)
     z = np.exp(1j * 2.0 * math.pi * f * DT)
     b0 = 2.0 * corner / (2.0 + corner * DT)
@@ -101,28 +116,37 @@ def test_derivative_filter_corner_attenuation():
 
 
 def test_low_pass_dc_gain():
-    filt = LowPass(VEL_CORNER, DT)
-    y = 0.0
-    for _ in range(50):
-        y = filt.update([3.7])[0]
-    assert y == pytest.approx(3.7, abs=1e-12)
+    """A constant velocity passes the velocity filter at unit gain.  At the
+    dyadic period 2^-9 s every position difference is exactly 3.75 m/s."""
+    dt = 2.0**-9
+    est = Estimator(filter_config(measurement_dt=dt))
+    for k in range(300):
+        v = est.tick(pose((3.75 * k * dt, 0.0, 0.0)))[4]
+    assert v == pytest.approx(3.75, abs=1e-12)
 
 
 @given(
     st.floats(1e-1, 1e4),
-    st.floats(1e-5, 1e-1),
-    st.tuples(*[st.floats(-1e6, 1e6)] * 3).map(np.array),
+    st.integers(4, 17).map(lambda j: 2.0**-j),
+    st.tuples(*[st.integers(-(2**40), 2**40)] * 3),
+    st.integers(-30, 30),
 )
-def test_low_pass_passes_a_constant_stream(corner, dt, x):
-    """A constant input comes out unchanged: exactly on the priming sample,
-    then up to the rounding of one update (4 ulp of x) divided by the
-    filter's settling margin 1 - |a1|."""
-    filt = LowPass(corner, dt)
-    assert np.array_equal(filt.update(x), x)
+def test_low_pass_passes_a_constant_stream(corner, dt, mantissas, exponent):
+    """A constant velocity x comes out of the velocity filter up to the
+    rounding of one update (4 ulp of x) divided by the filter's settling
+    margin 1 - |a1|.  The filter starts settled on x, from a memory with x
+    as its last difference and output; x and T are dyadic, so every
+    position difference is exactly x."""
+    x = np.ldexp(np.array(mantissas, dtype=float), exponent)
+    est = Estimator(filter_config(velocity_corner=corner, measurement_dt=dt))
+    est.memory = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *x.tolist(), *x.tolist(),
+                  0.0, 0.0, 0.0, 0.0)
+    a1 = (corner * dt - 2.0) / (2.0 + corner * dt)
     tiny = np.finfo(float).smallest_subnormal
-    bound = 4.0 * (np.finfo(float).eps * np.abs(x) + tiny) / (1.0 - abs(filt.a1))
-    for _ in range(100):
-        assert np.all(np.abs(filt.update(x) - x) <= bound)
+    bound = 4.0 * (np.finfo(float).eps * np.abs(x) + tiny) / (1.0 - abs(a1))
+    for k in range(1, 101):
+        v = est.tick(pose(tuple((k * x * dt).tolist())))[4:7]
+        assert np.all(np.abs(np.array(v) - x) <= bound)
 
 
 _corner = st.floats(1e-1, 1e4)
@@ -130,6 +154,10 @@ _dt = st.floats(1e-5, 1e-1)
 # Finite entries, signed zeros and subnormals included, small enough that no
 # filter overflows.
 _entry = st.floats(-1e100, 1e100)
+_unit = st.floats(-1.0, 1.0)
+_quaternion = st.tuples(_unit, _unit, _unit, _unit).filter(
+    lambda v: math.hypot(*v) > 1e-3
+).map(lambda v: Quaternion(*v).normalized())
 
 
 def _streams(*sizes):
@@ -147,43 +175,90 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@given(_corner, _dt, _streams(3, 4))
-def test_low_pass_matches_numpy_oracle(corner, dt, xs):
-    filt, oracle = LowPass(corner, dt), oracles.LowPass(corner, dt, len(xs[0]))
-    for x in xs:
-        assert_same_bits(filt.update(x), oracle.update(np.array(x)))
+def aligned(attitudes):
+    """The normalized stream, each flipped to the hemisphere of the one
+    before it, as the estimator stores it."""
+    out = []
+    for q in attitudes:
+        q = q.normalized()
+        if out and q.dot(out[-1]) < 0.0:
+            q = -q
+        out.append(q)
+    return out
 
 
-@given(_corner, _dt, _streams(3, 4))
-def test_derivative_filter_matches_numpy_oracle(corner, dt, xs):
-    filt = LowPassDerivative(corner, dt)
-    oracle = oracles.LowPassDerivative(corner, dt, len(xs[0]))
-    for x in xs:
-        assert_same_bits(filt.update(x), oracle.update(np.array(x)))
+@given(_corner, _dt, st.lists(st.tuples(_quaternion, st.booleans()), min_size=1, max_size=20))
+def test_derivative_filter_matches_numpy_oracle(corner, dt, stream):
+    """Over unit quaternions with random sign flips, the rate filter equals
+    the numpy Tustin derivative of the hemisphere-aligned stream, and the
+    rate columns equal 2 q^-1 * y through ``Quaternion``, bit for bit."""
+    est = Estimator(filter_config(rate_corner=corner, measurement_dt=dt))
+    oracle = oracles.LowPassDerivative(corner, dt, 4)
+    attitudes = [-q if flip else q for q, flip in stream]
+    for q, q_aligned in zip(attitudes, aligned(attitudes)):
+        omega = est.tick(pose(attitude=q))[11:]
+        assert oracles.bits(est.memory[:4]) == oracles.bits(q_aligned)
+        y = est.memory[13:]
+        assert_same_bits(y, oracle.update(np.array(q_aligned)))
+        prod = q_aligned.conjugate() * Quaternion(*y)
+        assert oracles.bits(omega) == oracles.bits([2.0 * v for v in prod[1:]])
+        assert oracles.bits([est.scalar_residual]) == oracles.bits([2.0 * prod.w])
 
 
 # Any float, with signed zeros drawn often.
 _any_entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
 
 
-@given(_corner, _dt, st.sampled_from([3, 4]).flatmap(
-    lambda n: st.lists(st.tuples(*[_any_entry] * n), min_size=1, max_size=20)
+@given(_corner, _corner, _dt, st.lists(
+    st.tuples(st.tuples(*[_any_entry] * 3), _quaternion), min_size=1, max_size=20
 ))
-def test_filters_match_the_generator_loop(corner, dt, xs):
-    """Both filters' list-built tuples hold the bits of the generator loop,
-    -0.0, infinities and NaN included."""
-    for filt, oracle in (
-        (LowPassDerivative(corner, dt), oracles.tustin_derivative),
-        (LowPass(corner, dt), oracles.tustin_lowpass),
-    ):
-        want = oracle(filt.b0, filt.a1, xs)
-        got = [filt.update(x) for x in xs]
-        assert all(type(y) is tuple for y in got)
-        assert oracles.bits(got) == oracles.bits(want)
+def test_filters_match_the_generator_loop(rate_corner, velocity_corner, dt, stream):
+    """Both recurrences of ``Estimator.tick`` hold the bits of the generator
+    loops: the velocity filter over the position differences (zero on the
+    first sample) of any positions, -0.0, infinities and NaN included, and
+    the rate filter over the stored quaternions."""
+    est = Estimator(filter_config(
+        rate_corner=rate_corner, velocity_corner=velocity_corner, measurement_dt=dt
+    ))
+    velocity = oracles.LowPass(velocity_corner, dt, 3)
+    rate = oracles.LowPassDerivative(rate_corner, dt, 4)
+    diffs, got_velocity, got_rate = [], [], []
+    for k, (position, q) in enumerate(stream):
+        got_velocity.append(est.tick(pose(position, q))[4:7])
+        got_rate.append(est.memory[13:])
+        previous = stream[k - 1][0] if k else position
+        diffs.append(tuple([(r - rp) / dt if k else 0.0
+                            for r, rp in zip(position, previous)]))
+    want_velocity = oracles.tustin_lowpass(velocity.b0, velocity.a1, diffs)
+    assert oracles.bits(got_velocity) == oracles.bits(want_velocity)
+    stored = aligned([q for _, q in stream])
+    want_rate = oracles.tustin_derivative(rate.b0, rate.a1, stored)
+    assert oracles.bits(got_rate) == oracles.bits(want_rate)
 
 
-def pose(position=(0.0, 0.0, 0.0), attitude=Quaternion()):
-    return MocapSample(position=position, attitude=attitude, t=0.0)
+@given(_corner, _corner, _dt, st.lists(
+    st.tuples(st.tuples(*[_any_entry] * 3), _quaternion), min_size=1, max_size=20
+), st.data())
+def test_a_fresh_estimator_given_the_memory_continues_bit_for_bit(
+    rate_corner, velocity_corner, dt, stream, data
+):
+    """``memory`` is the estimator's whole state: a fresh estimator handed
+    another's memory at sample k gives the same estimates from there on."""
+    config = filter_config(
+        rate_corner=rate_corner, velocity_corner=velocity_corner, measurement_dt=dt
+    )
+    k = data.draw(st.integers(0, len(stream)))
+    a = Estimator(config)
+    for position, q in stream[:k]:
+        a.tick(pose(position, q))
+    b = Estimator(config)
+    b.memory = a.memory
+    for position, q in stream[k:]:
+        assert oracles.bits(a.tick(pose(position, q))) == oracles.bits(
+            b.tick(pose(position, q))
+        )
+        assert oracles.bits([a.scalar_residual]) == oracles.bits([b.scalar_residual])
+        assert oracles.bits(a.memory) == oracles.bits(b.memory)
 
 
 @given(_corner, _dt, _streams(3))
@@ -293,6 +368,12 @@ def spin_samples(n, rate=2.0, flip_from=None):
     return out
 
 
+@pytest.mark.parametrize("key", ["rate_corner", "velocity_corner", "measurement_dt"])
+def test_estimator_rejects_a_non_positive_corner_or_period(key):
+    with pytest.raises(ValueError, match="must be positive"):
+        Estimator(filter_config(**{key: 0.0}))
+
+
 def test_estimator_hemisphere_continuity():
     """Sign flips in the incoming stream do not disturb any estimate."""
     plain = Estimator(filter_config())
@@ -305,7 +386,7 @@ def test_estimator_hemisphere_continuity():
         assert abs(abs(qa.dot(qb)) - 1.0) < 1e-15
         # consecutive stored attitudes never jump hemispheres
         if k > 0:
-            assert flipped._q_prev.dot(qb) >= 0.0
+            assert Quaternion(*flipped.memory[:4]).dot(qb) >= 0.0
 
 
 def test_estimator_zero_order_hold():

@@ -395,6 +395,20 @@ def test_metrics_recomputable_from_rows():
                 assert recomputed[key] == pytest.approx(value, rel=1e-12)
 
 
+def test_metrics_of_a_run_with_huge_positions_do_not_warn():
+    """A 1e200 N/V thrust gain throws the vehicle 7e199 m up in one step,
+    where the squared position error overflows; the run diverges and its
+    position metrics are inf, without an overflow warning."""
+    config = config_from_dict({
+        "mode": "open-loop",
+        "vehicle": {"wing": {"k_thrust_n_per_v": 1e200}},
+        "open_loop": {"command_v": [130.0] * 4},
+    })
+    rec = run_scenario(config, duration=0.01)
+    assert rec.status == 2
+    assert rec.metrics["rms_position_error_m"] == math.inf
+
+
 def test_a_nan_attitude_records_nan_angles():
     """A NaN divergence's last row has NaN roll, pitch and yaw, so the
     maximum pitch is NaN rather than 90 degrees."""
