@@ -7,9 +7,10 @@ the CSV and the exact ``repr`` of each metric.  Before the file is
 overwritten, every pin that moved is printed: a changed CSV digest as old and
 new sha256, a changed metric as old repr, new repr and the absolute and
 relative difference.  A change that moves any float reruns this script and
-quotes that report in CHANGES.md.
+quotes that report in CHANGES.md.  With ``--check`` it prints the same report,
+writes nothing, and exits with status 1 if any pin moved.
 
-    PYTHONPATH=src python scripts/regen_golden.py
+    PYTHONPATH=src python scripts/regen_golden.py [--check]
 
 No pinned figure passes through BLAS or LAPACK: the simulation, controller
 and metrics run on Python floats and numpy elementwise operations and
@@ -20,6 +21,7 @@ platform-dependent is libm: ``math.sin``, ``math.cos``, ``math.atan2``,
 a platform whose libm rounds one of them differently can still move the pins.
 """
 
+import argparse
 import json
 import math
 import sys
@@ -55,14 +57,22 @@ def drift_report(old: dict, new: dict) -> list[str]:
     return lines
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true", help="report only; exit 1 if any pin moved"
+    )
+    args = parser.parse_args(argv)
     pins = bundled_pins()
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     lines = drift_report(old, pins)
     print("\n".join(lines) if lines else "no pinned figure moved")
+    if args.check:
+        return 1 if lines else 0
     GOLDEN.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -41,6 +41,7 @@ __all__ = [
     "DEFAULTS",
     "MODES",
     "MAX_TICKS",
+    "DIVERGENCE_RADIUS",
     "load_config",
     "read_raw",
     "parse_yaml",
@@ -52,6 +53,8 @@ MODES = (*FlightController.MODES, "yaw-damping-compare", "open-loop")
 
 # Most control ticks in one run: 3.9 GB of 392 B rows, 5000 s at the default 2 kHz.
 MAX_TICKS = 10**7
+
+DIVERGENCE_RADIUS = 10.0  # [m] position norm beyond which a run is divergent
 
 # Design-point calibration of the lift coefficient: 0.35 mN per wing at
 # 100 Hz and 65 deg per-quadrant amplitude on a 50 mm^2 wing.
@@ -95,6 +98,12 @@ _NON_NEGATIVE = (lambda x: x >= 0.0, "must be non-negative")
 _QUADRANT = (lambda x: 0.0 < x <= 0.5 * math.pi, "must lie in (0, 90] deg")
 _TILT = (lambda x: 0.0 <= x < 0.5 * math.pi, "must lie in [0, 90) deg")
 _HALF_TURN = (lambda x: 0.0 <= x <= math.pi, "must lie in [0, 180] deg")
+# A position noise beyond the divergence radius measures nothing about the
+# run; near 1e308 mm it made the estimate inf or NaN.
+_WITHIN_RADIUS = (
+    lambda x: 0.0 <= x <= DIVERGENCE_RADIUS,
+    f"must lie in [0, {DIVERGENCE_RADIUS * 1e3:.0f}] mm",
+)
 
 _DEG = math.radians
 _HZ = 2.0 * math.pi  # Hz -> rad/s
@@ -180,7 +189,7 @@ _SCHEMA = (
     _Key("control.altitude_integral_limit_m_s", 0.5, bound=_POSITIVE),
     _Key("estimation.rate_corner_hz", 30.0, bound=_POSITIVE, si=_HZ),
     _Key("estimation.velocity_corner_hz", 20.0, bound=_POSITIVE, si=_HZ),
-    _Key("estimation.position_noise_std_mm", 0.0, bound=_NON_NEGATIVE, si=1e-3),
+    _Key("estimation.position_noise_std_mm", 0.0, bound=_WITHIN_RADIUS, si=1e-3),
     _Key("estimation.attitude_noise_std_deg", 0.0, bound=_HALF_TURN, si=_DEG),
     _Key("setpoint.schedule", [_tree(_ENTRY, lambda row: row.default)], _SCHEDULE),
     _Key("initial.position_m", [0.0, 0.0, 0.0], _VECTOR),

@@ -76,14 +76,29 @@ class MocapSensor:
     The noise is drawn for ``_NOISE_BLOCK`` samples at a time, one numpy
     call per block instead of one per sample; the stream is the same as six
     draws per sample.
+
+    A sensor whose position and attitude noise are both zero draws nothing:
+    it returns the state's position and its attitude times the identity
+    quaternion.  That equals what the draw gives, bit for bit, unless one of
+    x, y, z, qw, qx, qy, qz is ``-0.0``: there ``x + 0.0 * n`` and the
+    product with the rotation ``(1, +-0, +-0, +-0)`` of a zero rotation
+    vector take the sign of the draw ``n``.
     """
 
     def __init__(self, config: FilterConfig, seed: int) -> None:
         self.config = config
+        self._noiseless = (
+            config.position_noise_std == 0.0 and config.attitude_noise_std == 0.0
+        )
         self._rng = np.random.default_rng(seed)
         self._noise = iter(())
 
     def sample(self, state: VehicleState) -> MocapSample:
+        if self._noiseless:
+            attitude = Quaternion(*state[7:11]) * Quaternion()
+            return MocapSample(
+                position=(state.x, state.y, state.z), attitude=attitude, t=state.t
+            )
         noise = next(self._noise, None)
         if noise is None:
             self._noise = iter(

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .aero import ActuatorCommand, Wrench, mix
-from .config import SimConfig, VehicleParams
+from .config import DIVERGENCE_RADIUS, SimConfig, VehicleParams
 from .control import FlightController, Setpoint
 from .dynamics import VehicleState, step
 from .estimation import Estimator, MocapSensor
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 CSV_SCHEMA = "flapsim-run-csv v1"
-DIVERGENCE_RADIUS = 10.0  # [m] position norm beyond which a run is divergent
 
 CSV_COLUMNS = (
     ["t_s"]

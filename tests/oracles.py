@@ -13,6 +13,7 @@ from array import array
 import numpy as np
 
 from flapsim.aero import WingConfig, Wrench
+from flapsim.dynamics import InertialConfig, VehicleState, vibration_torque
 from flapsim.scenarios import CSV_COLUMNS, CSV_SCHEMA
 from flapsim.spatial import Quaternion, quat_error, rotmat_to_quat, sign
 
@@ -234,6 +235,20 @@ def tustin_lowpass(b0: float, a1: float, xs) -> list[tuple[float, ...]]:
     return out
 
 
+def mocap_pose(state, position_std: float, attitude_std: float, noise):
+    """The pose ``MocapSensor.sample`` draws for ``state`` from the six
+    normals ``noise``: position noise first, then the attitude's body-side
+    rotation."""
+    nx, ny, nz, rx, ry, rz = noise
+    position = (
+        state.x + position_std * nx,
+        state.y + position_std * ny,
+        state.z + position_std * nz,
+    )
+    rotvec = (attitude_std * rx, attitude_std * ry, attitude_std * rz)
+    return position, Quaternion(*state[7:11]) * Quaternion.from_rotation_vector(rotvec)
+
+
 def row_bytes(state, euler, est, est_euler, sp, wrench, command) -> bytes:
     """One run row as the loop appended it: its values listed in column
     order, then ``array("d").extend``."""
@@ -246,3 +261,69 @@ def row_bytes(state, euler, est, est_euler, sp, wrench, command) -> bytes:
         *command.amplitudes, *command.saturated,
     ])
     return buf.tobytes()
+
+
+def reference_deriv(y, t: float, u: Wrench, c: InertialConfig) -> tuple[float, ...]:
+    """``reference_step``'s stage derivative.  Packed-state derivative; y = [r(3), v(3), q(4), omega(3)] as floats
+    and u = (thrust, torque), a Wrench or a plain tuple."""
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
+    thrust, (tx, ty, tz) = u
+
+    # Thrust along the third column of R(q), the body z axis in inertial axes.
+    f = thrust / c.mass
+    ax = f * (2.0 * (qx * qz + qw * qy))
+    ay = f * (2.0 * (qy * qz - qw * qx))
+    az = f * (1.0 - 2.0 * (qx * qx + qy * qy)) - c.gravity
+
+    # Euler's equations: J_i wdot_i = tau_i - (w x J w)_i.
+    px, py, pz = vibration_torque(c, t)
+    tx, ty, tz = tx + px, ty + py, tz + pz - c.yaw_damping * wz
+    j1, j2, j3 = c.inertia
+    hx, hy, hz = j1 * wx, j2 * wy, j3 * wz
+    return (
+        vx, vy, vz, ax, ay, az,
+        0.5 * (-qx * wx - qy * wy - qz * wz),
+        0.5 * (qw * wx + qy * wz - qz * wy),
+        0.5 * (qw * wy - qx * wz + qz * wx),
+        0.5 * (qw * wz + qx * wy - qy * wx),
+        (1.0 / j1) * (tx - (wy * hz - wz * hy)),
+        (1.0 / j2) * (ty - (wz * hx - wx * hz)),
+        (1.0 / j3) * (tz - (wx * hy - wy * hx)),
+    )
+
+
+def reference_step(
+    state: VehicleState, wrench: Wrench, config: InertialConfig, dt: float
+) -> VehicleState:
+    """``dynamics.step`` as it was written before its stages were written
+    out per component: one RK4 step of length ``dt``.
+
+    The stage sums are evaluated element by element on Python floats, so the
+    result does not depend on a BLAS kernel.  The quaternion is renormalized
+    after the update so integration error does not accumulate in its norm.
+    Raises ValueError on non-finite inputs or a non-positive step.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not all(map(math.isfinite, state)):
+        raise ValueError("non-finite vehicle state")
+    thrust, torque = wrench
+    if not (math.isfinite(thrust) and all(map(math.isfinite, torque))):
+        raise ValueError("non-finite wrench")
+
+    # The stages get the wrench as a plain tuple: the interpreter specialises
+    # unpacking one, but not the attribute reads of a NamedTuple.
+    u = (thrust, torque)
+    t, y0 = state[0], state[1:]
+    h = 0.5 * dt
+    k1 = reference_deriv(y0, t, u, config)
+    k2 = reference_deriv([a + h * b for a, b in zip(y0, k1)], t + h, u, config)
+    k3 = reference_deriv([a + h * b for a, b in zip(y0, k2)], t + h, u, config)
+    k4 = reference_deriv([a + dt * b for a, b in zip(y0, k3)], t + dt, u, config)
+    h6 = dt / 6.0
+    y1 = [
+        a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
+    ]
+    q = Quaternion(*y1[6:10]).normalized()
+    return VehicleState(t + dt, *y1[:6], *q, *y1[10:])

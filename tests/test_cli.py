@@ -67,7 +67,7 @@ def test_run_reports_divergence(tmp_path, capsys):
     "scenario, key, value, extra",
     [
         ("hover.cfg", ("control", "attitude_k1_n_m"), [1.7e308] * 3, {}),
-        ("position_hold.cfg", ("estimation", "position_noise_std_mm"), 1.7e308, {}),
+        ("position_hold.cfg", ("control", "attitude_k2_n_m_s"), [1e300] * 3, {}),
         (
             "ballistic.cfg",
             ("vehicle", "wing", "k_thrust_n_per_v"),
@@ -75,7 +75,7 @@ def test_run_reports_divergence(tmp_path, capsys):
             {"open_loop": {"command_v": [130.0] * 4}},
         ),
     ],
-    ids=["attitude-gain", "position-noise", "open-loop-thrust-gain"],
+    ids=["attitude-gain", "rate-gain", "open-loop-thrust-gain"],
 )
 def test_a_non_finite_wrench_ends_the_run_with_status_2(
     tmp_path, capsys, scenario, key, value, extra
@@ -310,6 +310,20 @@ def test_huge_attitude_noise_is_a_config_error(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "noisy.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error: estimation.attitude_noise_std_deg: must lie in [0, 180] deg" in err
+
+
+def test_huge_position_noise_is_a_config_error(tmp_path, capsys):
+    """1.7e308 mm made the estimate inf or NaN: a 0.05 s hover run wrote 93
+    such rows and still ended with status 0."""
+    raw = read_raw(bundled_config_path("hover.cfg"))
+    raw["estimation"]["position_noise_std_mm"] = 1.7e308
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "noisy.csv"
+    assert main(["run", str(cfg), "--out", str(out), "--duration", "0.05"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: estimation.position_noise_std_mm: must lie in [0, 10000] mm" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

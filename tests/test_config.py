@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from flapsim.aero import Wrench, allocate, yaw_damping_coefficient
 from flapsim.config import (
+    DIVERGENCE_RADIUS,
     MAX_TICKS,
     ConfigError,
     DEFAULTS,
@@ -472,6 +473,15 @@ MESSAGES = {
         minimal(estimation={"attitude_noise_std_deg": -0.1}),
         ["estimation.attitude_noise_std_deg: must lie in [0, 180] deg"],
     ),
+    # New: a position noise near 1e308 mm made the estimate inf or NaN.
+    "position-noise-huge": (
+        minimal(estimation={"position_noise_std_mm": 1.7e308}),
+        ["estimation.position_noise_std_mm: must lie in [0, 10000] mm"],
+    ),
+    "position-noise-negative": (
+        minimal(estimation={"position_noise_std_mm": -0.1}),
+        ["estimation.position_noise_std_mm: must lie in [0, 10000] mm"],
+    ),
     "comparison-required": (
         minimal(mode="yaw-damping-compare"),
         ["comparison_vehicle: required for mode yaw-damping-compare"],
@@ -561,6 +571,11 @@ def test_vibration_frequency_is_checked_only_with_a_vibration():
 def test_attitude_noise_may_reach_half_a_turn():
     raw = minimal(estimation={"attitude_noise_std_deg": 180.0})
     assert config_from_dict(raw).estimation.attitude_noise_std == math.pi
+
+
+def test_position_noise_may_reach_the_divergence_radius():
+    raw = minimal(estimation={"position_noise_std_mm": 1e4})
+    assert config_from_dict(raw).estimation.position_noise_std == DIVERGENCE_RADIUS
 
 
 def test_tick_count_limit_is_inclusive():

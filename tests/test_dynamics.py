@@ -3,25 +3,23 @@
 Every numeric bound here is checked against a hand-derived solution:
 ballistic flight, constant-torque spin-up, exponential yaw decay and the
 formal convergence order of the integrator.  Euler's equations are checked
-bit for bit against the dense inertia-tensor form they replace.
+bit for bit against the dense inertia-tensor form they replace, and the
+written-out ``step`` bit for bit against the stage-by-stage RK4 it replaced.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from flapsim.aero import Wrench
-from flapsim.config import config_from_dict
-from flapsim.dynamics import (
-    InertialConfig,
-    VehicleState,
-    _deriv,
-    step,
-    vibration_torque,
-)
+from flapsim.config import bundled_config_path, config_from_dict, load_config
+from flapsim.dynamics import InertialConfig, VehicleState, step, vibration_torque
+from flapsim.scenarios import CSV_COLUMNS, run_scenario
 from flapsim.spatial import Quaternion
 
 DT = 5e-4
@@ -123,7 +121,7 @@ def test_euler_equations_match_dense_inertia(moments, rates, torque):
     y = np.zeros(13)
     y[6] = 1.0
     y[10:13] = rates
-    omega_dot = _deriv(y, 0.0, Wrench(0.0, np.array(torque)), stock_config(inertia=moments))[10:13]
+    omega_dot = oracles.reference_deriv(y, 0.0, Wrench(0.0, np.array(torque)), stock_config(inertia=moments))[10:13]
     J, w = np.diag(moments), np.array(rates)
     expect = np.linalg.inv(J) @ (np.array(torque) - np.cross(w, J @ w))
     assert np.array_equal(omega_dot, expect)
@@ -240,3 +238,74 @@ def test_step_input_validation():
         step(VehicleState(vx=math.nan), zero_wrench(), config, DT)
     with pytest.raises(ValueError):
         step(VehicleState(), Wrench(np.inf, np.zeros(3)), config, DT)
+
+
+_STATE = struct.Struct("14d")
+
+
+def _outcome(f, *args):
+    """The packed bytes ``f`` returns, or the type and message it raises.
+
+    A NaN is packed as ``math.nan``: CPython's generic and specialised float
+    instructions may pass on different operands' NaNs, so one function's NaN
+    changes sign after a few calls (the reference's own does).
+    """
+    try:
+        return _STATE.pack(*(v if v == v else math.nan for v in f(*args)))
+    except (ValueError, OverflowError) as e:
+        return type(e), str(e)
+
+
+def _step_args(value, number, positive):
+    """A state of ``value``s, a wrench, gravity and yaw damping of
+    ``number``s, mass, inertia and dt of ``positive``s, and the vibration off,
+    ramping or at full swing."""
+    moment = positive.filter(math.isfinite)
+    return st.tuples(
+        st.tuples(*[value] * 14).map(lambda s: VehicleState(*s)),
+        st.builds(Wrench, number, st.tuples(number, number, number)),
+        st.builds(
+            InertialConfig,
+            mass=moment,
+            inertia=st.tuples(moment, moment, moment),
+            gravity=number,
+            yaw_damping=number,
+            vibration_amplitude=st.one_of(st.just(0.0), number),
+            vibration_frequency=st.floats(0.0, 1e3),
+            vibration_ramp=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        ),
+        positive,
+    )
+
+
+@given(
+    st.one_of(
+        # Values whose arithmetic stays finite, and then anything: finite
+        # states, any wrench, constants and dt > 0.
+        _step_args(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(1e-6, 1e-2)),
+        _step_args(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(),
+            st.floats(min_value=0.0, exclude_min=True),
+        ),
+    )
+)
+def test_step_matches_the_stage_by_stage_rk4(args):
+    """The written-out step returns the bytes of ``oracles.reference_step``,
+    or raises what it raises, for finite states with signed zeros and
+    subnormals, any wrench, and vibration off, ramping or at full swing."""
+    assert _outcome(step, *args) == _outcome(oracles.reference_step, *args)
+
+
+@pytest.mark.parametrize("name", ["hover.cfg", "position_hold.cfg"])
+def test_step_matches_the_stage_by_stage_rk4_along_a_run(name):
+    """Every one of the 10 000 steps of the bundled run, from its recorded
+    state and wrench, gives the next recorded state bit for bit."""
+    config = load_config(bundled_config_path(name))
+    rows = run_scenario(config).rows.tolist()
+    assert len(rows) == 10001
+    thrust = CSV_COLUMNS.index("thrust_n")
+    for row, after in zip(rows, rows[1:]):
+        wrench = Wrench(row[thrust], tuple(row[thrust + 1 : thrust + 4]))
+        got = oracles.reference_step(VehicleState(*row[:14]), wrench, config.vehicle, config.dt)
+        assert _STATE.pack(*got) == _STATE.pack(*after[:14])

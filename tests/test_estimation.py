@@ -347,14 +347,44 @@ def test_sensor_noise_is_six_draws_per_sample():
     rng = np.random.default_rng(7)
     a, b = MocapSensor(c, seed=7), MocapSensor(c, seed=7)
     for _ in range(600):
-        nx, ny, nz, rx, ry, rz = rng.standard_normal(6).tolist()
-        position = (0.1 + 1e-3 * nx, -0.2 + 1e-3 * ny, 0.3 + 1e-3 * nz)
-        attitude = yaw * Quaternion.from_rotation_vector((2e-3 * rx, 2e-3 * ry, 2e-3 * rz))
+        position, attitude = oracles.mocap_pose(state, 1e-3, 2e-3, rng.standard_normal(6).tolist())
         sa, sb = a.sample(state), b.sample(state)
         assert oracles.bits(sa.position) == oracles.bits(position)
         assert oracles.bits(sa.attitude) == oracles.bits(attitude)
         assert oracles.bits(sb.position) == oracles.bits(sa.position)
         assert oracles.bits(sb.attitude) == oracles.bits(sa.attitude)
+
+
+# Finite floats without -0.0 (adding +0.0 turns -0.0 into +0.0 and keeps
+# every other value).
+_no_negative_zero = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+
+
+@given(
+    st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 14),
+    st.tuples(*[_no_negative_zero] * 7),
+    st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 6),
+)
+def test_noiseless_sensor_matches_the_draw(state, pose, noise):
+    """A sensor with zero noise draws nothing, and its sample equals the
+    draw path's bit for bit wherever x, y, z, qw, qx, qy and qz are not -0.0."""
+    state = VehicleState(state[0], *pose[:3], *state[4:7], *pose[3:], *state[11:])
+    s = MocapSensor(filter_config(), seed=3).sample(state)
+    position, attitude = oracles.mocap_pose(state, 0.0, 0.0, noise)
+    assert oracles.bits(s.position) == oracles.bits(position)
+    assert oracles.bits(s.attitude) == oracles.bits(attitude)
+    assert s.t == state.t
+
+
+def test_noiseless_draw_keeps_the_sign_of_the_noise_at_negative_zero():
+    """The exception the MocapSensor docstring states: at a -0.0 component
+    the draw path's sign follows the draw, so no draw-free sample can match
+    it for every draw."""
+    state = VehicleState(x=-0.0, qw=-0.0, qx=1.0)
+    up = oracles.mocap_pose(state, 0.0, 0.0, (1.0,) * 6)
+    down = oracles.mocap_pose(state, 0.0, 0.0, (-1.0,) * 6)
+    assert oracles.bits([up[0][0], up[1].w]) == oracles.bits([0.0, -0.0])
+    assert oracles.bits([down[0][0], down[1].w]) == oracles.bits([-0.0, 0.0])
 
 
 def spin_samples(n, rate=2.0, flip_from=None):
