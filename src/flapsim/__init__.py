@@ -23,9 +23,7 @@ from .control import (
     FlightController,
     PIDGains,
     Setpoint,
-    attitude_torque,
     desired_attitude,
-    thrust_magnitude,
 )
 from .dynamics import (
     InertialConfig,

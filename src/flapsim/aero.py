@@ -186,14 +186,33 @@ def allocate(wing: WingConfig, wrench: Wrench) -> ActuatorCommand:
         raise ValueError(
             f"mixing matrix is singular: {singular_entry(wing)} is zero"
         ) from None
-    raw = (
-        0.25 * (a - b + c + d),
-        0.25 * (a - b - c - d),
-        0.25 * (a + b + c - d),
-        0.25 * (a + b - c + d),
-    )
+    v1 = 0.25 * (a - b + c + d)
+    v2 = 0.25 * (a - b - c - d)
+    v3 = 0.25 * (a + b + c - d)
+    v4 = 0.25 * (a + b - c + d)
     v_max = wing.v_max
-    return ActuatorCommand(
-        tuple([min(max(v, 0.0), v_max) for v in raw]),
-        tuple([v < 0.0 or v > v_max for v in raw]),
+    saturated = (
+        v1 < 0.0 or v1 > v_max,
+        v2 < 0.0 or v2 > v_max,
+        v3 < 0.0 or v3 > v_max,
+        v4 < 0.0 or v4 > v_max,
     )
+    # Clamped by comparisons in min(max(v, 0.0), v_max)'s order, which keeps
+    # its NaN and signed zeros.
+    if 0.0 > v1:
+        v1 = 0.0
+    if v_max < v1:
+        v1 = v_max
+    if 0.0 > v2:
+        v2 = 0.0
+    if v_max < v2:
+        v2 = v_max
+    if 0.0 > v3:
+        v3 = 0.0
+    if v_max < v3:
+        v3 = v_max
+    if 0.0 > v4:
+        v4 = 0.0
+    if v_max < v4:
+        v4 = v_max
+    return ActuatorCommand((v1, v2, v3, v4), saturated)

@@ -11,13 +11,15 @@ sin(theta_e / 2) a_e for the error rotation of angle theta_e about axis a_e,
 so the restoring torque always turns through at most 180 deg.  Both quaternion
 representatives of the same attitude command the same torque.
 
-Both outer loops run the per-axis PID of ``pid_force`` with gravity
-feedforward toward a fixed setpoint,
+Both outer loops run a per-axis PID with gravity feedforward toward a fixed
+setpoint,
 
-    f_d = -Kp e - Kd rdot - Ki int(e) + m g n3 ,   e = r - r_sp .
+    f_d = -Kp e - Kd rdot - Ki int(e) + m g n3 ,   e = r - r_sp ,
 
-``pid_force`` is a pure function of its memory ``(integral, e_prev)``;
-``FlightController.memory`` holds that tuple between ticks.
+where int(e) is the trapezoid rule over e, clamped symmetrically at the
+integral limit.  ``FlightController.tick`` computes it, written out per axis
+like the rest of the tick, from ``FlightController.memory``: the tuple
+``(integral, e_prev)`` it holds between ticks, None before the first.
 
 The position loop runs it on three axes and realizes the force vector by
 tilting: the desired body z axis is aligned with f_d while a reference
@@ -33,12 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
 from typing import TYPE_CHECKING
 
 from .aero import ActuatorCommand, Wrench, allocate
 from .dynamics import VehicleState
-from .spatial import Quaternion, _shepperd, quat_error, sign
+from .spatial import Quaternion, _shepperd
 # Unused here since desired_attitude calls _shepperd; the per-layer trace of
 # perfbench/run.py wraps control.rotmat_to_quat, so the name stays.
 from .spatial import rotmat_to_quat  # noqa: F401
@@ -50,10 +51,7 @@ __all__ = [
     "AttitudeGains",
     "PIDGains",
     "Setpoint",
-    "attitude_torque",
-    "thrust_magnitude",
     "desired_attitude",
-    "pid_force",
     "FlightController",
 ]
 
@@ -89,39 +87,6 @@ class Setpoint:
     yaw: float = 0.0
 
 
-def attitude_torque(
-    q: Quaternion, q_desired: Quaternion, omega: tuple[float, ...], gains: AttitudeGains
-) -> tuple[float, ...]:
-    """Quaternion PD attitude law; see the module docstring."""
-    ew, ex, ey, ez = quat_error(q_desired, q)
-    s = sign(ew)
-    k1x, k1y, k1z = gains.attitude
-    k2x, k2y, k2z = gains.rate
-    wx, wy, wz = omega
-    return (
-        -k1x * (s * ex) - k2x * wx,
-        -k1y * (s * ey) - k2y * wy,
-        -k1z * (s * ez) - k2z * wz,
-    )
-
-
-def thrust_magnitude(f_desired: tuple[float, ...], q: Quaternion) -> float:
-    """Project the desired force onto the current body z axis, floored at 0.
-
-    The body z axis is the third column of R(q).  The wings cannot pull, so a
-    projection that turns negative (thrust axis pointing away from the
-    desired force) commands zero thrust.
-    """
-    fx, fy, fz = f_desired
-    w, x, y, z = q
-    projection = (
-        fx * (2.0 * (x * z + w * y))
-        + fy * (2.0 * (y * z - w * x))
-        + fz * (1.0 - 2.0 * (x * x + y * y))
-    )
-    return max(0.0, projection)
-
-
 def desired_attitude(
     f_desired: tuple[float, ...], yaw_desired: float
 ) -> Quaternion | None:
@@ -153,28 +118,6 @@ def desired_attitude(
     # i2 = i3 x i1.
     yx, yy, yz = zy * xz - zz * xy, zz * xx - zx * xz, zx * xy - zy * xx
     return _shepperd(xx, yx, zx, xy, yy, zy, xz, yz, zz)
-
-
-def pid_force(gains: PIDGains, memory, r, rdot, r_sp, dt: float) -> tuple:
-    """Per-axis PID force -kp e - kd rdot - ki int(e) with e = r - r_sp.
-
-    ``memory`` is ``(integral, e_prev)``, or None before the first tick,
-    which starts the integral at zero; the new memory is returned with the
-    force.  The integral is the trapezoid rule over e, clamped
-    symmetrically at ``gains.integral_limit``.
-    """
-    e = tuple(map(sub, r, r_sp))
-    integral, e_prev = memory or ((0.0,) * len(e), e)
-    h, limit = 0.5 * dt, gains.integral_limit
-    new_integral, f = [], []
-    # One loop over the axes: cheaper than a comprehension per quantity.
-    for kp, kd, ki, ek, v, p, i in zip(
-        gains.kp, gains.kd, gains.ki, e, rdot, e_prev, integral
-    ):
-        i = min(max(i + h * (p + ek), -limit), limit)
-        new_integral.append(i)
-        f.append(-kp * ek - kd * v - ki * i)
-    return tuple(f), (tuple(new_integral), e)
 
 
 class FlightController:
@@ -215,35 +158,97 @@ class FlightController:
         self.pid_gains = (
             control.position if mode == "position-hold" else control.altitude
         )
-        self.memory: tuple | None = None  # pid_force's (integral, e_prev)
+        self.memory: tuple | None = None  # the PID's (integral, e_prev)
         self.last_command = ActuatorCommand((0.0, 0.0, 0.0, 0.0))
 
     def tick(
         self, est: VehicleState, yaw: float, sp: Setpoint, dt: float
     ) -> ActuatorCommand:
-        q = est[7:11]
+        _, x, y, z, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = est
+        gains = self.pid_gains
+        h, limit = 0.5 * dt, gains.integral_limit
         if self.mode == "position-hold":
-            (fx, fy, fz), self.memory = pid_force(
-                self.pid_gains, self.memory, est[1:4], est[4:7], sp.position, dt
-            )
-            # The + 0.0 is on purpose: it turns a -0.0 in x or y into
-            # +0.0, and the recorded runs depend on that sign.
-            f_d = (fx + 0.0, fy + 0.0, fz + self.weight)
-            q_d = desired_attitude(f_d, yaw)
+            spx, spy, spz = sp.position
+            ex, ey, ez = x - spx, y - spy, z - spz
+            if self.memory is None:
+                ix = iy = iz = 0.0
+                px, py, pz = ex, ey, ez
+            else:
+                (ix, iy, iz), (px, py, pz) = self.memory
+            # The trapezoid rule, clamped by comparisons in min(max(i, -limit),
+            # limit)'s order, which keeps its NaN and signed zeros.
+            ix = ix + h * (px + ex)
+            if -limit > ix:
+                ix = -limit
+            if limit < ix:
+                ix = limit
+            iy = iy + h * (py + ey)
+            if -limit > iy:
+                iy = -limit
+            if limit < iy:
+                iy = limit
+            iz = iz + h * (pz + ez)
+            if -limit > iz:
+                iz = -limit
+            if limit < iz:
+                iz = limit
+            self.memory = ((ix, iy, iz), (ex, ey, ez))
+            kpx, kpy, kpz = gains.kp
+            kdx, kdy, kdz = gains.kd
+            kix, kiy, kiz = gains.ki
+            # The + 0.0 is on purpose: desired_attitude gets +0.0, never
+            # -0.0, as the x and y of a vanishing force.
+            fx = (-kpx * ex - kdx * vx - kix * ix) + 0.0
+            fy = (-kpy * ey - kdy * vy - kiy * iy) + 0.0
+            fz = (-kpz * ez - kdz * vz - kiz * iz) + self.weight
+            q_d = desired_attitude((fx, fy, fz), yaw)
             if q_d is None:
                 return self.last_command
-            thrust = thrust_magnitude(f_d, q)
-        else:
-            (fz,), self.memory = pid_force(
-                self.pid_gains, self.memory, est[3:4], est[6:7], sp.position[2:], dt
+            dw, dx, dy, dz = q_d
+            # The desired force projected onto the body z axis, the third
+            # column of R(q), floored at 0: the wings cannot pull.
+            thrust = (
+                fx * (2.0 * (qx * qz + qw * qy))
+                + fy * (2.0 * (qy * qz - qw * qx))
+                + fz * (1.0 - 2.0 * (qx * qx + qy * qy))
             )
-            thrust = fz + self.weight
-            q_d = Quaternion.from_yaw(yaw)
+            thrust = thrust if thrust > 0.0 else 0.0
+        else:
+            ez = z - sp.position[2]
+            if self.memory is None:
+                iz, pz = 0.0, ez
+            else:
+                (iz,), (pz,) = self.memory
+            iz = iz + h * (pz + ez)
+            if -limit > iz:
+                iz = -limit
+            if limit < iz:
+                iz = limit
+            self.memory = ((iz,), (ez,))
+            (kpz,), (kdz,), (kiz,) = gains.kp, gains.kd, gains.ki
+            thrust = (-kpz * ez - kdz * vz - kiz * iz) + self.weight
+            dw, dx, dy, dz = math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw)
 
-        tau = attitude_torque(q, q_d, est[11:], self.attitude_gains)
-        if not self.yaw_feedback:
-            tau = (tau[0], tau[1], 0.0)
+        # The error quaternion q_e = q_d^-1 * q with Quaternion's inverse,
+        # product and normalisation written out.
+        n2 = dw**2 + dx**2 + dy**2 + dz**2
+        if n2 < 1e-24:
+            raise ValueError("cannot invert a near-zero quaternion")
+        dw, dx, dy, dz = dw / n2, -dx / n2, -dy / n2, -dz / n2
+        m = dw * qw - dx * qx - dy * qy - dz * qz
+        nx = dw * qx + dx * qw + dy * qz - dz * qy
+        ny = dw * qy - dx * qz + dy * qw + dz * qx
+        nz = dw * qz + dx * qy - dy * qx + dz * qw
+        n = math.sqrt(m**2 + nx**2 + ny**2 + nz**2)
+        if n < 1e-12:
+            raise ValueError("cannot normalize a near-zero quaternion")
+        s = 1.0 if m / n >= 0.0 else -1.0
+        k1x, k1y, k1z = self.attitude_gains.attitude
+        k2x, k2y, k2z = self.attitude_gains.rate
+        tx = -k1x * (s * (nx / n)) - k2x * wx
+        ty = -k1y * (s * (ny / n)) - k2y * wy
+        tz = -k1z * (s * (nz / n)) - k2z * wz if self.yaw_feedback else 0.0
 
-        command = allocate(self.wing, Wrench(thrust, tau))
+        command = allocate(self.wing, Wrench(thrust, (tx, ty, tz)))
         self.last_command = command
         return command

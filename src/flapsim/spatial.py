@@ -201,17 +201,21 @@ def _shepperd(
     tr = m00 + m11 + m22
     if tr >= m00 and tr >= m11 and tr >= m22:
         s = math.sqrt(1.0 + tr) * 2.0
-        q = Quaternion(0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
+        w, x, y, z = 0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s
     elif m00 >= m11 and m00 >= m22:
         s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        q = Quaternion((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s)
+        w, x, y, z = (m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s
     elif m11 >= m22:
         s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
-        q = Quaternion((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s)
+        w, x, y, z = (m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s
     else:
         s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
-        q = Quaternion((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
-    q = q.normalized()
-    if q.w < 0.0:
-        q = -q
-    return q
+        w, x, y, z = (m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s
+    # Quaternion.normalized and the flip to w >= 0, written out.
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if n < 1e-12:
+        raise ValueError("cannot normalize a near-zero quaternion")
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if w < 0.0:
+        return Quaternion(-w, -x, -y, -z)
+    return Quaternion(w, x, y, z)

@@ -9,10 +9,13 @@ for bit.
 
 import math
 from array import array
+from operator import sub
 
 import numpy as np
 
-from flapsim.aero import WingConfig, Wrench
+from flapsim import control
+from flapsim.aero import ActuatorCommand, WingConfig, Wrench
+from flapsim.control import AttitudeGains, PIDGains, Setpoint
 from flapsim.dynamics import InertialConfig, VehicleState, vibration_torque
 from flapsim.scenarios import CSV_COLUMNS, CSV_SCHEMA
 from flapsim.spatial import Quaternion, quat_error, rotmat_to_quat, sign
@@ -191,16 +194,6 @@ def allocate(wing: WingConfig, wrench: Wrench) -> tuple[tuple, tuple]:
     )
 
 
-def attitude_torque(q, q_desired, omega, gains) -> tuple[float, ...]:
-    """``control.attitude_torque`` as one generator over the three axes."""
-    qe = quat_error(q_desired, q)
-    s = sign(qe.w)
-    return tuple(
-        -k1 * (s * v) - k2 * w
-        for k1, k2, v, w in zip(gains.attitude, gains.rate, qe[1:], omega)
-    )
-
-
 def tustin_derivative(b0: float, a1: float, xs) -> list[tuple[float, ...]]:
     """The Tustin lambda s / (s + lambda) of the estimator's rate filter
     over the stream ``xs``, primed to zeros, each step a generator-fed
@@ -327,3 +320,121 @@ def reference_step(
     ]
     q = Quaternion(*y1[6:10]).normalized()
     return VehicleState(t + dt, *y1[:6], *q, *y1[10:])
+
+
+def reference_attitude_torque(
+    q: Quaternion, q_desired: Quaternion, omega: tuple[float, ...], gains: AttitudeGains
+) -> tuple[float, ...]:
+    """Quaternion PD attitude law tau = -K1 sign(m_e) n_e - K2 omega of the
+    error quaternion q_e = q_desired^-1 * q; ``reference_tick``'s torque."""
+    ew, ex, ey, ez = quat_error(q_desired, q)
+    s = sign(ew)
+    k1x, k1y, k1z = gains.attitude
+    k2x, k2y, k2z = gains.rate
+    wx, wy, wz = omega
+    return (
+        -k1x * (s * ex) - k2x * wx,
+        -k1y * (s * ey) - k2y * wy,
+        -k1z * (s * ez) - k2z * wz,
+    )
+
+
+def reference_thrust_magnitude(f_desired: tuple[float, ...], q: Quaternion) -> float:
+    """Project the desired force onto the current body z axis, floored at 0.
+
+    The body z axis is the third column of R(q).  The wings cannot pull, so a
+    projection that turns negative (thrust axis pointing away from the
+    desired force) commands zero thrust.
+    """
+    fx, fy, fz = f_desired
+    w, x, y, z = q
+    projection = (
+        fx * (2.0 * (x * z + w * y))
+        + fy * (2.0 * (y * z - w * x))
+        + fz * (1.0 - 2.0 * (x * x + y * y))
+    )
+    return max(0.0, projection)
+
+
+def reference_pid_force(gains: PIDGains, memory, r, rdot, r_sp, dt: float) -> tuple:
+    """Per-axis PID force -kp e - kd rdot - ki int(e) with e = r - r_sp.
+
+    ``memory`` is ``(integral, e_prev)``, or None before the first tick,
+    which starts the integral at zero; the new memory is returned with the
+    force.  The integral is the trapezoid rule over e, clamped
+    symmetrically at ``gains.integral_limit``.
+    """
+    e = tuple(map(sub, r, r_sp))
+    integral, e_prev = memory or ((0.0,) * len(e), e)
+    h, limit = 0.5 * dt, gains.integral_limit
+    new_integral, f = [], []
+    # One loop over the axes: cheaper than a comprehension per quantity.
+    for kp, kd, ki, ek, v, p, i in zip(
+        gains.kp, gains.kd, gains.ki, e, rdot, e_prev, integral
+    ):
+        i = min(max(i + h * (p + ek), -limit), limit)
+        new_integral.append(i)
+        f.append(-kp * ek - kd * v - ki * i)
+    return tuple(f), (tuple(new_integral), e)
+
+
+def reference_tick(
+    self: control.FlightController, est: VehicleState, yaw: float, sp: Setpoint, dt: float
+) -> ActuatorCommand:
+    """``FlightController.tick`` as it was written before it was written out
+    per axis, on the controller ``self``: it reads and advances
+    ``self.memory`` and ``self.last_command``.  It calls the package's
+    ``desired_attitude`` and the generator-loop ``allocate`` above."""
+    q = est[7:11]
+    if self.mode == "position-hold":
+        (fx, fy, fz), self.memory = reference_pid_force(
+            self.pid_gains, self.memory, est[1:4], est[4:7], sp.position, dt
+        )
+        # The + 0.0 is on purpose: it turns a -0.0 in x or y into
+        # +0.0, and the recorded runs depend on that sign.
+        f_d = (fx + 0.0, fy + 0.0, fz + self.weight)
+        q_d = control.desired_attitude(f_d, yaw)
+        if q_d is None:
+            return self.last_command
+        thrust = reference_thrust_magnitude(f_d, q)
+    else:
+        (fz,), self.memory = reference_pid_force(
+            self.pid_gains, self.memory, est[3:4], est[6:7], sp.position[2:], dt
+        )
+        thrust = fz + self.weight
+        q_d = Quaternion.from_yaw(yaw)
+
+    tau = reference_attitude_torque(q, q_d, est[11:], self.attitude_gains)
+    if not self.yaw_feedback:
+        tau = (tau[0], tau[1], 0.0)
+
+    command = ActuatorCommand(*allocate(self.wing, Wrench(thrust, tau)))
+    self.last_command = command
+    return command
+
+
+def reference_shepperd(
+    m00: float, m01: float, m02: float,
+    m10: float, m11: float, m12: float,
+    m20: float, m21: float, m22: float,
+) -> Quaternion:
+    """``spatial._shepperd`` as it was written before it was written out:
+    the largest of (trace, diagonal entries) selects the division branch,
+    then the result is normalized and flipped to w >= 0."""
+    tr = m00 + m11 + m22
+    if tr >= m00 and tr >= m11 and tr >= m22:
+        s = math.sqrt(1.0 + tr) * 2.0
+        q = Quaternion(0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
+    elif m00 >= m11 and m00 >= m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        q = Quaternion((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s)
+    elif m11 >= m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        q = Quaternion((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s)
+    else:
+        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        q = Quaternion((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
+    q = q.normalized()
+    if q.w < 0.0:
+        q = -q
+    return q

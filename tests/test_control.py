@@ -1,7 +1,15 @@
-"""Attitude law, the outer-loop PID and the cascaded controller."""
+"""Attitude law, the outer-loop PID and the cascaded controller.
 
+The law tests run on ``oracles``' reference attitude law, PID and thrust
+projection; the written-out ``FlightController.tick`` is held bit for bit
+to ``oracles.reference_tick``, which calls them.
+"""
+
+import copy
 import math
+import struct
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,16 +24,13 @@ from flapsim.config import (
     load_config,
 )
 import oracles
-from flapsim import control
+from flapsim import control, scenarios
 from flapsim.control import (
     AttitudeGains,
     FlightController,
     PIDGains,
     Setpoint,
-    attitude_torque,
     desired_attitude,
-    pid_force,
-    thrust_magnitude,
 )
 from flapsim.dynamics import VehicleState, step
 from flapsim.spatial import Quaternion, _euler_zyx, quat_error, sign
@@ -33,6 +38,13 @@ from flapsim.spatial import Quaternion, _euler_zyx, quat_error, sign
 MASS = 95e-6
 G = 9.81
 WEIGHT = MASS * G
+
+
+def nan_bits(values) -> list[int]:
+    """``oracles.bits`` with every NaN packed as ``math.nan``: CPython's
+    generic and specialised float instructions may pass on different
+    operands' NaNs, so a NaN's sign is not part of the arithmetic."""
+    return oracles.bits([v if v == v else math.nan for v in values])
 
 
 def gains() -> AttitudeGains:
@@ -54,7 +66,7 @@ def rotate(q, v):
 
 def test_attitude_equilibrium():
     q = Quaternion.from_euler_zyx(0.3, -0.2, 1.0)
-    tau = attitude_torque(q, q, np.zeros(3), gains())
+    tau = oracles.reference_attitude_torque(q, q, np.zeros(3), gains())
     assert tau == pytest.approx([0.0, 0.0, 0.0], abs=1e-18)
 
 
@@ -63,7 +75,7 @@ def test_attitude_proportional_axis():
     g = gains()
     theta = 0.2
     q = Quaternion.from_rotation_vector([theta, 0.0, 0.0])
-    tau = attitude_torque(q, Quaternion(), np.zeros(3), g)
+    tau = oracles.reference_attitude_torque(q, Quaternion(), np.zeros(3), g)
     assert tau[0] == pytest.approx(-g.attitude[0] * math.sin(theta / 2.0), rel=1e-12)
     assert tau[1] == 0.0 and tau[2] == 0.0
 
@@ -72,7 +84,7 @@ def test_attitude_rate_damping():
     g = gains()
     q = Quaternion()
     omega = np.array([0.5, -0.2, 0.1])
-    tau = attitude_torque(q, q, omega, g)
+    tau = oracles.reference_attitude_torque(q, q, omega, g)
     assert tau == pytest.approx(-g.rate * omega, rel=1e-12)
 
 
@@ -83,9 +95,9 @@ def test_attitude_double_cover_invariance():
         q = random_quaternion(rng)
         q_d = random_quaternion(rng)
         omega = rng.standard_normal(3)
-        t1 = np.asarray(attitude_torque(q, q_d, omega, g))
-        t2 = np.asarray(attitude_torque(-q, q_d, omega, g))
-        t3 = np.asarray(attitude_torque(q, -q_d, omega, g))
+        t1 = np.asarray(oracles.reference_attitude_torque(q, q_d, omega, g))
+        t2 = np.asarray(oracles.reference_attitude_torque(-q, q_d, omega, g))
+        t3 = np.asarray(oracles.reference_attitude_torque(q, -q_d, omega, g))
         assert np.max(np.abs(t1 - t2)) < 1e-12
         assert np.max(np.abs(t1 - t3)) < 1e-12
 
@@ -99,8 +111,8 @@ def test_attitude_left_invariance():
         q_d = random_quaternion(rng)
         p = random_quaternion(rng)
         omega = rng.standard_normal(3)
-        t1 = np.asarray(attitude_torque(q, q_d, omega, g))
-        t2 = np.asarray(attitude_torque(p * q, p * q_d, omega, g))
+        t1 = np.asarray(oracles.reference_attitude_torque(q, q_d, omega, g))
+        t2 = np.asarray(oracles.reference_attitude_torque(p * q, p * q_d, omega, g))
         assert np.max(np.abs(t1 - t2)) < 1e-9
 
 
@@ -118,7 +130,8 @@ def test_attitude_torque_matches_law_with_zero_desired_rate(q, q_d, omega, k1, k
     qe = quat_error(q_d, q)
     omega_d = rotate(qe.inverse(), np.zeros(3))
     expect = -k1 * (sign(qe.w) * np.array(qe[1:])) - k2 * (omega - omega_d)
-    assert np.array_equal(attitude_torque(q, q_d, omega, AttitudeGains(k1, k2)), expect)
+    got = oracles.reference_attitude_torque(q, q_d, omega, AttitudeGains(k1, k2))
+    assert np.array_equal(got, expect)
 
 
 _signed_zero3 = st.tuples(*[st.sampled_from([0.0, -0.0])] * 3)
@@ -134,12 +147,21 @@ _signed_zero3 = st.tuples(*[st.sampled_from([0.0, -0.0])] * 3)
 @example(Quaternion(), Quaternion(), (0.0, -0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
 @example(Quaternion(), Quaternion(), (-0.0, 0.0, -0.0), (0.0, -0.0, 0.0), (0.0, 0.0, 0.0))
 @example(Quaternion(-1.0), Quaternion(), (0.0, -0.0, math.nan), (1.0, 2.0, 3.0), (0.0, 1.0, 1.0))
-def test_attitude_torque_matches_the_generator_loop(q, q_d, omega, k1, k2):
-    """The unrolled law holds the loop oracle's bits: torques of +-0.0,
-    infinities and NaN included."""
-    g = AttitudeGains(k1, k2)
-    got = attitude_torque(q, q_d, omega, g)
-    assert oracles.bits(got) == oracles.bits(oracles.attitude_torque(q, q_d, omega, g))
+def test_the_tick_applies_the_reference_attitude_law(q, q_d, omega, k1, k2):
+    """The tick's written-out error quaternion and PD law give the torque of
+    ``oracles.reference_attitude_torque`` for any attitude and target, bit
+    for bit: torques of +-0.0, infinities and NaN included."""
+    ctrl = flight_controller("position-hold", yaw_feedback=True)
+    ctrl.attitude_gains = g = AttitudeGains(k1, k2)
+    wrenches = []
+    est = VehicleState(0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, *q, *omega)
+    with patch.object(control, "desired_attitude", lambda f, yaw: q_d), patch.object(
+        control, "allocate", lambda wing, wrench: wrenches.append(wrench)
+    ):
+        ctrl.tick(est, 0.0, Setpoint(position=(0.0, 0.0, 0.3)), 5e-4)
+    (wrench,) = wrenches
+    want = oracles.reference_attitude_torque(q, q_d, omega, g)
+    assert nan_bits(wrench.torque) == nan_bits(want)
 
 
 @given(
@@ -156,7 +178,7 @@ def test_position_force_matches_law_with_zero_feedforward(states, r_sp, kp, kd, 
     gains, memory = PIDGains(*(tuple(k.tolist()) for k in (kp, kd, ki)), 0.05), None
     integ = oracles._Integrator(3, 0.05)
     for position, velocity in states:
-        f, memory = pid_force(
+        f, memory = oracles.reference_pid_force(
             gains, memory, *(tuple(v.tolist()) for v in (position, velocity, r_sp)), dt
         )
         e = position - r_sp
@@ -187,7 +209,9 @@ def test_integrator_matches_numpy_oracle(limit, dt, errors):
     gains, memory = zero_gains(n, limit), None
     oracle = oracles._Integrator(n, limit)
     for e in errors:
-        _, memory = pid_force(gains, memory, e, (0.0,) * n, (0.0,) * n, dt)
+        _, memory = oracles.reference_pid_force(
+            gains, memory, e, (0.0,) * n, (0.0,) * n, dt
+        )
         got, want = memory[0], oracle.advance(np.array(e), dt)
         assert all(type(v) is float for v in got)
         assert np.array_equal(got, want)
@@ -211,8 +235,12 @@ def test_one_axis_pid_is_the_z_axis_of_three(kp, kd, ki, limit, dt, ticks):
     three, one = PIDGains(kp, kd, ki, limit), PIDGains(kp[2:], kd[2:], ki[2:], limit)
     three_memory = one_memory = None
     for r, rdot, r_sp in ticks:
-        (fz,), one_memory = pid_force(one, one_memory, r[2:], rdot[2:], r_sp[2:], dt)
-        f, three_memory = pid_force(three, three_memory, r, rdot, r_sp, dt)
+        (fz,), one_memory = oracles.reference_pid_force(
+            one, one_memory, r[2:], rdot[2:], r_sp[2:], dt
+        )
+        f, three_memory = oracles.reference_pid_force(
+            three, three_memory, r, rdot, r_sp, dt
+        )
         assert fz == f[2]
         assert math.copysign(1.0, fz) == math.copysign(1.0, f[2])
         assert one_memory[0] == three_memory[0][2:]
@@ -220,13 +248,14 @@ def test_one_axis_pid_is_the_z_axis_of_three(kp, kd, ki, limit, dt, ticks):
 
 def test_thrust_projection():
     f = np.array([0.0, 0.0, WEIGHT])
-    assert thrust_magnitude(f, Quaternion()) == pytest.approx(WEIGHT)
+    assert oracles.reference_thrust_magnitude(f, Quaternion()) == pytest.approx(WEIGHT)
     tilted = Quaternion.from_rotation_vector([math.pi / 3, 0.0, 0.0])
-    assert thrust_magnitude(f, tilted) == pytest.approx(WEIGHT / 2.0)
+    assert oracles.reference_thrust_magnitude(f, tilted) == pytest.approx(WEIGHT / 2.0)
     sideways = Quaternion.from_rotation_vector([math.pi / 2, 0.0, 0.0])
-    assert thrust_magnitude(f, sideways) == pytest.approx(0.0, abs=1e-18)
+    assert oracles.reference_thrust_magnitude(f, sideways) == pytest.approx(0.0, abs=1e-18)
     upside_down = Quaternion.from_rotation_vector([math.pi, 0.0, 0.0])
-    assert thrust_magnitude(f, upside_down) == 0.0  # floored, wings cannot pull
+    # floored, wings cannot pull
+    assert oracles.reference_thrust_magnitude(f, upside_down) == 0.0
 
 
 def test_desired_attitude_identity():
@@ -295,7 +324,9 @@ def test_position_proportional_and_derivative_terms():
     kp = (1.5e-3, 1.5e-3, 2.4e-3)
     kd = (6.8e-4, 6.8e-4, 9.5e-4)
     gains = PIDGains(kp=kp, kd=kd, ki=(0.0, 0.0, 0.0), integral_limit=1.0)
-    f, _ = pid_force(gains, None, (0.02, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 0.0), 5e-4)
+    f, _ = oracles.reference_pid_force(
+        gains, None, (0.02, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 0.0), 5e-4
+    )
     assert f == pytest.approx([-kp[0] * 0.02, -kd[1] * 0.1, 0.0], rel=1e-12)
 
 
@@ -303,7 +334,7 @@ def test_integrator_clamp():
     gains = PIDGains((0.0,) * 3, (0.0,) * 3, (1.0,) * 3, integral_limit=0.01)
     memory = None
     for _ in range(100):
-        f, memory = pid_force(
+        f, memory = oracles.reference_pid_force(
             gains, memory, (1.0, -1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1.0
         )
     assert memory[0] == (0.01, -0.01, 0.0)
@@ -317,7 +348,9 @@ def simulate_altitude(controller_mass, plant_mass, ki, t_end, z_ref=0.3):
     gains = PIDGains(kp=(2.4e-3,), kd=(9.5e-4,), ki=(ki,), integral_limit=0.5)
     memory, z, zdot, dt = None, 0.0, 0.0, 1e-3
     for _ in range(int(t_end / dt)):
-        (fz,), memory = pid_force(gains, memory, (z,), (zdot,), (z_ref,), dt)
+        (fz,), memory = oracles.reference_pid_force(
+            gains, memory, (z,), (zdot,), (z_ref,), dt
+        )
         f = max(0.0, fz + controller_mass * G)
         zddot = f / plant_mass - G
         zdot += zddot * dt
@@ -473,6 +506,128 @@ def test_a_fresh_controller_given_the_memory_continues_bit_for_bit(
         assert oracles.bits(got.amplitudes) == oracles.bits(want.amplitudes)
         assert got.saturated == want.saturated
         assert oracles.bits(b.memory[0]) == oracles.bits(a.memory[0])
+
+
+# Estimate components: ordinary values, signed zeros, subnormals and NaN.
+_component = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan]),
+)
+_odd_estimate = st.tuples(*[_component] * 14).map(lambda s: VehicleState(*s))
+
+
+def _integral(limit: float):
+    """Integrals at, inside and past +-limit, signed zeros and NaN."""
+    edges = [limit, -limit, math.nextafter(limit, math.inf), -2.0 * limit]
+    return st.one_of(
+        st.sampled_from([*edges, 0.0, -0.0, 5e-324, math.nan]),
+        st.floats(-2.0 * limit, 2.0 * limit),
+    )
+
+
+@st.composite
+def _memory(draw, mode):
+    """None, or an ``(integral, e_prev)`` of the mode's axis count."""
+    if draw(st.booleans()):
+        return None
+    n, limit = (3, 0.05) if mode == "position-hold" else (1, 0.5)
+    integral = draw(st.tuples(*[_integral(limit)] * n))
+    return integral, draw(st.tuples(*[_component] * n))
+
+
+def tick_outcome(tick, ctrl, est, yaw, sp):
+    """The command's amplitude bits, flags and whether it is the held
+    ``last_command`` itself, or the error raised; then the memory's bits."""
+    before = ctrl.last_command
+    try:
+        cmd = tick(ctrl, est, yaw, sp, 5e-4)
+    except (ValueError, OverflowError) as e:
+        outcome = type(e), str(e)
+    else:
+        outcome = nan_bits(cmd.amplitudes), cmd.saturated, cmd is before
+    memory = ctrl.memory
+    return outcome, memory and (nan_bits(memory[0]), nan_bits(memory[1]))
+
+
+@given(
+    st.sampled_from(FlightController.MODES).flatmap(
+        lambda mode: st.tuples(st.just(mode), _memory(mode))
+    ),
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.one_of(_estimate, _odd_estimate),
+            st.one_of(st.floats(-4.0, 4.0), st.floats()),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(("position-hold", None), False, [(_HOLD, 0.0), (_HOLD, 0.0)])
+@example(("position-hold", ((0.05, -0.05, -0.0), (0.0, -0.0, 0.0))), True, [(_HOLD, 0.0)])
+@example(("altitude-attitude", ((-0.0,), (-0.0,))), True, [(VehicleState(z=0.3), -0.0)])
+# Two ticks whose wrench changes when the error quaternion's squares are
+# taken as v*v, not v**2: in the inverse's norm, then in the product's.
+@example(("position-hold", None), True, [(VehicleState(
+    0.0, -0.09561950771363417, -0.04728890107158761, 0.3054118227792468, 0.0, 0.0, 0.0,
+    -0.3622378120497935, -0.8888183226386154, -0.18113960595199793, -0.21441595094304863,
+), 1.9351874354609713)])
+@example(("position-hold", None), True, [(VehicleState(
+    0.0, 0.017435355829353336, 0.02566790547850889, 0.3540825049623304, 0.0, 0.0, 0.0,
+    -0.634554655234175, 0.07609999123316691, 0.4801646017620379, -0.6008253790159441,
+), 2.080402991683167)])
+def test_tick_matches_the_reference_tick(mode_memory, yaw_feedback, ticks):
+    """The written-out tick equals ``oracles.reference_tick`` tick after
+    tick: the amplitudes' bits, the flags, the memory's bits, the held
+    ``last_command`` itself, or the error raised, and the bits of every
+    wrench it allocates, signed zeros included.  NaN is compared as NaN."""
+    mode, memory = mode_memory
+    sp = Setpoint(position=(0.0, 0.0, 0.3))
+    ki = (2e-4, 2e-4, 1e-4)
+    got, want = (flight_controller(mode, yaw_feedback, ki) for _ in range(2))
+    got.memory = want.memory = memory
+    wrenches = {control: [], oracles: []}
+
+    def recorded(module):
+        allocate = module.allocate
+
+        def wrapper(wing, wrench):
+            wrenches[module].append(nan_bits([wrench.thrust, *wrench.torque]))
+            return allocate(wing, wrench)
+
+        return patch.object(module, "allocate", wrapper)
+
+    with recorded(control), recorded(oracles):
+        for est, yaw in ticks:
+            assert tick_outcome(FlightController.tick, got, est, yaw, sp) == tick_outcome(
+                oracles.reference_tick, want, est, yaw, sp
+            )
+    assert wrenches[control] == wrenches[oracles]
+
+
+@pytest.mark.parametrize("name", ["position_hold.cfg", "position_sat.cfg", "hover.cfg"])
+def test_tick_matches_the_reference_tick_along_a_run(name, monkeypatch):
+    """On every tick of the bundled run, a second controller driven by
+    ``oracles.reference_tick`` commands the same bytes and memory."""
+    tick = FlightController.tick
+    shadows, count = {}, [0]
+    pack = struct.Struct("4d").pack
+
+    def checked_tick(ctrl, est, yaw, sp, dt):
+        shadow = shadows.setdefault(id(ctrl), copy.copy(ctrl))
+        held_got, held_want = ctrl.last_command, shadow.last_command
+        want = oracles.reference_tick(shadow, est, yaw, sp, dt)
+        got = tick(ctrl, est, yaw, sp, dt)
+        assert pack(*got.amplitudes) == pack(*want.amplitudes)
+        assert got.saturated == want.saturated
+        assert (got is held_got) == (want is held_want)
+        assert oracles.bits(sum(ctrl.memory, ())) == oracles.bits(sum(shadow.memory, ()))
+        count[0] += 1
+        return got
+
+    monkeypatch.setattr(FlightController, "tick", checked_tick)
+    rec = scenarios.run_scenario(load_config(bundled_config_path(name)))
+    assert rec.status == 0 and count[0] == len(rec.rows) > 1000
 
 
 def test_controller_rejects_unknown_mode():

@@ -7,13 +7,22 @@ check against an independent Rodrigues-formula oracle written here.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flapsim.spatial import Quaternion, _euler_zyx, quat_error, rotmat_to_quat, sign
+import oracles
+from flapsim.spatial import (
+    Quaternion,
+    _euler_zyx,
+    _shepperd,
+    quat_error,
+    rotmat_to_quat,
+    sign,
+)
 from oracles import rotation_matrix
 
 
@@ -197,6 +206,58 @@ def test_rotmat_to_quat_inverts_to_rotation_matrix(q):
     got, want = np.array(back), np.array(q)
     error = min(np.abs(got - want).max(), np.abs(got + want).max())
     assert error <= 8.0 * np.finfo(float).eps
+
+
+def _rotation_entries(q) -> tuple[float, ...]:
+    """The nine entries of R(q), row by row, as Python floats."""
+    return tuple(sum(rotation_matrix(q).tolist(), []))
+
+
+# Rotations within 0.2 rad of a half turn about x, y or z: the trace is near
+# -1, so the diagonal entry of that axis selects Shepperd's branch.
+_half_turn = st.tuples(
+    st.sampled_from([0, 1, 2]),
+    st.floats(math.pi - 0.2, math.pi),
+    st.tuples(*[st.floats(-0.1, 0.1)] * 3),
+).map(
+    lambda a: Quaternion.from_rotation_vector(
+        [a[1] * (float(i == a[0]) + d) for i, d in enumerate(a[2])]
+    )
+)
+
+
+def _shepperd_outcome(f, entries):
+    """The bytes ``f`` returns, a NaN packed as ``math.nan``, or the type and
+    message it raises."""
+    try:
+        return struct.pack("4d", *(v if v == v else math.nan for v in f(*entries)))
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        return type(e), str(e)
+
+
+@given(
+    st.one_of(
+        _quaternion.map(_rotation_entries),
+        _half_turn.map(_rotation_entries),
+        st.tuples(*[st.floats(-2.0, 2.0)] * 9),
+    )
+)
+@example(_rotation_entries(Quaternion()))
+@example(_rotation_entries(Quaternion(0.0, 1.0, 0.0, 0.0)))
+@example(_rotation_entries(Quaternion(0.0, 0.0, 1.0, 0.0)))
+@example(_rotation_entries(Quaternion(0.0, 0.0, 0.0, 1.0)))
+@example((-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0))
+# A rotation whose norm differs when the squares are taken as v*v, not v**2.
+@example(_rotation_entries(Quaternion(
+    0.7619104151717384, 0.3052911141711006, 0.5611349103337716, 0.10685254917739336
+)))
+def test_shepperd_matches_the_reference(entries):
+    """The written-out branch, normalisation and flip to w >= 0 return the
+    bytes of ``oracles.reference_shepperd``, or raise what it raises, in
+    each of the four branches: rotations, half turns about x, y and z, and
+    matrices that are no rotation."""
+    got = _shepperd_outcome(_shepperd, entries)
+    assert got == _shepperd_outcome(oracles.reference_shepperd, entries)
 
 
 def test_rotmat_to_quat_rejects_bad_input():
