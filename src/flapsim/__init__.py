@@ -39,6 +39,6 @@ from .scenarios import (
     read_csv,
     run_scenario,
 )
-from .spatial import Quaternion, quat_error, rotmat_to_quat, sign
+from .spatial import Quaternion, rotmat_to_quat
 
 __version__ = "0.1.0"

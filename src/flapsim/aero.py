@@ -32,6 +32,7 @@ therefore compares equal to the plain tuple ``(thrust, torque)``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +47,10 @@ __all__ = [
     "singular_entry",
     "allocate",
 ]
+
+# allocate flags a wing only past this share of v_max beyond [0, v_max]: an
+# achievable wrench solves back to within a few eps * v_max of the range.
+_ROUND_OFF = 8.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,9 @@ def allocate(wing: WingConfig, wrench: Wrench) -> ActuatorCommand:
     The map of :func:`mix` is Gamma = D H with D = diag(k_f, k_f d1, k_f d2,
     k_s d3) and the sign pattern H a Hadamard matrix (H H^T = 4 I), so
     Gamma^-1 = H^T D^-1 / 4 in closed form.  A wing is flagged as saturated
-    when its unclamped solution fell outside the drive range; the returned
-    amplitudes always respect the limits.
+    when its unclamped solution fell outside the drive range by more than
+    round-off (8 eps v_max), so the wrench of amplitudes at 0 or v_max is not
+    flagged; the returned amplitudes are clamped exactly to the limits.
 
     Raises ValueError when an entry of D is zero; see :func:`singular_entry`.
     The zero is found by the division it breaks, which raises only for
@@ -191,11 +197,13 @@ def allocate(wing: WingConfig, wrench: Wrench) -> ActuatorCommand:
     v3 = 0.25 * (a + b + c - d)
     v4 = 0.25 * (a + b - c + d)
     v_max = wing.v_max
+    tol = _ROUND_OFF * v_max
+    # v - v_max, not v > v_max + tol, which is inf for v_max near the float max.
     saturated = (
-        v1 < 0.0 or v1 > v_max,
-        v2 < 0.0 or v2 > v_max,
-        v3 < 0.0 or v3 > v_max,
-        v4 < 0.0 or v4 > v_max,
+        -v1 > tol or v1 - v_max > tol,
+        -v2 > tol or v2 - v_max > tol,
+        -v3 > tol or v3 - v_max > tol,
+        -v4 > tol or v4 - v_max > tol,
     )
     # Clamped by comparisons in min(max(v, 0.0), v_max)'s order, which keeps
     # its NaN and signed zeros.

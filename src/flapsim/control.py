@@ -1,15 +1,20 @@
 """Attitude and outer-loop flight controllers.
 
-The attitude law is a quaternion PD controller.  With the error quaternion
-q_e = q_d^-1 * q (scalar part m_e, vector part n_e) the commanded body torque
-is
+The attitude law is a quaternion PD controller.  With the unit error
+quaternion q_e = q_d^-1 * q (scalar part m_e, vector part n_e) the commanded
+body torque is
 
-    tau = -K1 sign(m_e) n_e - K2 omega
+    tau = -K1 sign(m_e) n_e - K2 omega ,   sign(0) = +1 .
 
 sign(m_e) selects the short way around: -sign(m_e) n_e equals
 sin(theta_e / 2) a_e for the error rotation of angle theta_e about axis a_e,
 so the restoring torque always turns through at most 180 deg.  Both quaternion
 representatives of the same attitude command the same torque.
+
+The tick forms q_e as the normalized product q_d* q with the conjugate
+q_d* = (w, -x, -y, -z).  The inverse is q_d^-1 = q_d* / |q_d|^2, and the
+positive factor 1 / |q_d|^2 cancels in the normalization, so the conjugate
+gives the same unit q_e without dividing by the norm first.
 
 Both outer loops run a per-axis PID with gravity feedforward toward a fixed
 setpoint,
@@ -196,10 +201,8 @@ class FlightController:
             kpx, kpy, kpz = gains.kp
             kdx, kdy, kdz = gains.kd
             kix, kiy, kiz = gains.ki
-            # The + 0.0 is on purpose: desired_attitude gets +0.0, never
-            # -0.0, as the x and y of a vanishing force.
-            fx = (-kpx * ex - kdx * vx - kix * ix) + 0.0
-            fy = (-kpy * ey - kdy * vy - kiy * iy) + 0.0
+            fx = -kpx * ex - kdx * vx - kix * ix
+            fy = -kpy * ey - kdy * vy - kiy * iy
             fz = (-kpz * ez - kdz * vz - kiz * iz) + self.weight
             q_d = desired_attitude((fx, fy, fz), yaw)
             if q_d is None:
@@ -229,17 +232,14 @@ class FlightController:
             thrust = (-kpz * ez - kdz * vz - kiz * iz) + self.weight
             dw, dx, dy, dz = math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw)
 
-        # The error quaternion q_e = q_d^-1 * q with Quaternion's inverse,
+        # The error quaternion q_e = q_d* q with Quaternion's conjugate,
         # product and normalisation written out.
-        n2 = dw**2 + dx**2 + dy**2 + dz**2
-        if n2 < 1e-24:
-            raise ValueError("cannot invert a near-zero quaternion")
-        dw, dx, dy, dz = dw / n2, -dx / n2, -dy / n2, -dz / n2
+        dx, dy, dz = -dx, -dy, -dz
         m = dw * qw - dx * qx - dy * qy - dz * qz
         nx = dw * qx + dx * qw + dy * qz - dz * qy
         ny = dw * qy - dx * qz + dy * qw + dz * qx
         nz = dw * qz + dx * qy - dy * qx + dz * qw
-        n = math.sqrt(m**2 + nx**2 + ny**2 + nz**2)
+        n = math.sqrt(m * m + nx * nx + ny * ny + nz * nz)
         if n < 1e-12:
             raise ValueError("cannot normalize a near-zero quaternion")
         s = 1.0 if m / n >= 0.0 else -1.0

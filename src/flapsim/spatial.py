@@ -9,7 +9,12 @@ Conventions used throughout the package:
   A unit quaternion ``q`` maps body coordinates to inertial coordinates
   through the sandwich product
 
-      v_inertial = q * (0, v_body) * q^-1
+      v_inertial = q * (0, v_body) * q*
+
+  where ``q* = (w, -x, -y, -z)`` is the conjugate, the inverse of a unit
+  quaternion.  The package forms no general inverse: where it needs q^-1,
+  q is a unit quaternion or the product is normalized at once, and the
+  conjugate then gives the same result (see :mod:`flapsim.control`).
 
 * A rotation matrix is given as three rows of three numbers whose columns are
   the body axes expressed in the inertial frame, so ``R v_body = v_inertial``.
@@ -32,15 +37,8 @@ from typing import NamedTuple
 
 __all__ = [
     "Quaternion",
-    "quat_error",
     "rotmat_to_quat",
-    "sign",
 ]
-
-
-def sign(x: float) -> float:
-    """Sign function with the convention sign(0) = +1."""
-    return 1.0 if x >= 0.0 else -1.0
 
 
 class Quaternion(NamedTuple):
@@ -55,7 +53,7 @@ class Quaternion(NamedTuple):
     def from_rotation_vector(cls, rotvec) -> "Quaternion":
         """Unit quaternion from an axis-angle vector (angle = norm)."""
         rx, ry, rz = rotvec
-        angle = math.sqrt(rx**2 + ry**2 + rz**2)
+        angle = math.sqrt(rx * rx + ry * ry + rz * rz)
         if angle < 1e-12:
             # First-order expansion keeps the map smooth near zero.
             return cls(1.0, 0.5 * rx, 0.5 * ry, 0.5 * rz).normalized()
@@ -77,7 +75,7 @@ class Quaternion(NamedTuple):
 
     def norm(self) -> float:
         w, x, y, z = self
-        return math.sqrt(w**2 + x**2 + y**2 + z**2)
+        return math.sqrt(w * w + x * x + y * y + z * z)
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
@@ -89,13 +87,6 @@ class Quaternion(NamedTuple):
     def conjugate(self) -> "Quaternion":
         w, x, y, z = self
         return Quaternion(w, -x, -y, -z)
-
-    def inverse(self) -> "Quaternion":
-        w, x, y, z = self
-        n2 = w**2 + x**2 + y**2 + z**2
-        if n2 < 1e-24:
-            raise ValueError("cannot invert a near-zero quaternion")
-        return Quaternion(w / n2, -x / n2, -y / n2, -z / n2)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         """Hamilton product.  No normalization is applied."""
@@ -143,15 +134,6 @@ def _euler_zyx(w: float, x: float, y: float, z: float) -> tuple[float, float, fl
     roll = math.atan2(r21, r22)
     yaw = math.atan2(r10, r00)
     return roll, pitch, yaw
-
-
-def quat_error(q_desired: Quaternion, q: Quaternion) -> Quaternion:
-    """Attitude error quaternion q_desired^-1 * q, normalized to unit length.
-
-    Encodes the rotation from the desired frame to the actual body frame; the
-    identity quaternion means the attitude matches the target.
-    """
-    return (q_desired.inverse() * q).normalized()
 
 
 def rotmat_to_quat(matrix, tol: float = 1e-6) -> Quaternion:
@@ -212,7 +194,7 @@ def _shepperd(
         s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
         w, x, y, z = (m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s
     # Quaternion.normalized and the flip to w >= 0, written out.
-    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < 1e-12:
         raise ValueError("cannot normalize a near-zero quaternion")
     w, x, y, z = w / n, x / n, y / n, z / n

@@ -18,7 +18,7 @@ from flapsim.aero import ActuatorCommand, WingConfig, Wrench
 from flapsim.control import AttitudeGains, PIDGains, Setpoint
 from flapsim.dynamics import InertialConfig, VehicleState, vibration_torque
 from flapsim.scenarios import CSV_COLUMNS, CSV_SCHEMA
-from flapsim.spatial import Quaternion, quat_error, rotmat_to_quat, sign
+from flapsim.spatial import Quaternion, rotmat_to_quat
 
 
 def mixing_matrix(wing: WingConfig) -> np.ndarray:
@@ -188,9 +188,10 @@ def allocate(wing: WingConfig, wrench: Wrench) -> tuple[tuple, tuple]:
         0.25 * (a + b - c + d),
     )
     v_max = wing.v_max
+    tol = 8.0 * np.finfo(float).eps * v_max
     return (
         tuple(min(max(v, 0.0), v_max) for v in raw),
-        tuple(v < 0.0 or v > v_max for v in raw),
+        tuple(v < -tol or v - v_max > tol for v in raw),
     )
 
 
@@ -326,9 +327,10 @@ def reference_attitude_torque(
     q: Quaternion, q_desired: Quaternion, omega: tuple[float, ...], gains: AttitudeGains
 ) -> tuple[float, ...]:
     """Quaternion PD attitude law tau = -K1 sign(m_e) n_e - K2 omega of the
-    error quaternion q_e = q_desired^-1 * q; ``reference_tick``'s torque."""
-    ew, ex, ey, ez = quat_error(q_desired, q)
-    s = sign(ew)
+    error quaternion q_e = q_desired^-1 * q, formed as the normalized
+    conjugate product, with sign(0) = +1; ``reference_tick``'s torque."""
+    ew, ex, ey, ez = (q_desired.conjugate() * q).normalized()
+    s = 1.0 if ew >= 0.0 else -1.0
     k1x, k1y, k1z = gains.attitude
     k2x, k2y, k2z = gains.rate
     wx, wy, wz = omega
@@ -381,18 +383,17 @@ def reference_pid_force(gains: PIDGains, memory, r, rdot, r_sp, dt: float) -> tu
 def reference_tick(
     self: control.FlightController, est: VehicleState, yaw: float, sp: Setpoint, dt: float
 ) -> ActuatorCommand:
-    """``FlightController.tick`` as it was written before it was written out
-    per axis, on the controller ``self``: it reads and advances
-    ``self.memory`` and ``self.last_command``.  It calls the package's
-    ``desired_attitude`` and the generator-loop ``allocate`` above."""
+    """``FlightController.tick`` on helper functions and ``Quaternion``
+    objects, as it was before it was written out per axis, on the
+    controller ``self``: it reads and advances ``self.memory`` and
+    ``self.last_command``.  It calls the package's ``desired_attitude`` and
+    the generator-loop ``allocate`` above."""
     q = est[7:11]
     if self.mode == "position-hold":
         (fx, fy, fz), self.memory = reference_pid_force(
             self.pid_gains, self.memory, est[1:4], est[4:7], sp.position, dt
         )
-        # The + 0.0 is on purpose: it turns a -0.0 in x or y into
-        # +0.0, and the recorded runs depend on that sign.
-        f_d = (fx + 0.0, fy + 0.0, fz + self.weight)
+        f_d = (fx, fy, fz + self.weight)
         q_d = control.desired_attitude(f_d, yaw)
         if q_d is None:
             return self.last_command

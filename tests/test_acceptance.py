@@ -271,7 +271,8 @@ def test_criterion_8_quaternion_properties():
             p, q = random_quaternion(), random_quaternion()
             if abs((p * q).norm() - 1.0) > 1e-12:
                 return False
-            e = np.array(q * q.inverse())
+            # For a unit q the conjugate is the inverse.
+            e = np.array(q * q.conjugate())
             if np.max(np.abs(e - [1.0, 0, 0, 0])) > 1e-12:
                 return False
         return True

@@ -1,6 +1,7 @@
 """Cycle-averaged wing forces, mixing and allocation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -189,23 +190,49 @@ def test_allocate_mix_round_trip():
 
 
 V_MAX = stock_wing().v_max
+EPS = np.finfo(float).eps
 
 
 @given(st.tuples(*[st.floats(0.0, V_MAX)] * 4))
+# Wings at a bound whose unclamped solution rounds to just outside it.
+@example((0.0, 106.2, 11.8, 12.7))
+@example((130.0, 77.7, 0.0, 0.0))
+@example((232.8, 226.8, 4.8, V_MAX))
 def test_allocate_inverts_mix(v):
     """allocate(mix(v)) recovers any v in [0, v_max]^4 up to rounding and
-    agrees with the dense inverse of the mixing matrix.  No wing inside the
-    range by more than that rounding is flagged; one at a bound may be, when
-    its unclamped solution rounds to just outside."""
+    agrees with the dense inverse of the mixing matrix.  No wing is flagged,
+    on the bounds neither: their round-off stays inside the tolerance."""
     wing = stock_wing()
     wrench = mix(wing, v)
     cmd = allocate(wing, wrench)
     dense = np.linalg.inv(mixing_matrix(wing)) @ wrench_vector(wrench)
-    tol = 8.0 * np.finfo(float).eps * V_MAX
+    tol = 8.0 * EPS * V_MAX
     assert np.max(np.abs(cmd.amplitudes - np.array(v))) <= tol
     assert np.max(np.abs(cmd.amplitudes - np.clip(dense, 0.0, V_MAX))) <= tol
-    for amplitude, flag in zip(v, cmd.saturated):
-        assert not flag or min(amplitude, V_MAX - amplitude) <= tol
+    assert not cmd.any_saturated
+
+
+@pytest.mark.parametrize("edge, v1", [
+    (0.0, -16.0 * EPS * V_MAX),
+    (V_MAX, V_MAX + 16.0 * EPS * V_MAX),
+])
+def test_allocate_flags_a_solution_just_beyond_the_tolerance(edge, v1):
+    """A wing whose solution lies 16 eps v_max outside the range, twice the
+    8 eps v_max tolerance, is still flagged and clamped exactly to the
+    bound; the wings inside the range are not flagged."""
+    wing = stock_wing()
+    cmd = allocate(wing, mix(wing, (v1, 100.0, 150.0, 200.0)))
+    assert cmd.saturated == (True, False, False, False)
+    assert cmd.amplitudes[0] == edge
+
+
+def test_allocate_flags_an_infinite_solution_at_the_largest_v_max():
+    """At the largest float v_max + tol is inf, yet an infinite solution is
+    still flagged."""
+    wing = stock_wing(v_max=sys.float_info.max)
+    cmd = allocate(wing, Wrench(math.inf, (0.0, 0.0, 0.0)))
+    assert cmd.saturated == (True,) * 4
+    assert cmd.amplitudes == (sys.float_info.max,) * 4
 
 
 def test_allocate_saturation_flags():

@@ -100,6 +100,19 @@ def test_a_non_finite_wrench_ends_the_run_with_status_2(
     assert np.isfinite(rows[:, :14]).all()
 
 
+def test_a_huge_yaw_damping_exits_2_without_a_traceback(tmp_path):
+    """``flapsim run`` ended in an OverflowError traceback from ``step``."""
+    raw = read_raw(bundled_config_path("position_hold.cfg"))
+    raw.setdefault("vehicle", {})["yaw_damping_n_m_s"] = 1e300
+    (tmp_path / "damped.cfg").write_text(yaml.safe_dump(raw))
+    proc = flapsim_process(
+        ["run", "damped.cfg", "--out", "damped.csv", "--duration", "0.05"], tmp_path
+    )
+    assert proc.returncode == EXIT_DIVERGED, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "run diverged" in proc.stderr
+
+
 def test_run_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("name: bad\nmode: sideways\n")

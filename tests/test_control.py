@@ -33,7 +33,7 @@ from flapsim.control import (
     desired_attitude,
 )
 from flapsim.dynamics import VehicleState, step
-from flapsim.spatial import Quaternion, _euler_zyx, quat_error, sign
+from flapsim.spatial import Quaternion, _euler_zyx
 
 MASS = 95e-6
 G = 9.81
@@ -127,9 +127,10 @@ _gain3 = st.tuples(*[st.floats(1e-9, 1e-2)] * 3).map(np.array)
 @given(_quaternion, _quaternion, _vec3, _gain3, _gain3)
 def test_attitude_torque_matches_law_with_zero_desired_rate(q, q_d, omega, k1, k2):
     """The law equals the former one whose desired rate was a rotated zero."""
-    qe = quat_error(q_d, q)
-    omega_d = rotate(qe.inverse(), np.zeros(3))
-    expect = -k1 * (sign(qe.w) * np.array(qe[1:])) - k2 * (omega - omega_d)
+    qe = (q_d.conjugate() * q).normalized()
+    omega_d = rotate(qe.conjugate(), np.zeros(3))
+    s = 1.0 if qe.w >= 0.0 else -1.0
+    expect = -k1 * (s * np.array(qe[1:])) - k2 * (omega - omega_d)
     got = oracles.reference_attitude_torque(q, q_d, omega, AttitudeGains(k1, k2))
     assert np.array_equal(got, expect)
 
@@ -566,8 +567,16 @@ def tick_outcome(tick, ctrl, est, yaw, sp):
 @example(("position-hold", None), False, [(_HOLD, 0.0), (_HOLD, 0.0)])
 @example(("position-hold", ((0.05, -0.05, -0.0), (0.0, -0.0, 0.0))), True, [(_HOLD, 0.0)])
 @example(("altitude-attitude", ((-0.0,), (-0.0,))), True, [(VehicleState(z=0.3), -0.0)])
-# Two ticks whose wrench changes when the error quaternion's squares are
-# taken as v*v, not v**2: in the inverse's norm, then in the product's.
+# The error quaternion's m = +-0.0 (q_d the identity, q a half turn about x):
+# the sign rule must take sign(0) = +1 for both zeros, not only for +0.0.
+@example(("altitude-attitude", None), True, [
+    (VehicleState(z=0.3, qw=-0.0, qx=-1.0, qy=-0.0, qz=-0.0), 0.0),
+    (VehicleState(z=0.3, qw=0.0, qx=1.0), 0.0),
+])
+# Two ticks where a square taken as v**2 instead of v*v changed the wrench.
+# The first did so in the norm of the inverse that the conjugate replaced;
+# in the second, the error quaternion's norm m**2 + ... is not m*m + ..., so
+# it holds the tick's squares to Quaternion.norm's.
 @example(("position-hold", None), True, [(VehicleState(
     0.0, -0.09561950771363417, -0.04728890107158761, 0.3054118227792468, 0.0, 0.0, 0.0,
     -0.3622378120497935, -0.8888183226386154, -0.18113960595199793, -0.21441595094304863,

@@ -13,11 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "flapsim"
 
 # Test-only names that stay for now, each with its reason.
-ALLOWED = {
-    "quat_error": "the quaternion tests' error quaternion, until the tick's "
-    "written-out inverse becomes the conjugate (ROADMAP item 2)",
-    "sign": "the attitude-law tests' sign(0) = +1, deleted with quat_error",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _defined() -> set[str]:

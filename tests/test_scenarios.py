@@ -25,6 +25,7 @@ from flapsim.config import (
     bundled_config_path,
     config_from_dict,
     load_config,
+    read_raw,
 )
 from flapsim.control import FlightController, Setpoint
 from flapsim.dynamics import VehicleState, step
@@ -115,6 +116,19 @@ def test_float_core_modules_import_no_numpy(module):
             names.append(node.module or "")
     assert names, "no imports parsed"
     assert [n for n in names if n.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize("module", ["control", "dynamics", "estimation", "spatial"])
+def test_tick_path_modules_square_with_a_product(module):
+    """No ``**`` on the tick's path: a float ``v**2`` raises OverflowError
+    where ``v*v`` gives inf, and need not round like ``v*v``."""
+    tree = ast.parse((Path(flapsim.__file__).parent / f"{module}.py").read_text())
+    powers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+    ]
+    assert powers == []
 
 
 @pytest.mark.parametrize(
@@ -438,6 +452,31 @@ def test_divergence_sets_status():
     assert rec.status == 2
     assert rec.rows.shape[0] < 3.0 * 2000 + 1
     assert abs(rec.column("pos_z_m")[-1]) > 10.0
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "yaw_damping_n_m_s",
+        "wing.area_mm2",
+        "wing.flap_frequency_hz",
+        "wing.c_damp_rate",
+        "wing.steering_arm_mm",
+    ],
+)
+def test_a_huge_yaw_damping_ends_the_run_with_status_2(key):
+    """Each key at 1e300 makes the yaw damping huge, and position hold
+    overflowed ``Quaternion.norm``'s ``**2`` inside ``step`` (an
+    OverflowError).  As ``v*v`` the square is inf, and the run diverges."""
+    raw = read_raw(bundled_config_path("position_hold.cfg"))
+    node = raw.setdefault("vehicle", {})
+    *sections, leaf = key.split(".")
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[leaf] = 1e300
+    rec = run_scenario(config_from_dict(raw), duration=0.05)
+    assert rec.status == 2
+    assert 1 <= len(rec.rows) < 101
 
 
 @pytest.mark.parametrize(

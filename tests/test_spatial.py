@@ -19,9 +19,7 @@ from flapsim.spatial import (
     Quaternion,
     _euler_zyx,
     _shepperd,
-    quat_error,
     rotmat_to_quat,
-    sign,
 )
 from oracles import rotation_matrix
 
@@ -51,12 +49,6 @@ def rodrigues(axis, angle):
     k = k / np.linalg.norm(k)
     kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
     return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
-
-
-def test_sign_convention():
-    assert sign(3.2) == 1.0
-    assert sign(-0.1) == -1.0
-    assert sign(0.0) == 1.0
 
 
 def test_multiplication_table():
@@ -101,12 +93,13 @@ def test_product_norm_and_associativity(p, q, r):
 
 @given(_quaternion, _quaternion)
 def test_inverse_recovers_identity(p, q):
-    """q^-1 is a two-sided inverse, and (p q)^-1 = q^-1 p^-1, within the bound."""
+    """The conjugate q* of a unit q is a two-sided inverse, and
+    (p q)* = q* p*, within the bound."""
     identity = np.array([1.0, 0.0, 0.0, 0.0])
-    assert np.abs(np.array(q * q.inverse()) - identity).max() <= _TOL
-    assert np.abs(np.array(q.inverse() * q) - identity).max() <= _TOL
-    inv_pq = np.array((p * q).inverse())
-    assert np.abs(inv_pq - np.array(q.inverse() * p.inverse())).max() <= _TOL
+    assert np.abs(np.array(q * q.conjugate()) - identity).max() <= _TOL
+    assert np.abs(np.array(q.conjugate() * q) - identity).max() <= _TOL
+    conj_pq = np.array((p * q).conjugate())
+    assert np.abs(conj_pq - np.array(q.conjugate() * p.conjugate())).max() <= _TOL
 
 
 def test_rotate_matches_matrix():
@@ -323,14 +316,20 @@ def test_rotation_vector_small_angle():
 
 
 def test_quat_error_properties():
+    """The tick's error quaternion q_d* q, normalized: the identity for
+    q_d = q, and left-invariant."""
+
+    def error(q_d, q):
+        return (q_d.conjugate() * q).normalized()
+
     rng = np.random.default_rng(20)
     for _ in range(500):
         q = random_quaternion(rng)
-        e = quat_error(q, q)
+        e = error(q, q)
         assert abs(abs(e.w) - 1.0) < 1e-12
         # relative error is left-invariant: premultiplying both by p changes nothing
         p = random_quaternion(rng)
         q_d = random_quaternion(rng)
-        e1 = quat_error(q_d, q)
-        e2 = quat_error(p * q_d, p * q)
+        e1 = error(q_d, q)
+        e2 = error(p * q_d, p * q)
         assert np.max(np.abs(np.array(e1) - np.array(e2))) < 1e-9
