@@ -232,8 +232,8 @@ class FlightController:
             thrust = (-kpz * ez - kdz * vz - kiz * iz) + self.weight
             dw, dx, dy, dz = math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw)
 
-        # The error quaternion q_e = q_d* q with Quaternion's conjugate,
-        # product and normalisation written out.
+        # The error quaternion q_e = q_d* q with the conjugate, Quaternion's
+        # product and its normalisation written out.
         dx, dy, dz = -dx, -dy, -dz
         m = dw * qw - dx * qx - dy * qy - dz * qz
         nx = dw * qx + dx * qw + dy * qz - dz * qy

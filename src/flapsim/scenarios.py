@@ -52,7 +52,6 @@ from .spatial import _euler_zyx
 __all__ = [
     "CSV_SCHEMA",
     "CSV_COLUMNS",
-    "DIVERGENCE_RADIUS",
     "RunRecord",
     "run_scenario",
     "compare_variants",
@@ -101,9 +100,6 @@ class RunRecord:
     metrics: dict[str, float]  # recomputable from rows
     extra_metrics: dict[str, float] = field(default_factory=dict)
     status: int = 0  # 0 completed, 2 diverged
-
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, _COL[name]]
 
     def write_csv(self, path: str | Path) -> None:
         # A regular file at ``path`` is replaced, not truncated: ext4 starts
@@ -203,7 +199,8 @@ def _yaw_decay_tau(t: np.ndarray, omega_z: np.ndarray) -> float:
     Least squares on log |omega_z| over the samples that remain above 0.1 %
     of the initial rate; NaN when there is no appreciable initial rate.  The
     slope is the centred closed form sum(dt dy) / sum(dt^2), every sum taken
-    with ``math.fsum``.
+    with ``math.fsum``; NaN too when sum(dt^2) is not positive, which it is
+    not when a tiny control period makes every dt^2 underflow.
     """
     w0 = abs(omega_z[0])
     if w0 < 0.1:
@@ -216,9 +213,10 @@ def _yaw_decay_tau(t: np.ndarray, omega_z: np.ndarray) -> float:
     t_mean = math.fsum(ts) / len(ts)
     y_mean = math.fsum(ys) / len(ys)
     dts = [ti - t_mean for ti in ts]
-    slope = math.fsum(d * (yi - y_mean) for d, yi in zip(dts, ys)) / math.fsum(
-        d * d for d in dts
-    )
+    spread = math.fsum(d * d for d in dts)
+    if not spread > 0.0:
+        return float("nan")
+    slope = math.fsum(d * (yi - y_mean) for d, yi in zip(dts, ys)) / spread
     if slope >= 0.0:
         return float("nan")
     return -1.0 / slope

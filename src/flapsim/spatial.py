@@ -22,12 +22,15 @@ Conventions used throughout the package:
 * Euler angles follow the aerospace Z-Y-X order: yaw about the inertial z
   axis, then pitch about the intermediate y axis, then roll about the body x
   axis.
-* ``q`` and ``-q`` encode the same rotation.  Functions that must pick a
-  representative return the one with a non-negative scalar part.
+* ``q`` and ``-q = (-w, -x, -y, -z)`` encode the same rotation.  Functions
+  that must pick a representative return the one with a non-negative scalar
+  part.
 
-Multiplication performs no implicit normalization, so the norm of a product
-is the product of the norms.  Callers that need unit quaternions normalize
-explicitly.
+The Hamilton product ``p * q`` is the one operator a :class:`Quaternion`
+defines; ``-q``, ``q + q`` and ``2 * q`` raise TypeError, and q* and -q are
+written out per component where they are needed.  Multiplication performs
+no implicit normalization, so the norm of a product is the product of the
+norms.  Callers that need unit quaternions normalize explicitly.
 """
 
 from __future__ import annotations
@@ -61,11 +64,6 @@ class Quaternion(NamedTuple):
         return cls(math.cos(0.5 * angle), s * rx, s * ry, s * rz)
 
     @classmethod
-    def from_yaw(cls, yaw: float) -> "Quaternion":
-        """Pure yaw rotation about the inertial z axis."""
-        return cls(math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw))
-
-    @classmethod
     def from_euler_zyx(cls, roll: float, pitch: float, yaw: float) -> "Quaternion":
         """Compose Rz(yaw) Ry(pitch) Rx(roll) as a quaternion."""
         qz = cls(math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw))
@@ -84,10 +82,6 @@ class Quaternion(NamedTuple):
         w, x, y, z = self
         return Quaternion(w / n, x / n, y / n, z / n)
 
-    def conjugate(self) -> "Quaternion":
-        w, x, y, z = self
-        return Quaternion(w, -x, -y, -z)
-
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         """Hamilton product.  No normalization is applied."""
         w1, x1, y1, z1 = self
@@ -98,15 +92,6 @@ class Quaternion(NamedTuple):
             w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
             w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
         )
-
-    def __neg__(self) -> "Quaternion":
-        w, x, y, z = self
-        return Quaternion(-w, -x, -y, -z)
-
-    def dot(self, other: "Quaternion") -> float:
-        w1, x1, y1, z1 = self
-        w2, x2, y2, z2 = other
-        return w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2
 
     # q + q and 2 * q raise TypeError instead of concatenating into 8-tuples.
     def __add__(self, other):

@@ -1,7 +1,9 @@
 """Dense numpy forms of closed forms the package evaluates on floats.
 
 They are the oracles of the allocation, mixing, desired-attitude, rotation,
-filter and integrator tests, and of the CSV writer's bytes.  The loop forms
+filter and integrator tests, and of the CSV writer's bytes.  The quaternion
+conjugate, negation, dot product and yaw rotation, which :class:`Quaternion`
+does not define, are free functions here.  The loop forms
 at the end are the package's own arithmetic as it was written before its
 tick was rewritten for speed; tests require the rewrite to match them bit
 for bit.
@@ -42,6 +44,36 @@ def mixing_matrix(wing: WingConfig) -> np.ndarray:
 def wrench_vector(wrench: Wrench) -> np.ndarray:
     """u = [f, t1, t2, t3], the vector the mixing matrix maps to."""
     return np.array([wrench.thrust, *wrench.torque])
+
+
+def conjugate(q: Quaternion) -> Quaternion:
+    """q* = (w, -x, -y, -z), the inverse of a unit quaternion."""
+    w, x, y, z = q
+    return Quaternion(w, -x, -y, -z)
+
+
+def negated(q: Quaternion) -> Quaternion:
+    """-q, the other representative of the rotation of q."""
+    w, x, y, z = q
+    return Quaternion(-w, -x, -y, -z)
+
+
+def dot(p: Quaternion, q: Quaternion) -> float:
+    """The four-component inner product of p and q."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2
+
+
+def from_yaw(yaw: float) -> Quaternion:
+    """Pure yaw rotation about the inertial z axis, bit for bit the desired
+    attitude of the tick's altitude branch."""
+    return Quaternion(math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw))
+
+
+def rotate(q: Quaternion, v) -> np.ndarray:
+    """Vector part of the sandwich product q (0, v) q*."""
+    return np.array((q * Quaternion(0.0, *map(float, v)) * conjugate(q))[1:])
 
 
 def rotation_matrix(q: Quaternion) -> np.ndarray:
@@ -329,7 +361,7 @@ def reference_attitude_torque(
     """Quaternion PD attitude law tau = -K1 sign(m_e) n_e - K2 omega of the
     error quaternion q_e = q_desired^-1 * q, formed as the normalized
     conjugate product, with sign(0) = +1; ``reference_tick``'s torque."""
-    ew, ex, ey, ez = (q_desired.conjugate() * q).normalized()
+    ew, ex, ey, ez = (conjugate(q_desired) * q).normalized()
     s = 1.0 if ew >= 0.0 else -1.0
     k1x, k1y, k1z = gains.attitude
     k2x, k2y, k2z = gains.rate
@@ -403,7 +435,7 @@ def reference_tick(
             self.pid_gains, self.memory, est[3:4], est[6:7], sp.position[2:], dt
         )
         thrust = fz + self.weight
-        q_d = Quaternion.from_yaw(yaw)
+        q_d = from_yaw(yaw)
 
     tau = reference_attitude_torque(q, q_d, est[11:], self.attitude_gains)
     if not self.yaw_feedback:
@@ -437,5 +469,5 @@ def reference_shepperd(
         q = Quaternion((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
     q = q.normalized()
     if q.w < 0.0:
-        q = -q
+        q = negated(q)
     return q

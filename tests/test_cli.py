@@ -113,6 +113,19 @@ def test_a_huge_yaw_damping_exits_2_without_a_traceback(tmp_path):
     assert "run diverged" in proc.stderr
 
 
+def test_a_tiny_control_period_runs_without_a_traceback(tmp_path):
+    """At 1e200 Hz every squared time offset of the yaw-decay fit
+    underflows; ``flapsim run`` ended in a ZeroDivisionError traceback."""
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(
+        "mode: open-loop\nduration_s: 2.0e-199\n"
+        "rates: {control_hz: 1.0e+200, measurement_hz: 1.0e+200}\n"
+        "initial: {omega_rad_per_s: [0.0, 0.0, 20.0]}\n"
+    )
+    code = main(["run", str(cfg), "--out", str(tmp_path / "fast.csv")])
+    assert code in (EXIT_OK, EXIT_DIVERGED)
+
+
 def test_run_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("name: bad\nmode: sideways\n")

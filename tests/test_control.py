@@ -34,6 +34,7 @@ from flapsim.control import (
 )
 from flapsim.dynamics import VehicleState, step
 from flapsim.spatial import Quaternion, _euler_zyx
+from oracles import conjugate, dot, from_yaw, negated, rotate
 
 MASS = 95e-6
 G = 9.81
@@ -57,11 +58,6 @@ def gains() -> AttitudeGains:
 def random_quaternion(rng):
     v = rng.standard_normal(4)
     return Quaternion(*(v / np.linalg.norm(v)).tolist())
-
-
-def rotate(q, v):
-    """Vector part of the sandwich product q (0, v) q*."""
-    return np.array((q * Quaternion(0.0, *map(float, v)) * q.conjugate())[1:])
 
 
 def test_attitude_equilibrium():
@@ -96,8 +92,8 @@ def test_attitude_double_cover_invariance():
         q_d = random_quaternion(rng)
         omega = rng.standard_normal(3)
         t1 = np.asarray(oracles.reference_attitude_torque(q, q_d, omega, g))
-        t2 = np.asarray(oracles.reference_attitude_torque(-q, q_d, omega, g))
-        t3 = np.asarray(oracles.reference_attitude_torque(q, -q_d, omega, g))
+        t2 = np.asarray(oracles.reference_attitude_torque(negated(q), q_d, omega, g))
+        t3 = np.asarray(oracles.reference_attitude_torque(q, negated(q_d), omega, g))
         assert np.max(np.abs(t1 - t2)) < 1e-12
         assert np.max(np.abs(t1 - t3)) < 1e-12
 
@@ -127,8 +123,8 @@ _gain3 = st.tuples(*[st.floats(1e-9, 1e-2)] * 3).map(np.array)
 @given(_quaternion, _quaternion, _vec3, _gain3, _gain3)
 def test_attitude_torque_matches_law_with_zero_desired_rate(q, q_d, omega, k1, k2):
     """The law equals the former one whose desired rate was a rotated zero."""
-    qe = (q_d.conjugate() * q).normalized()
-    omega_d = rotate(qe.conjugate(), np.zeros(3))
+    qe = (conjugate(q_d) * q).normalized()
+    omega_d = rotate(conjugate(qe), np.zeros(3))
     s = 1.0 if qe.w >= 0.0 else -1.0
     expect = -k1 * (s * np.array(qe[1:])) - k2 * (omega - omega_d)
     got = oracles.reference_attitude_torque(q, q_d, omega, AttitudeGains(k1, k2))
@@ -261,14 +257,14 @@ def test_thrust_projection():
 
 def test_desired_attitude_identity():
     q = desired_attitude(np.array([0.0, 0.0, 1.0]), 0.0)
-    assert abs(abs(q.dot(Quaternion())) - 1.0) < 1e-12
+    assert abs(abs(dot(q, Quaternion())) - 1.0) < 1e-12
 
 
 def test_desired_attitude_pure_yaw():
     for yaw in (-2.0, -0.5, 0.7, 3.0):
         q = desired_attitude(np.array([0.0, 0.0, 2.0 * WEIGHT]), yaw)
-        want = Quaternion.from_yaw(yaw)
-        assert abs(abs(q.dot(want)) - 1.0) < 1e-12
+        want = from_yaw(yaw)
+        assert abs(abs(dot(q, want)) - 1.0) < 1e-12
 
 
 def test_desired_attitude_thrust_axis():
@@ -417,7 +413,7 @@ def test_tick_hover_commands():
 def test_tick_ignores_yaw_in_altitude_mode():
     """A yawed but level vehicle sees no corrective torque at all."""
     ctrl = flight_controller()
-    q = Quaternion.from_yaw(1.2)
+    q = from_yaw(1.2)
     est = VehicleState(z=0.3, qw=q.w, qx=q.x, qy=q.y, qz=q.z)
     cmd = ctrl.tick(est, 1.2, Setpoint(position=np.array([0.0, 0.0, 0.3])), 5e-4)
     assert_commands(cmd, hover_wrench())

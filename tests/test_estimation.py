@@ -23,6 +23,7 @@ from flapsim.dynamics import VehicleState
 from flapsim.spatial import Quaternion
 
 import oracles
+from oracles import conjugate, dot, from_yaw, negated
 
 FS = 500.0
 DT = 1.0 / FS
@@ -93,7 +94,7 @@ def test_derivative_filter_ramp():
     over 0.8 s; its filtered derivative settles to 0.1 within 1 %."""
     est = Estimator(filter_config(rate_corner=VEL_CORNER))
     for k in range(400):
-        est.tick(pose(attitude=Quaternion.from_yaw(0.2 * k * DT)))
+        est.tick(pose(attitude=from_yaw(0.2 * k * DT)))
     assert est.memory[16] == pytest.approx(0.1, rel=1e-2)
 
 
@@ -181,8 +182,8 @@ def aligned(attitudes):
     out = []
     for q in attitudes:
         q = q.normalized()
-        if out and q.dot(out[-1]) < 0.0:
-            q = -q
+        if out and dot(q, out[-1]) < 0.0:
+            q = negated(q)
         out.append(q)
     return out
 
@@ -194,13 +195,13 @@ def test_derivative_filter_matches_numpy_oracle(corner, dt, stream):
     rate columns equal 2 q^-1 * y through ``Quaternion``, bit for bit."""
     est = Estimator(filter_config(rate_corner=corner, measurement_dt=dt))
     oracle = oracles.LowPassDerivative(corner, dt, 4)
-    attitudes = [-q if flip else q for q, flip in stream]
+    attitudes = [negated(q) if flip else q for q, flip in stream]
     for q, q_aligned in zip(attitudes, aligned(attitudes)):
         omega = est.tick(pose(attitude=q))[11:]
         assert oracles.bits(est.memory[:4]) == oracles.bits(q_aligned)
         y = est.memory[13:]
         assert_same_bits(y, oracle.update(np.array(q_aligned)))
-        prod = q_aligned.conjugate() * Quaternion(*y)
+        prod = conjugate(q_aligned) * Quaternion(*y)
         assert oracles.bits(omega) == oracles.bits([2.0 * v for v in prod[1:]])
         assert oracles.bits([est.scalar_residual]) == oracles.bits([2.0 * prod.w])
 
@@ -294,7 +295,7 @@ def test_rate_filter_constant_spin():
     est = Estimator(filter_config())
     rate = 2.0
     for k in range(int(1.0 / DT)):
-        omega = est.tick(pose(attitude=Quaternion.from_yaw(rate * k * DT)))[11:]
+        omega = est.tick(pose(attitude=from_yaw(rate * k * DT)))[11:]
     assert omega[2] == pytest.approx(rate, rel=2e-2)
     assert abs(omega[0]) < 1e-2 and abs(omega[1]) < 1e-2
     # the residual reflects the filter lag, roughly rate^2 / (2 corner)
@@ -321,11 +322,11 @@ def test_sensor_noise_statistics():
 
 def test_sensor_noise_free_passthrough():
     sensor = MocapSensor(filter_config(), seed=0)
-    yaw = Quaternion.from_yaw(0.5)
+    yaw = from_yaw(0.5)
     state = VehicleState(x=0.1, y=0.2, z=0.3, qw=yaw.w, qx=yaw.x, qy=yaw.y, qz=yaw.z)
     s = sensor.sample(state)
     assert s.position == pytest.approx(state[1:4], abs=0.0)
-    assert s.attitude.dot(yaw) == pytest.approx(1.0, abs=1e-15)
+    assert dot(s.attitude, yaw) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sensor_determinism():
@@ -342,7 +343,7 @@ def test_sensor_noise_is_six_draws_per_sample():
     """600 samples, which cross two blocks of drawn noise, carry the noise of
     one standard_normal(6) call per sample; two sensors of one seed agree."""
     c = filter_config(position_noise_std=1e-3, attitude_noise_std=2e-3)
-    yaw = Quaternion.from_yaw(0.3)
+    yaw = from_yaw(0.3)
     state = VehicleState(x=0.1, y=-0.2, z=0.3, qw=yaw.w, qx=yaw.x, qy=yaw.y, qz=yaw.z)
     rng = np.random.default_rng(7)
     a, b = MocapSensor(c, seed=7), MocapSensor(c, seed=7)
@@ -391,9 +392,9 @@ def spin_samples(n, rate=2.0, flip_from=None):
     """Unit-quaternion spin about z; optionally sign-flipped from an index."""
     out = []
     for k in range(n):
-        q = Quaternion.from_yaw(rate * k * DT)
+        q = from_yaw(rate * k * DT)
         if flip_from is not None and k >= flip_from:
-            q = -q
+            q = negated(q)
         out.append(q)
     return out
 
@@ -413,10 +414,10 @@ def test_estimator_hemisphere_continuity():
         eb = flipped.tick(MocapSample(position=np.zeros(3), attitude=qb, t=k * DT))
         assert ea[11:] == pytest.approx(eb[11:], abs=1e-15)
         qa, qb = Quaternion(*ea[7:11]), Quaternion(*eb[7:11])
-        assert abs(abs(qa.dot(qb)) - 1.0) < 1e-15
+        assert abs(abs(dot(qa, qb)) - 1.0) < 1e-15
         # consecutive stored attitudes never jump hemispheres
         if k > 0:
-            assert Quaternion(*flipped.memory[:4]).dot(qb) >= 0.0
+            assert dot(Quaternion(*flipped.memory[:4]), qb) >= 0.0
 
 
 def test_estimator_zero_order_hold():

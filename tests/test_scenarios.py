@@ -50,7 +50,7 @@ def test_row_count_and_time_axis():
     rec = run_scenario(short_ballistic())
     assert rec.status == 0
     assert rec.rows.shape == (201, len(CSV_COLUMNS))
-    t = rec.column("t_s")
+    t = rec.rows[:, CSV_COLUMNS.index("t_s")]
     assert t[0] == 0.0
     assert t[-1] == pytest.approx(0.1)
     assert np.max(np.abs(np.diff(t) - 5e-4)) < 1e-12
@@ -142,10 +142,10 @@ def test_every_exported_name_resolves(module):
 
 def test_ballistic_trajectory_in_rows():
     rec = run_scenario(short_ballistic())
-    z = rec.column("pos_z_m")
+    z = rec.rows[:, CSV_COLUMNS.index("pos_z_m")]
     assert abs(z[-1] - (-0.04905)) < 1e-9
-    assert np.all(rec.column("thrust_n") == 0.0)
-    assert np.all(rec.column("cmd_1_v") == 0.0)
+    assert np.all(rec.rows[:, CSV_COLUMNS.index("thrust_n")] == 0.0)
+    assert np.all(rec.rows[:, CSV_COLUMNS.index("cmd_1_v")] == 0.0)
 
 
 def test_csv_round_trip(tmp_path):
@@ -439,8 +439,28 @@ def test_a_nan_attitude_records_nan_angles():
     assert rec.status == 2
     assert rec.rows.shape[0] == 2
     for name in ("roll_rad", "pitch_rad", "yaw_rad"):
-        assert math.isnan(rec.column(name)[-1])
+        assert math.isnan(rec.rows[:, CSV_COLUMNS.index(name)][-1])
     assert math.isnan(rec.metrics["max_abs_pitch_rad"])
+
+
+@pytest.mark.parametrize(
+    "mode", ["open-loop", "yaw-damping-compare", "altitude-attitude", "position-hold"]
+)
+def test_yaw_decay_tau_is_nan_when_every_squared_time_offset_underflows(mode):
+    """20 ticks 1e-200 s apart: every (t - t_mean)^2 underflows to 0, so the
+    fitted time constant is NaN instead of a ZeroDivisionError."""
+    raw = {
+        "mode": mode,
+        "duration_s": 2e-199,
+        "rates": {"control_hz": 1e200, "measurement_hz": 1e200},
+        "initial": {"omega_rad_per_s": [0.0, 0.0, 20.0]},
+    }
+    if mode == "yaw-damping-compare":
+        raw["comparison_vehicle"] = {"n_wings": 2}
+    rec = run_scenario(config_from_dict(raw))
+    assert rec.status in (0, 2)
+    assert len(rec.rows) == 21
+    assert math.isnan(rec.metrics["yaw_decay_tau_s"])
 
 
 def test_divergence_sets_status():
@@ -451,7 +471,7 @@ def test_divergence_sets_status():
     rec = run_scenario(config)
     assert rec.status == 2
     assert rec.rows.shape[0] < 3.0 * 2000 + 1
-    assert abs(rec.column("pos_z_m")[-1]) > 10.0
+    assert abs(rec.rows[:, CSV_COLUMNS.index("pos_z_m")][-1]) > 10.0
 
 
 @pytest.mark.parametrize(
@@ -508,7 +528,8 @@ def test_one_sample_and_one_update_per_measurement_tick(monkeypatch, name, durat
     ticks = len(rec.rows) - (rec.status == 2)  # a diverged run adds one row
     every = config.measurement_every
     assert len(sampled) == math.ceil(ticks / every)
-    assert sampled == updated == rec.column("t_s")[:ticks:every].tolist()
+    t = rec.rows[:ticks:every, CSV_COLUMNS.index("t_s")]
+    assert sampled == updated == t.tolist()
     first, last = CSV_COLUMNS.index("est_pos_x_m"), CSV_COLUMNS.index("est_yaw_rad")
     est = rec.rows[:ticks, first : last + 1]
     held = [k for k in range(ticks) if k % every]
@@ -611,9 +632,9 @@ def test_scheduled_setpoint_switch():
     )
     rec = run_scenario(config)
     assert rec.status == 0
-    t = rec.column("t_s")
-    x = rec.column("pos_x_m")
-    sp_x = rec.column("sp_x_m")
+    t = rec.rows[:, CSV_COLUMNS.index("t_s")]
+    x = rec.rows[:, CSV_COLUMNS.index("pos_x_m")]
+    sp_x = rec.rows[:, CSV_COLUMNS.index("sp_x_m")]
     # allow one tick of slop where accumulated float error meets the boundary
     assert np.all(sp_x[t < 1.5 - 1e-3] == 0.0)
     assert np.all(sp_x[t > 1.5 + 1e-3] == pytest.approx(0.1))
@@ -639,7 +660,8 @@ def test_true_state_feedback_option():
     rec_est = run_scenario(config_from_dict(raw))
     assert rec_est.status == 0
     # noise-free estimated feedback tracks the true-feedback run closely
-    dz = rec.column("pos_z_m") - rec_est.column("pos_z_m")
+    z = CSV_COLUMNS.index("pos_z_m")
+    dz = rec.rows[:, z] - rec_est.rows[:, z]
     assert np.max(np.abs(dz)) < 5e-3
 
 
@@ -666,9 +688,9 @@ def test_open_loop_constant_command():
     )
     rec = run_scenario(config)
     assert rec.status == 0
-    assert np.all(rec.column("cmd_1_v") == 140.0)
+    assert np.all(rec.rows[:, CSV_COLUMNS.index("cmd_1_v")] == 140.0)
     # 4 kf v > mg at 140 V: the craft accelerates upward
-    assert rec.column("pos_z_m")[-1] > 0.0
+    assert rec.rows[:, CSV_COLUMNS.index("pos_z_m")][-1] > 0.0
 
 
 def test_lift_report_values():
