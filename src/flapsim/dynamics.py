@@ -25,10 +25,15 @@ and the update are plain float expressions, one line per component, with
 the constants of the call (f = thrust / m, g, the yaw damping b, J_i and
 1 / J_i) bound once.  Position does not enter the derivative, so the stages
 carry only v, q and omega.  The vibration torque is evaluated at t, t + h
-and t + dt, stages 2 and 3 sharing the midpoint.  Every expression must keep
-its operation order, down to ``(tz + pz) - b * wz`` and ``((k1 + 2 k2) +
-2 k3) + k4``: the tests hold ``step`` bit for bit to a stage-by-stage RK4
-reference, and the pinned run digests rest on it.
+and t + dt, stages 2 and 3 sharing the midpoint, and only when its amplitude
+is non-zero; at zero amplitude the three torques are ``(0.0, 0.0, 0.0)``,
+what :func:`vibration_torque` returns, and are still added to the commanded
+torque (which turns a -0.0 component into 0.0).  The quaternion's
+renormalisation is written out in ``Quaternion.normalized``'s order and with
+its error.  Every expression must keep its operation order, down to
+``(tz + pz) - b * wz`` and ``((k1 + 2 k2) + 2 k3) + k4``: the tests hold
+``step`` bit for bit to a stage-by-stage RK4 reference, and the pinned run
+digests rest on it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .aero import Wrench
-from .spatial import Quaternion
 
 __all__ = [
     "VehicleState",
@@ -136,12 +140,18 @@ def step(
     j1, j2, j3 = config.inertia
     i1, i2, i3 = 1.0 / j1, 1.0 / j2, 1.0 / j3
     h = 0.5 * dt
+    if config.vibration_amplitude == 0.0:  # what vibration_torque returns
+        p1 = ph = p4 = (0.0, 0.0, 0.0)
+    else:
+        p1 = vibration_torque(config, t)
+        ph = vibration_torque(config, t + h)
+        p4 = vibration_torque(config, t + dt)
 
     # Each stage n evaluates the derivative at its own (v, q, w): kv is the
     # acceleration (thrust along the body z axis, the third column of R(q),
     # less gravity), kq = q * (0, w) / 2 and kw Euler's equations
     # J_i wdot_i = tau_i - (w x J w)_i.  The position derivative is v.
-    px, py, pz = vibration_torque(config, t)
+    px, py, pz = p1
     kvx1 = f * (2.0 * (qx * qz + qw * qy))
     kvy1 = f * (2.0 * (qy * qz - qw * qx))
     kvz1 = f * (1.0 - 2.0 * (qx * qx + qy * qy)) - g
@@ -155,7 +165,7 @@ def step(
     kwz1 = i3 * ((tz + pz) - b * wz - (wx * hy - wy * hx))
 
     # Stages 2 and 3 share the time t + h and so the vibration torque.
-    px, py, pz = vibration_torque(config, t + h)
+    px, py, pz = ph
     ux, uy, uz = tx + px, ty + py, tz + pz
 
     vx2, vy2, vz2 = vx + h * kvx1, vy + h * kvy1, vz + h * kvz1
@@ -190,7 +200,7 @@ def step(
     kwy3 = i2 * (uy - (wz3 * hx - wx3 * hz))
     kwz3 = i3 * (uz - b * wz3 - (wx3 * hy - wy3 * hx))
 
-    px, py, pz = vibration_torque(config, t + dt)
+    px, py, pz = p4
     vx4, vy4, vz4 = vx + dt * kvx3, vy + dt * kvy3, vz + dt * kvz3
     qw4, qx4 = qw + dt * kqw3, qx + dt * kqx3
     qy4, qz4 = qy + dt * kqy3, qz + dt * kqz3
@@ -208,12 +218,14 @@ def step(
     kwz4 = i3 * ((tz + pz) - b * wz4 - (wx4 * hy - wy4 * hx))
 
     h6 = dt / 6.0
-    q = Quaternion(
-        qw + h6 * (kqw1 + 2.0 * kqw2 + 2.0 * kqw3 + kqw4),
-        qx + h6 * (kqx1 + 2.0 * kqx2 + 2.0 * kqx3 + kqx4),
-        qy + h6 * (kqy1 + 2.0 * kqy2 + 2.0 * kqy3 + kqy4),
-        qz + h6 * (kqz1 + 2.0 * kqz2 + 2.0 * kqz3 + kqz4),
-    ).normalized()
+    qw = qw + h6 * (kqw1 + 2.0 * kqw2 + 2.0 * kqw3 + kqw4)
+    qx = qx + h6 * (kqx1 + 2.0 * kqx2 + 2.0 * kqx3 + kqx4)
+    qy = qy + h6 * (kqy1 + 2.0 * kqy2 + 2.0 * kqy3 + kqy4)
+    qz = qz + h6 * (kqz1 + 2.0 * kqz2 + 2.0 * kqz3 + kqz4)
+    # Quaternion.normalized, written out.
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    if n < 1e-12:
+        raise ValueError("cannot normalize a near-zero quaternion")
     return VehicleState(
         t + dt,
         x + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
@@ -222,7 +234,7 @@ def step(
         vx + h6 * (kvx1 + 2.0 * kvx2 + 2.0 * kvx3 + kvx4),
         vy + h6 * (kvy1 + 2.0 * kvy2 + 2.0 * kvy3 + kvy4),
         vz + h6 * (kvz1 + 2.0 * kvz2 + 2.0 * kvz3 + kvz4),
-        *q,
+        qw / n, qx / n, qy / n, qz / n,
         wx + h6 * (kwx1 + 2.0 * kwx2 + 2.0 * kwx3 + kwx4),
         wy + h6 * (kwy1 + 2.0 * kwy2 + 2.0 * kwy3 + kwy4),
         wz + h6 * (kwz1 + 2.0 * kwz2 + 2.0 * kwz3 + kwz4),

@@ -10,8 +10,9 @@ estimate between measurements (zero-order hold).  Four modes exist:
 * ``yaw-damping-compare``: no feedback; the plant is driven by an ideal
   weight-cancelling wrench while the yaw rate decays through the passive
   damping of the wings.  The config's comparison vehicle then flies the
-  same scenario in a second pass of the loop, and the fitted time
-  constants are reported side by side.
+  same scenario as a plain RK4 march over its states, which keeps only
+  the time and the yaw rate, and the fitted time constants are reported
+  side by side.
 * ``open-loop``: constant drive amplitudes from the config.
 
 Every run produces a :class:`RunRecord` with one row per control tick plus a
@@ -304,6 +305,36 @@ def _simulate(config: SimConfig, vehicle: VehicleParams) -> tuple[np.ndarray, in
     return np.frombuffer(buf).reshape(-1, len(CSV_COLUMNS)), status
 
 
+def _yaw_rates(
+    config: SimConfig, vehicle: VehicleParams
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Time, yaw rate and status of ``vehicle`` under the yaw-damping wrench.
+
+    The same values as the ``t_s`` and ``omega_z_radps`` columns and the
+    status of ``_simulate(config, vehicle)`` in ``yaw-damping-compare``, from
+    a march over the states alone: no sensor, estimator, setpoint, Euler
+    angles or rows.
+    """
+    dt = config.dt
+    wrench = Wrench(vehicle.weight, (0.0, 0.0, 0.0))
+    state = config.initial
+    t, omega_z, status = array("d", (state.t,)), array("d", (state.wz,)), 0
+    for _ in range(config.n_steps):
+        try:
+            state = step(state, wrench, vehicle, dt)
+        except ValueError:
+            if math.isfinite(wrench.thrust):
+                raise
+            status = 2  # a non-finite wrench: the sample above is the last
+            break
+        t.append(state.t)
+        omega_z.append(state.wz)
+        if _diverged(state):
+            status = 2
+            break
+    return np.frombuffer(t), np.frombuffer(omega_z), status
+
+
 def run_scenario(
     config: SimConfig, seed: int | None = None, duration: float | None = None
 ) -> RunRecord:
@@ -313,8 +344,10 @@ def run_scenario(
     ``config.with_run``, which checks them.  A diverged run (non-finite
     state or wrench, or position norm beyond 10 m) stops early and is
     returned with status 2 and the rows recorded so far.  In
-    ``yaw-damping-compare`` a divergence of the comparison pass also sets
-    status 2.
+    ``yaw-damping-compare`` the comparison vehicle is marched from the same
+    initial state under the same wrench, recording no rows, and only its
+    fitted time constant and the ratio go into ``extra_metrics``; its
+    divergence also sets status 2.
     """
     config = config.with_run(seed, duration)
     rows, status = _simulate(config, config.vehicle)
@@ -324,11 +357,9 @@ def run_scenario(
     )
 
     if config.mode == "yaw-damping-compare":
-        compared, compared_status = _simulate(config, config.comparison_vehicle)
+        t, omega_z, compared_status = _yaw_rates(config, config.comparison_vehicle)
         record.status = max(record.status, compared_status)
-        tau_cmp = _yaw_decay_tau(
-            compared[:, _COL["t_s"]], compared[:, _COL["omega_z_radps"]]
-        )
+        tau_cmp = _yaw_decay_tau(t, omega_z)
         tau_primary = record.metrics["yaw_decay_tau_s"]
         record.extra_metrics["comparison_yaw_decay_tau_s"] = tau_cmp
         record.extra_metrics["yaw_decay_tau_ratio"] = (

@@ -113,6 +113,20 @@ def test_a_huge_yaw_damping_exits_2_without_a_traceback(tmp_path):
     assert "run diverged" in proc.stderr
 
 
+def test_a_diverged_comparison_vehicle_exits_2(tmp_path, capsys):
+    """A comparison vehicle whose weight overflows is a non-finite wrench:
+    the run exits 2 and its CSV, the primary vehicle's, is complete."""
+    cfg, out = tmp_path / "heavy.cfg", tmp_path / "heavy.csv"
+    cfg.write_text(
+        "mode: yaw-damping-compare\nduration_s: 0.05\n"
+        "comparison_vehicle: {mass_mg: 1.0e+305, gravity_m_per_s2: 1.0e+10}\n"
+    )
+    code = main(["run", str(cfg), "--out", str(out)])
+    assert code == EXIT_DIVERGED
+    assert "run diverged" in capsys.readouterr().err
+    assert len(read_csv(out)) == 101
+
+
 def test_a_tiny_control_period_runs_without_a_traceback(tmp_path):
     """At 1e200 Hz every squared time offset of the yaw-decay fit
     underflows; ``flapsim run`` ended in a ZeroDivisionError traceback."""

@@ -566,46 +566,102 @@ def test_yaw_damping_compare_extras():
     assert rec.extra_metrics["yaw_decay_tau_ratio"] == pytest.approx(1.0 / math.sqrt(2.0), rel=2e-2)
 
 
-def test_a_diverged_comparison_pass_sets_status():
-    """A comparison vehicle with vanishing inertia diverges in its first step
-    under the vibration torque, and the record has status 2 though the
-    primary pass completed."""
-    config = config_from_dict(
-        {
-            "mode": "yaw-damping-compare",
-            "duration_s": 0.05,
-            "disturbance": {"vibration_amplitude_n_m": 1e-8, "vibration_ramp_s": 0.0},
-            "comparison_vehicle": {"inertia_kg_m2": [1e-300, 1e-300, 1e-300]},
-        }
-    )
-    rec = run_scenario(config)
+# Comparison vehicles that end the comparison pass with status 2, each by
+# another exit: a vanishing inertia diverges in its first step under the
+# vibration torque, an overflowing weight is a non-finite wrench before any
+# step, and a huge yaw damping overflows the yaw rate in the second step.
+_DIVERGING_COMPARISON_VEHICLES = {
+    "vanishing-inertia": {"inertia_kg_m2": [1e-300, 1e-300, 1e-300]},
+    "overflowing-weight": {"mass_mg": 1e305, "gravity_m_per_s2": 1e10},
+    "huge-yaw-damping": {"yaw_damping_n_m_s": 1e300},
+}
+
+
+def diverging_comparison(vehicle):
+    return {
+        "mode": "yaw-damping-compare",
+        "duration_s": 0.05,
+        "disturbance": {"vibration_amplitude_n_m": 1e-8, "vibration_ramp_s": 0.0},
+        "comparison_vehicle": vehicle,
+    }
+
+
+@pytest.mark.parametrize(
+    "vehicle",
+    list(_DIVERGING_COMPARISON_VEHICLES.values()),
+    ids=list(_DIVERGING_COMPARISON_VEHICLES),
+)
+def test_a_diverged_comparison_pass_sets_status(vehicle):
+    """A comparison vehicle that diverges gives the record status 2 though
+    the primary pass completed, and NaN comparison figures."""
+    rec = run_scenario(config_from_dict(diverging_comparison(vehicle)))
     assert rec.status == 2
     assert rec.rows.shape[0] == 101  # the primary pass completed
     assert math.isnan(rec.extra_metrics["comparison_yaw_decay_tau_s"])
+    assert math.isnan(rec.extra_metrics["yaw_decay_tau_ratio"])
+
+
+# A two-wing comparison vehicle, and a scenario that tilts and spins it
+# under the vibration torque.
+_TWO_WINGS = {
+    "n_wings": 2,
+    "inertia_kg_m2": [1.5e-9, 2.5e-9, 0.5e-9],
+    "wing": {"flap_frequency_hz": 141.4213562373095},
+}
+_TILTED_AND_VIBRATING = {
+    "mode": "yaw-damping-compare",
+    "duration_s": 0.5,
+    "initial": {"omega_rad_per_s": [2.0, -1.0, 20.0], "attitude_rpy_deg": [5.0, 0.0, 0.0]},
+    "disturbance": {"vibration_amplitude_n_m": 1e-8, "vibration_ramp_s": 0.0},
+    "comparison_vehicle": {},
+}
 
 
 def test_comparison_runs_the_scenario_with_the_vehicle_swapped():
     """The comparison vehicle starts from the scenario's initial state and
     sees its disturbance: its tau equals a plain run of the same scenario
     whose vehicle section is the comparison section."""
-    section = {
-        "n_wings": 2,
-        "inertia_kg_m2": [1.5e-9, 2.5e-9, 0.5e-9],
-        "wing": {"flap_frequency_hz": 141.4213562373095},
-    }
-    scenario = {
-        "mode": "yaw-damping-compare",
-        "duration_s": 0.5,
-        "initial": {"omega_rad_per_s": [2.0, -1.0, 20.0], "attitude_rpy_deg": [5.0, 0.0, 0.0]},
-        "disturbance": {"vibration_amplitude_n_m": 1e-8, "vibration_ramp_s": 0.0},
-        "comparison_vehicle": {},
-    }
-    compared = run_scenario(config_from_dict({**scenario, "comparison_vehicle": section}))
-    plain = run_scenario(config_from_dict({**scenario, "vehicle": section}))
+    scenario = _TILTED_AND_VIBRATING
+    compared = run_scenario(config_from_dict({**scenario, "comparison_vehicle": _TWO_WINGS}))
+    plain = run_scenario(config_from_dict({**scenario, "vehicle": _TWO_WINGS}))
     tau = plain.metrics["yaw_decay_tau_s"]
     assert math.isfinite(tau)
     assert compared.extra_metrics["comparison_yaw_decay_tau_s"] == tau
     assert compared.extra_metrics["yaw_decay_tau_ratio"] == compared.metrics["yaw_decay_tau_s"] / tau
+
+
+def nan_canonical_bytes(values: np.ndarray) -> bytes:
+    """The float64 bytes of ``values`` with every NaN made the one quiet NaN:
+    the sign bit of a NaN that ``step`` produces depends on how warm the
+    interpreter is, not on the caller."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        None,
+        {**_TILTED_AND_VIBRATING, "comparison_vehicle": _TWO_WINGS},
+        *map(diverging_comparison, _DIVERGING_COMPARISON_VEHICLES.values()),
+    ],
+    ids=["yaw_damp.cfg", "tilted-and-vibrating", *_DIVERGING_COMPARISON_VEHICLES],
+)
+def test_the_yaw_rate_march_matches_the_run_loop_bit_for_bit(raw):
+    """The comparison pass's march gives the time and yaw-rate columns and
+    the status that the full run loop gives for the same vehicle, bit for
+    bit, through a divergence and a non-finite wrench."""
+    if raw is None:
+        config = load_config(bundled_config_path("yaw_damp.cfg"))
+    else:
+        config = config_from_dict(raw)
+    for vehicle in (config.vehicle, config.comparison_vehicle):
+        rows, status = scenarios._simulate(config, vehicle)
+        t, omega_z, march_status = scenarios._yaw_rates(config, vehicle)
+        assert march_status == status
+        assert t.tobytes() == rows[:, CSV_COLUMNS.index("t_s")].tobytes()
+        assert nan_canonical_bytes(omega_z) == nan_canonical_bytes(
+            rows[:, CSV_COLUMNS.index("omega_z_radps")]
+        )
 
 
 def test_altitude_step_metrics():
@@ -812,8 +868,9 @@ def test_benchmark_counts_held_ticks():
     assert traced_calls(_TRACE_HOLD_CHILD) == [21, 21]
 
 
-# The comparison vehicle is a second pass of the loop inside one
-# run_scenario call: 2 x 100 ticks at 2 kHz, and no nested run_scenario.
+# The comparison vehicle is a march over states inside one run_scenario
+# call: 2 x 100 steps at 2 kHz, no nested run_scenario, and only the primary
+# pass samples the sensor, once every 4 of its 101 rows.
 _TRACE_COMPARE_CHILD = """
 import run
 from flapsim import bundled_config_path, load_config, scenarios
@@ -822,9 +879,10 @@ tracer = run.Tracer()
 tracer.install()
 scenarios.run_scenario(load_config(bundled_config_path("yaw_damp.cfg")), duration=0.05)
 tracer.uninstall()
-print(tracer.calls("scenarios.run_scenario"), tracer.calls("dynamics.step"))
+print(tracer.calls("scenarios.run_scenario"), tracer.calls("dynamics.step"),
+      tracer.calls("estimation.sample"))
 """
 
 
 def test_comparison_is_one_run_scenario_call():
-    assert traced_calls(_TRACE_COMPARE_CHILD) == [1, 200]
+    assert traced_calls(_TRACE_COMPARE_CHILD) == [1, 200, 26]
