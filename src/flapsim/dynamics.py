@@ -73,7 +73,11 @@ class VehicleState(NamedTuple):
 
 @dataclass
 class InertialConfig:
-    """Mass properties plus the passive torque terms of the airframe."""
+    """Mass properties plus the passive torque terms of the airframe.
+
+    The mass must be finite and positive and the inertia three finite,
+    positive principal moments; anything else raises ``ValueError``.
+    """
 
     mass: float  # [kg]
     inertia: tuple[float, float, float]  # principal moments J1, J2, J3 [kg m^2]
@@ -84,6 +88,8 @@ class InertialConfig:
     vibration_ramp: float = 0.0  # envelope rise time [s], 0 = full from t=0
 
     def __post_init__(self) -> None:
+        if not (self.mass > 0.0 and math.isfinite(self.mass)):
+            raise ValueError(f"mass must be finite and positive, got {self.mass!r}")
         try:
             moments = tuple(float(j) for j in self.inertia)
         except (TypeError, ValueError):  # not a sequence of numbers

@@ -30,11 +30,14 @@ stream bit for bit.
 
 Measurement noise is deterministic for a given seed: position noise is white
 Gaussian per axis, attitude noise a small random rotation vector applied on
-the body side.
+the body side.  A noise-free sensor builds no random generator, so a
+noise-free run never imports ``numpy.random``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,14 +86,21 @@ class MocapSensor:
     x, y, z, qw, qx, qy, qz is ``-0.0``: there ``x + 0.0 * n`` and the
     product with the rotation ``(1, +-0, +-0, +-0)`` of a zero rotation
     vector take the sign of the draw ``n``.
+
+    Such a sensor builds no random generator either, so a noise-free run
+    never imports ``numpy.random``.  Every sensor checks its seed as
+    ``default_rng`` would: a non-integer raises ``TypeError``, a negative
+    one ``ValueError``.
     """
 
     def __init__(self, config: FilterConfig, seed: int) -> None:
+        if operator.index(seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self.config = config
         self._noiseless = (
             config.position_noise_std == 0.0 and config.attitude_noise_std == 0.0
         )
-        self._rng = np.random.default_rng(seed)
+        self._rng = None if self._noiseless else np.random.default_rng(seed)
         self._noise = iter(())
 
     def sample(self, state: VehicleState) -> MocapSample:
@@ -123,13 +133,17 @@ class Estimator:
     before the first sample, which primes zero difference, velocity and
     rate, and then 17 floats: the previous quaternion (4) and position (3),
     the previous position difference (3), the velocity output (3) and the
-    rate filter's output (4).
+    rate filter's output (4).  Both corners and the measurement period must
+    be finite and positive: a NaN or infinite one raises ``ValueError`` like
+    a non-positive one, since it would make a filter coefficient NaN.
     """
 
     def __init__(self, config: FilterConfig) -> None:
         dt, corner = config.measurement_dt, config.rate_corner
-        if corner <= 0.0 or config.velocity_corner <= 0.0 or dt <= 0.0:
-            raise ValueError("corner frequencies and dt must be positive")
+        if not all(
+            x > 0.0 and math.isfinite(x) for x in (corner, config.velocity_corner, dt)
+        ):
+            raise ValueError("corner frequencies and dt must be positive and finite")
         self._dt = dt
         # Tustin: y[k] = b0 (x[k] - x[k-1]) - a1 y[k-1] for the rate filter,
         # y[k] = b0 (x[k] + x[k-1]) - a1 y[k-1] for the velocity filter.

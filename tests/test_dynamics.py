@@ -106,6 +106,14 @@ def test_inertia_is_three_principal_moments():
             stock_config(inertia=bad)
 
 
+@pytest.mark.parametrize("mass", [0.0, -1e-6, math.nan, math.inf])
+def test_mass_must_be_finite_and_positive(mass):
+    """A zero mass would divide by zero in ``step`` and a NaN one would give
+    an all-NaN state; both are rejected with the inertia's ValueError."""
+    with pytest.raises(ValueError, match="mass must be finite and positive"):
+        stock_config(mass=mass)
+
+
 _moment = st.floats(1e-12, 1e-3)
 _rate = st.floats(-1e3, 1e3)
 _torque = st.floats(-1e-3, 1e-3)

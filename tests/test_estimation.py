@@ -329,6 +329,18 @@ def test_sensor_noise_free_passthrough():
     assert dot(s.attitude, yaw) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("noise_std", [0.0, 1e-3])
+def test_sensor_checks_its_seed_with_or_without_noise(noise_std):
+    """A noise-free sensor builds no generator but checks its seed as
+    ``default_rng`` does: a negative seed is a ValueError, a float a
+    TypeError."""
+    c = filter_config(position_noise_std=noise_std, attitude_noise_std=noise_std)
+    with pytest.raises(ValueError):
+        MocapSensor(c, seed=-1)
+    with pytest.raises(TypeError):
+        MocapSensor(c, seed=1.5)
+
+
 def test_sensor_determinism():
     c = filter_config(position_noise_std=1e-3, attitude_noise_std=1e-3)
     a, b = MocapSensor(c, seed=99), MocapSensor(c, seed=99)
@@ -401,8 +413,11 @@ def spin_samples(n, rate=2.0, flip_from=None):
 
 @pytest.mark.parametrize("key", ["rate_corner", "velocity_corner", "measurement_dt"])
 def test_estimator_rejects_a_non_positive_corner_or_period(key):
-    with pytest.raises(ValueError, match="must be positive"):
-        Estimator(filter_config(**{key: 0.0}))
+    """NaN and infinity are rejected too: either would make a filter
+    coefficient NaN."""
+    for value in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be positive"):
+            Estimator(filter_config(**{key: value}))
 
 
 def test_estimator_hemisphere_continuity():

@@ -794,8 +794,8 @@ print(*(tracer.calls(name) for name in spans))
 
 
 def traced_calls(child: str) -> list[int]:
-    """The counts ``child`` prints after a traced run; run in a child process
-    so this process stays unpatched."""
+    """The integers ``child`` prints; run in a fresh child process so this
+    process stays unpatched and its own imports do not show in the child."""
     root = Path(__file__).resolve().parents[1]
     path = [str(root / "perfbench"), str(root / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -886,3 +886,22 @@ print(tracer.calls("scenarios.run_scenario"), tracer.calls("dynamics.step"),
 
 def test_comparison_is_one_run_scenario_call():
     assert traced_calls(_TRACE_COMPARE_CHILD) == [1, 200, 26]
+
+
+# Whether numpy.random is loaded after each bundled scenario runs 0.01 s, in
+# that order in one fresh interpreter: the five noise-free ones first, then
+# hover.cfg, whose noisy sensor must load it, which shows the probe can see
+# the import.
+_NUMPY_RANDOM_CHILD = """
+import sys
+from flapsim import bundled_config_path, load_config, run_scenario
+
+for name in ("position_hold", "position_sat", "yaw_damp", "ballistic",
+             "two_wing", "hover"):
+    run_scenario(load_config(bundled_config_path(name + ".cfg")), duration=0.01)
+    print(int("numpy.random" in sys.modules))
+"""
+
+
+def test_noise_free_runs_do_not_import_numpy_random():
+    assert traced_calls(_NUMPY_RANDOM_CHILD) == [0, 0, 0, 0, 0, 1]
