@@ -75,8 +75,9 @@ class VehicleState(NamedTuple):
 class InertialConfig:
     """Mass properties plus the passive torque terms of the airframe.
 
-    The mass must be finite and positive and the inertia three finite,
-    positive principal moments; anything else raises ``ValueError``.
+    The mass must be finite and positive, the inertia three finite,
+    positive principal moments and the other fields finite; anything else
+    raises ``ValueError``.
     """
 
     mass: float  # [kg]
@@ -100,6 +101,11 @@ class InertialConfig:
                 f"got {self.inertia!r}"
             )
         self.inertia = moments
+        for name in ("gravity", "yaw_damping", "vibration_amplitude",
+                     "vibration_frequency", "vibration_ramp"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def vibration_torque(config: InertialConfig, t: float) -> tuple[float, float, float]:

@@ -30,8 +30,9 @@ stream bit for bit.
 
 Measurement noise is deterministic for a given seed: position noise is white
 Gaussian per axis, attitude noise a small random rotation vector applied on
-the body side.  A noise-free sensor builds no random generator, so a
-noise-free run never imports ``numpy.random``.
+the body side.  The noise comes from a numpy generator, and numpy is imported
+only where a noisy sensor builds it: importing this module, a noise-free
+sensor and the estimator never load numpy.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dynamics import VehicleState
 from .spatial import Quaternion
@@ -87,10 +86,10 @@ class MocapSensor:
     product with the rotation ``(1, +-0, +-0, +-0)`` of a zero rotation
     vector take the sign of the draw ``n``.
 
-    Such a sensor builds no random generator either, so a noise-free run
-    never imports ``numpy.random``.  Every sensor checks its seed as
-    ``default_rng`` would: a non-integer raises ``TypeError``, a negative
-    one ``ValueError``.
+    Such a sensor builds no random generator either, so it never imports
+    numpy; a noisy one imports it as it builds its generator.  Every sensor
+    checks its seed as ``default_rng`` would: a non-integer raises
+    ``TypeError``, a negative one ``ValueError``.
     """
 
     def __init__(self, config: FilterConfig, seed: int) -> None:
@@ -100,7 +99,11 @@ class MocapSensor:
         self._noiseless = (
             config.position_noise_std == 0.0 and config.attitude_noise_std == 0.0
         )
-        self._rng = None if self._noiseless else np.random.default_rng(seed)
+        self._rng = None
+        if not self._noiseless:
+            import numpy as np
+
+            self._rng = np.random.default_rng(seed)
         self._noise = iter(())
 
     def sample(self, state: VehicleState) -> MocapSample:

@@ -31,6 +31,11 @@ saturation flags are piecewise constant, and the open-loop and
 yaw-damping drives never change.  So the writer formats each column block
 (state, estimate, setpoint, drive, flags) only in the rows where its bits
 differ from the previous row's, and reuses its text otherwise.
+
+numpy is imported by the functions that make or read row arrays (a run,
+:func:`read_csv`, ``RunRecord.write_csv`` and :func:`metrics_from_rows`),
+not by this module: importing it, loading a config and comparing two
+vehicles never load numpy.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .aero import ActuatorCommand, Wrench, mix
 from .config import DIVERGENCE_RADIUS, SimConfig, VehicleParams
@@ -49,6 +53,9 @@ from .control import FlightController, Setpoint
 from .dynamics import VehicleState, step
 from .estimation import Estimator, MocapSensor
 from .spatial import _euler_zyx
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CSV_SCHEMA",
@@ -103,6 +110,8 @@ class RunRecord:
     status: int = 0  # 0 completed, 2 diverged
 
     def write_csv(self, path: str | Path) -> None:
+        import numpy as np
+
         # A regular file at ``path`` is replaced, not truncated: ext4 starts
         # writing a file truncated to zero to disk as it is closed, and the
         # next rewrite of the same path then waits on that write.
@@ -132,6 +141,8 @@ class RunRecord:
 
 def read_csv(path: str | Path) -> np.ndarray:
     """Read a run CSV back into the row array; a malformed file is a ValueError."""
+    import numpy as np
+
     with open(path) as f:
         schema = f.readline().strip()
         if schema != f"# {CSV_SCHEMA}":
@@ -156,6 +167,8 @@ def read_csv(path: str | Path) -> np.ndarray:
 
 def metrics_from_rows(rows: np.ndarray) -> dict[str, float]:
     """Summary metrics of a run, computed purely from its recorded rows."""
+    import numpy as np
+
     t = rows[:, _COL["t_s"]]
     err = rows[:, _COL["sp_x_m"] : _COL["sp_z_m"] + 1] - rows[
         :, _COL["pos_x_m"] : _COL["pos_z_m"] + 1
@@ -169,8 +182,8 @@ def metrics_from_rows(rows: np.ndarray) -> dict[str, float]:
         math.sqrt(err_norm2[window].mean())
     )
     metrics["final_position_error_m"] = float(math.sqrt(err_norm2[-1]))
-    metrics["max_abs_roll_rad"] = float(np.abs(rows[:, _COL["roll_rad"]]).max())
-    metrics["max_abs_pitch_rad"] = float(np.abs(rows[:, _COL["pitch_rad"]]).max())
+    metrics["max_abs_roll_rad"] = float(abs(rows[:, _COL["roll_rad"]]).max())
+    metrics["max_abs_pitch_rad"] = float(abs(rows[:, _COL["pitch_rad"]]).max())
     metrics["altitude_rise_time_s"] = _altitude_rise_time(rows, t)
     metrics["yaw_decay_tau_s"] = _yaw_decay_tau(
         t, rows[:, _COL["omega_z_radps"]]
@@ -187,8 +200,8 @@ def _altitude_rise_time(rows: np.ndarray, t: np.ndarray) -> float:
     step_size = z_ref[0] - z[0]
     if abs(step_size) < 1e-9:
         return float("nan")
-    inside = np.abs(z - z_ref) <= 0.2 * abs(step_size)
-    idx = np.nonzero(inside)[0]
+    inside = abs(z - z_ref) <= 0.2 * abs(step_size)
+    idx = inside.nonzero()[0]
     if idx.size == 0:
         return float("nan")
     return float(t[idx[0]])
@@ -206,7 +219,7 @@ def _yaw_decay_tau(t: np.ndarray, omega_z: np.ndarray) -> float:
     w0 = abs(omega_z[0])
     if w0 < 0.1:
         return float("nan")
-    keep = np.abs(omega_z) > 1e-3 * w0
+    keep = abs(omega_z) > 1e-3 * w0
     if keep.sum() < 10:
         return float("nan")
     ts = t[keep].tolist()
@@ -253,6 +266,8 @@ def _diverged(state: VehicleState) -> bool:
 
 def _simulate(config: SimConfig, vehicle: VehicleParams) -> tuple[np.ndarray, int]:
     """Rows and status (0 completed, 2 diverged) of ``vehicle`` in the scenario."""
+    import numpy as np
+
     dt, n_steps = config.dt, config.n_steps
     every = config.measurement_every
     sensor = MocapSensor(config.estimation, config.seed)
@@ -315,6 +330,8 @@ def _yaw_rates(
     a march over the states alone: no sensor, estimator, setpoint, Euler
     angles or rows.
     """
+    import numpy as np
+
     dt = config.dt
     wrench = Wrench(vehicle.weight, (0.0, 0.0, 0.0))
     state = config.initial

@@ -114,6 +114,20 @@ def test_mass_must_be_finite_and_positive(mass):
         stock_config(mass=mass)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["gravity", "yaw_damping", "vibration_amplitude", "vibration_frequency",
+     "vibration_ramp"],
+)
+def test_passive_terms_must_be_finite(field, value):
+    """A NaN gravity, damping or vibration amplitude would make ``step``
+    return a NaN state without an error, and an infinite frequency makes
+    ``math.sin`` raise a bare domain error; each is rejected by name."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        stock_config(**{field: value})
+
+
 _moment = st.floats(1e-12, 1e-3)
 _rate = st.floats(-1e3, 1e3)
 _torque = st.floats(-1e-3, 1e-3)
@@ -265,10 +279,12 @@ def _outcome(f, *args):
 
 
 def _step_args(value, number, positive):
-    """A state of ``value``s, a wrench, gravity and yaw damping of
-    ``number``s, mass, inertia and dt of ``positive``s, and the vibration off,
-    ramping or at full swing."""
+    """A state of ``value``s, a wrench of ``number``s, gravity and yaw
+    damping of finite ``number``s, mass, inertia and dt of ``positive``s, and
+    the vibration off, ramping or at full swing.  ``InertialConfig`` refuses
+    a non-finite constant, so only the wrench and dt carry NaN and inf."""
     moment = positive.filter(math.isfinite)
+    constant = number.filter(math.isfinite)
     return st.tuples(
         st.tuples(*[value] * 14).map(lambda s: VehicleState(*s)),
         st.builds(Wrench, number, st.tuples(number, number, number)),
@@ -276,9 +292,9 @@ def _step_args(value, number, positive):
             InertialConfig,
             mass=moment,
             inertia=st.tuples(moment, moment, moment),
-            gravity=number,
-            yaw_damping=number,
-            vibration_amplitude=st.one_of(st.just(0.0), number),
+            gravity=constant,
+            yaw_damping=constant,
+            vibration_amplitude=st.one_of(st.just(0.0), constant),
             vibration_frequency=st.floats(0.0, 1e3),
             vibration_ramp=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
         ),

@@ -118,6 +118,47 @@ def test_float_core_modules_import_no_numpy(module):
     assert [n for n in names if n.split(".")[0] == "numpy"] == []
 
 
+def _imported_on_import(nodes) -> list[str]:
+    """Modules that ``nodes`` import while their module is imported: the
+    bodies of functions and of ``if TYPE_CHECKING:`` do not run then."""
+    names = []
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            names += _imported_on_import(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        names += _imported_on_import(ast.iter_child_nodes(node))
+    return names
+
+
+def test_the_import_guard_sees_only_what_runs_on_import():
+    tree = ast.parse(
+        "import a\n"
+        "if TYPE_CHECKING:\n    import b\nelse:\n    import c\n"
+        "try:\n    from d import x\nexcept ImportError:\n    import e\n"
+        "class K:\n    import f\n    def m(self):\n        import g\n"
+        "def h():\n    import i\n"
+    )
+    assert _imported_on_import(tree.body) == ["a", "c", "d", "e", "f"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(flapsim.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_imports_numpy_on_import(path):
+    """numpy is imported inside the functions that build or read arrays, so
+    ``import flapsim`` and ``load_config`` never pay for it."""
+    tree = ast.parse(path.read_text())
+    names = _imported_on_import(tree.body)
+    assert names, "no imports parsed"
+    assert [n for n in names if n.split(".")[0] == "numpy"] == []
+
+
 @pytest.mark.parametrize("module", ["control", "dynamics", "estimation", "spatial"])
 def test_tick_path_modules_square_with_a_product(module):
     """No ``**`` on the tick's path: a float ``v**2`` raises OverflowError
@@ -905,3 +946,75 @@ for name in ("position_hold", "position_sat", "yaw_damp", "ballistic",
 
 def test_noise_free_runs_do_not_import_numpy_random():
     assert traced_calls(_NUMPY_RANDOM_CHILD) == [0, 0, 0, 0, 0, 1]
+
+
+# Whether numpy is loaded after each step, in this order in one fresh
+# interpreter, after the exit codes of the step's commands: import flapsim
+# and its cli, load the six bundled configs, validate each, compare hover
+# with two_wing, and a run refused for its duration.  A 0.01 s run then must
+# load numpy, which shows that the probe can see the import.
+_NUMPY_CHILD = """
+import contextlib, io, sys
+from flapsim import bundled_config_path, cli, load_config, run_scenario
+
+def probe(*codes):  # past the redirect of the commands' own output
+    print(*codes, int("numpy" in sys.modules), file=sys.__stdout__)
+
+probe()
+names = ("position_hold", "position_sat", "yaw_damp", "ballistic", "two_wing", "hover")
+paths = [str(bundled_config_path(name + ".cfg")) for name in names]
+for path in paths:
+    load_config(path)
+probe()
+with contextlib.redirect_stdout(io.StringIO()):
+    probe(*(cli.main(["validate", path]) for path in paths))
+    probe(cli.main(["compare", paths[5], paths[4]]))
+    probe(cli.main(["run", paths[5], "--duration", "-1"]))
+run_scenario(load_config(paths[0]), duration=0.01)
+probe()
+"""
+
+
+def test_configs_validate_and_compare_without_numpy():
+    assert traced_calls(_NUMPY_CHILD) == [
+        0,  # import flapsim
+        0,  # load_config
+        0, 0, 0, 0, 0, 0, 0,  # validate
+        0, 0,  # compare
+        1, 0,  # run, a config error
+        1,  # run_scenario
+    ]
+
+
+# read_csv and metrics_from_rows import numpy themselves: each is the first
+# flapsim call that needs it in a fresh interpreter, and each reproduces the
+# rows or metrics of the run this process recorded.
+_READ_CSV_CHILD = """
+import sys
+from flapsim import read_csv
+
+before = int("numpy" in sys.modules)
+rows = read_csv({csv!r})
+with open({raw!r}, "rb") as f:
+    print(before, int("numpy" in sys.modules), int(rows.tobytes() == f.read()))
+"""
+_METRICS_CHILD = """
+import numpy as np
+from flapsim import metrics_from_rows
+
+rows = np.fromfile({raw!r}).reshape(-1, {columns})
+print(int(repr(metrics_from_rows(rows)) == {metrics!r}))
+"""
+
+
+def test_read_csv_and_metrics_from_rows_each_work_first_in_a_fresh_interpreter(tmp_path):
+    rec = run_scenario(load_config(bundled_config_path("hover.cfg")), duration=1.0)
+    assert not math.isnan(rec.metrics["altitude_rise_time_s"])
+    csv, raw = str(tmp_path / "run.csv"), str(tmp_path / "rows.bin")
+    rec.write_csv(csv)
+    rec.rows.tofile(raw)
+    assert traced_calls(_READ_CSV_CHILD.format(csv=csv, raw=raw)) == [0, 1, 1]
+    child = _METRICS_CHILD.format(
+        raw=raw, columns=len(CSV_COLUMNS), metrics=repr(rec.metrics)
+    )
+    assert traced_calls(child) == [1]
