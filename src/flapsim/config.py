@@ -214,7 +214,7 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, frozen=True)
 class VehicleParams(InertialConfig):
     """SI vehicle description assembled from a config vehicle section.
 
@@ -264,6 +264,8 @@ class SimConfig:
     comparison_vehicle: VehicleParams | None
     control: ControlParams
     estimation: FilterConfig
+    # (start [s], setpoint), starts increasing from 0; a run's setpoint at
+    # time t is the last entry that starts by t + 1e-12.
     schedule: list[tuple[float, Setpoint]]
     initial: VehicleState
     open_loop_command: tuple[float, float, float, float]  # [V]
@@ -299,15 +301,6 @@ class SimConfig:
         if errors:
             raise ConfigError(errors)
         return replace(self, **changes)
-
-    def setpoint_at(self, t: float) -> Setpoint:
-        current = self.schedule[0][1]
-        for t_start, sp in self.schedule:
-            if t_start <= t + 1e-12:
-                current = sp
-            else:
-                break
-        return current
 
 
 def _complete(si: dict) -> bool:

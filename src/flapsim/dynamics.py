@@ -71,13 +71,20 @@ class VehicleState(NamedTuple):
     wz: float = 0.0
 
 
-@dataclass
+# Builds a VehicleState from a 14-tuple as ``VehicleState._make`` does, but
+# without a Python frame: ``_new_state(VehicleState, values)``.
+_new_state = tuple.__new__
+
+
+@dataclass(frozen=True)
 class InertialConfig:
     """Mass properties plus the passive torque terms of the airframe.
 
     The mass must be finite and positive, the inertia three finite,
     positive principal moments and the other fields finite; anything else
-    raises ``ValueError``.
+    raises ``ValueError``.  The config is frozen, so those checks hold for
+    its life: a field is changed with ``dataclasses.replace``, which checks
+    the new value again.
     """
 
     mass: float  # [kg]
@@ -100,7 +107,7 @@ class InertialConfig:
                 f"inertia must be three finite, positive principal moments, "
                 f"got {self.inertia!r}"
             )
-        self.inertia = moments
+        object.__setattr__(self, "inertia", moments)
         for name in ("gravity", "yaw_damping", "vibration_amplitude",
                      "vibration_frequency", "vibration_ramp"):
             value = getattr(self, name)
@@ -133,15 +140,21 @@ def step(
     The four stages and the update are written out per component on Python
     floats, so the result does not depend on a BLAS kernel.  The quaternion
     is renormalized after the update so integration error does not
-    accumulate in its norm.  Raises ValueError on non-finite inputs or a
-    non-positive step.
+    accumulate in its norm.  Raises ValueError on a non-finite state or
+    wrench, or a non-positive step.  Each finiteness check first tests the
+    sum of its terms, which is finite only if every term is; only a
+    non-finite sum, from a NaN or infinite term or from finite terms that
+    overflow, is checked term by term, so both raise exactly where a
+    term-by-term check would.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not all(map(math.isfinite, state)):
+    if not math.isfinite(sum(state)) and not all(map(math.isfinite, state)):
         raise ValueError("non-finite vehicle state")
     thrust, torque = wrench
-    if not (math.isfinite(thrust) and all(map(math.isfinite, torque))):
+    if not math.isfinite(sum(torque, thrust)) and not (
+        math.isfinite(thrust) and all(map(math.isfinite, torque))
+    ):
         raise ValueError("non-finite wrench")
 
     t, x, y, z, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = state
@@ -238,7 +251,7 @@ def step(
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     if n < 1e-12:
         raise ValueError("cannot normalize a near-zero quaternion")
-    return VehicleState(
+    return _new_state(VehicleState, (
         t + dt,
         x + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
         y + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
@@ -250,4 +263,4 @@ def step(
         wx + h6 * (kwx1 + 2.0 * kwx2 + 2.0 * kwx3 + kwx4),
         wy + h6 * (kwy1 + 2.0 * kwy2 + 2.0 * kwy3 + kwy4),
         wz + h6 * (kwz1 + 2.0 * kwz2 + 2.0 * kwz3 + kwz4),
-    )
+    ))

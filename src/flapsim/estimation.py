@@ -81,10 +81,12 @@ class MocapSensor:
 
     A sensor whose position and attitude noise are both zero draws nothing:
     it returns the state's position and its attitude times the identity
-    quaternion.  That equals what the draw gives, bit for bit, unless one of
-    x, y, z, qw, qx, qy, qz is ``-0.0``: there ``x + 0.0 * n`` and the
-    product with the rotation ``(1, +-0, +-0, +-0)`` of a zero rotation
-    vector take the sign of the draw ``n``.
+    quaternion.  The product is written out in ``Quaternion.__mul__``'s
+    order, so it keeps that product's bits, zero signs included, without
+    building the two operands.  That equals what the draw gives, bit for
+    bit, unless one of x, y, z, qw, qx, qy, qz is ``-0.0``: there
+    ``x + 0.0 * n`` and the product with the rotation ``(1, +-0, +-0, +-0)``
+    of a zero rotation vector take the sign of the draw ``n``.
 
     Such a sensor builds no random generator either, so it never imports
     numpy; a noisy one imports it as it builds its generator.  Every sensor
@@ -108,7 +110,15 @@ class MocapSensor:
 
     def sample(self, state: VehicleState) -> MocapSample:
         if self._noiseless:
-            attitude = Quaternion(*state[7:11]) * Quaternion()
+            # Quaternion(*state[7:11]) * Quaternion() written out, built
+            # as Quaternion._make builds a tuple.
+            w, x, y, z = state[7:11]
+            attitude = tuple.__new__(Quaternion, (
+                w * 1.0 - x * 0.0 - y * 0.0 - z * 0.0,
+                w * 0.0 + x * 1.0 + y * 0.0 - z * 0.0,
+                w * 0.0 - x * 0.0 + y * 1.0 + z * 0.0,
+                w * 0.0 + x * 0.0 - y * 0.0 + z * 1.0,
+            ))
             return MocapSample(
                 position=(state.x, state.y, state.z), attitude=attitude, t=state.t
             )
@@ -159,7 +169,12 @@ class Estimator:
         self.scalar_residual = 0.0  # diagnostic, see module docstring
 
     def tick(self, sample: MocapSample) -> VehicleState:
-        qw, qx, qy, qz = sample.attitude.normalized()
+        # sample.attitude.normalized(), written out in its order.
+        qw, qx, qy, qz = sample.attitude
+        n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        if n < 1e-12:
+            raise ValueError("cannot normalize a near-zero quaternion")
+        qw, qx, qy, qz = qw / n, qx / n, qy / n, qz / n
         rx, ry, rz = sample.position
         if self.memory is None:
             dx = dy = dz = vx = vy = vz = yw = yx = yy = yz = 0.0

@@ -18,10 +18,16 @@ estimate between measurements (zero-order hold).  Four modes exist:
 Every run produces a :class:`RunRecord` with one row per control tick plus a
 final row (``duration * rate + 1`` rows), the true and estimated states,
 setpoints, the realized wrench and the per-wing commands.  The rows live in
-one flat float64 buffer, 392 B per row, that the loop extends tick by tick;
-the loop and :func:`read_csv` both pack a row with one ``struct.Struct`` and
-append its bytes.  ``RunRecord.rows`` and :func:`read_csv` expose such a
-buffer as an ``(n, 49)`` array view without copying it.  Summary metrics are computed
+one flat float64 buffer, 392 B per row, that the loop extends tick by tick
+with a row's bytes.  It packs the row in blocks with ``struct``: the state
+and its Euler angles every tick, the estimate only at a measurement, the
+setpoint only at a schedule entry and the drive only when a controller
+commands (the open-loop and yaw-damping drives once), and holds each
+block's bytes in between.  :func:`read_csv` packs each line with one
+``struct.Struct`` of the whole row.  ``RunRecord.rows`` and :func:`read_csv`
+expose such a buffer as an ``(n, 49)`` array view without copying it.  The
+loop's divergence check, like ``step``'s, tests the sum of the state first
+and each float only when that sum is not finite.  Summary metrics are computed
 from the recorded rows alone so they can be recomputed exactly from the CSV.
 ``RunRecord.write_csv`` writes floats with ``repr`` so the CSV round-trips
 bit-exactly and identical (config, seed) pairs produce identical bytes.
@@ -95,6 +101,14 @@ _BLOCKS = tuple(zip(_BLOCK_STARTS, _BLOCK_STARTS[1:] + (len(CSV_COLUMNS),)))
 # One row as native float64 bytes, the layout of array("d"): packing a row
 # and appending its bytes is cheaper than extending the array value by value.
 _ROW = struct.Struct(f"{len(CSV_COLUMNS)}d")
+# The blocks a run packs on their own: state (with its Euler angles),
+# estimate and setpoint as the writer splits them, then the wrench, command
+# and saturation flags as one.  No pack takes 20 values: CPython 3.11 keeps
+# up to 2000 freed 20-tuples (400 KB) on a free list it never takes from.
+_STATE_BLOCK, _ESTIMATE_BLOCK, _SETPOINT_BLOCK = (
+    struct.Struct(f"{hi - lo}d") for lo, hi in _BLOCKS[:3]
+)
+_DRIVE_BLOCK = struct.Struct(f"{len(CSV_COLUMNS) - _COL['thrust_n']}d")
 
 
 @dataclass
@@ -236,29 +250,28 @@ def _yaw_decay_tau(t: np.ndarray, omega_z: np.ndarray) -> float:
     return -1.0 / slope
 
 
-def _row(
-    state: VehicleState,
-    euler: tuple[float, float, float],
-    est: VehicleState,
-    est_euler: tuple[float, float, float],
-    sp: Setpoint,
-    wrench: Wrench,
-    command: ActuatorCommand,
-) -> bytes:
-    """One CSV row packed as float64 bytes: the state tuple is laid out like
-    the first 14 columns; ``euler`` and ``est_euler`` are the (roll, pitch,
-    yaw) of the state and of the estimate."""
-    return _ROW.pack(
-        *state, *euler,
-        *est[1:], *est_euler,
-        *sp.position, sp.yaw,
-        wrench.thrust, *wrench.torque,
-        *command.amplitudes, *command.saturated,
+def _estimate_block(est: VehicleState, est_euler: tuple[float, float, float]) -> bytes:
+    """The estimate columns of a row packed as float64 bytes; ``est_euler``
+    is the (roll, pitch, yaw) of the estimate."""
+    return _ESTIMATE_BLOCK.pack(*est[1:], *est_euler)
+
+
+def _setpoint_block(sp: Setpoint) -> bytes:
+    """The setpoint columns of a row packed as float64 bytes."""
+    return _SETPOINT_BLOCK.pack(*sp.position, sp.yaw)
+
+
+def _drive_block(wrench: Wrench, command: ActuatorCommand) -> bytes:
+    """The wrench, command and saturation columns of a row packed as float64
+    bytes, the flags as 0.0 and 1.0."""
+    return _DRIVE_BLOCK.pack(
+        wrench.thrust, *wrench.torque, *command.amplitudes, *command.saturated
     )
 
 
 def _diverged(state: VehicleState) -> bool:
-    if not all(map(math.isfinite, state)):
+    # A finite sum means every term is finite, as in ``step``'s check.
+    if not math.isfinite(sum(state)) and not all(map(math.isfinite, state)):
         return True
     _, x, y, z = state[:4]
     return math.sqrt(x * x + y * y + z * z) > DIVERGENCE_RADIUS
@@ -285,24 +298,50 @@ def _simulate(config: SimConfig, vehicle: VehicleParams) -> tuple[np.ndarray, in
     else:
         controller = FlightController(vehicle, config.control, config.mode)
         true_feedback = config.control.feedback == "true"
+    # The drive block is packed once where the drive is fixed, and left out
+    # of the held blocks where a controller packs its own every tick.
+    drive = b"" if controller is not None else _drive_block(wrench, command)
+
+    # The setpoint is the last schedule entry that starts by t + 1e-12.  The
+    # schedule is walked once; t_next is NaN when no entry is left.
+    schedule = iter(config.schedule)
+    t_next, sp_next = next(schedule)
+    sp = sp_next  # the first entry's also before it starts
+    setpoint = _setpoint_block(sp)
 
     state = config.initial
+    pack_state = _STATE_BLOCK.pack
     buf, status = array("d"), 0  # row after row, 49 floats each
-    # Each attitude is turned into Euler angles once: the state's every row,
-    # the estimate's every measurement.  The controller gets the heading.
+    # A row is the state block, packed every tick, then the estimate,
+    # setpoint and drive blocks, each packed again only when its values
+    # change: the estimate at a measurement, the setpoint at a schedule
+    # entry, the drive when a controller commands.  Each attitude is turned
+    # into Euler angles once: the state's every row, the estimate's every
+    # measurement.  The controller gets the heading.
     for k in range(n_steps + 1):
         if k % every == 0:  # a measurement; est is held until the next one
             est = estimator.tick(sensor.sample(state))
             est_euler = _euler_zyx(*est[7:11])
+            estimate = _estimate_block(est, est_euler)
+            held = None
+        if t_next <= state.t + 1e-12:
+            while t_next <= state.t + 1e-12:
+                sp = sp_next
+                t_next, sp_next = next(schedule, (math.nan, None))
+            setpoint = _setpoint_block(sp)
+            held = None
+        if held is None:
+            held = estimate + setpoint + drive
         euler = _euler_zyx(*state[7:11])
-        sp = config.setpoint_at(state.t)
+        row = pack_state(*state, *euler) + held
         if controller is not None:
             if true_feedback:
                 command = controller.tick(state, euler[2], sp, dt)
             else:
                 command = controller.tick(est, est_euler[2], sp, dt)
             wrench = mix(vehicle.wing, command.amplitudes)
-        buf.frombytes(_row(state, euler, est, est_euler, sp, wrench, command))
+            row += _drive_block(wrench, command)
+        buf.frombytes(row)
         if k == n_steps:
             break
         try:
@@ -313,8 +352,9 @@ def _simulate(config: SimConfig, vehicle: VehicleParams) -> tuple[np.ndarray, in
             status = 2  # a non-finite wrench: the row above is the last
             break
         if _diverged(state):
+            # The last row holds the estimate, setpoint and drive above.
             euler = _euler_zyx(*state[7:11])
-            buf.frombytes(_row(state, euler, est, est_euler, sp, wrench, command))
+            buf.frombytes(pack_state(*state, *euler) + row[_STATE_BLOCK.size :])
             status = 2
             break
     return np.frombuffer(buf).reshape(-1, len(CSV_COLUMNS)), status

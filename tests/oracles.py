@@ -4,9 +4,9 @@ They are the oracles of the allocation, mixing, desired-attitude, rotation,
 filter and integrator tests, and of the CSV writer's bytes.  The quaternion
 conjugate, negation, dot product and yaw rotation, which :class:`Quaternion`
 does not define, are free functions here.  The loop forms
-at the end are the package's own arithmetic as it was written before its
-tick was rewritten for speed; tests require the rewrite to match them bit
-for bit.
+at the end are the package's own arithmetic and run loop as they were
+written before the tick and the loop were rewritten for speed; tests require
+the rewrite to match them bit for bit.
 """
 
 import math
@@ -16,11 +16,13 @@ from operator import sub
 import numpy as np
 
 from flapsim import control
-from flapsim.aero import ActuatorCommand, WingConfig, Wrench
-from flapsim.control import AttitudeGains, PIDGains, Setpoint
-from flapsim.dynamics import InertialConfig, VehicleState, vibration_torque
+from flapsim.aero import ActuatorCommand, WingConfig, Wrench, mix
+from flapsim.config import DIVERGENCE_RADIUS
+from flapsim.control import AttitudeGains, FlightController, PIDGains, Setpoint
+from flapsim.dynamics import InertialConfig, VehicleState, step, vibration_torque
+from flapsim.estimation import Estimator, MocapSensor
 from flapsim.scenarios import CSV_COLUMNS, CSV_SCHEMA
-from flapsim.spatial import Quaternion, rotmat_to_quat
+from flapsim.spatial import Quaternion, _euler_zyx, rotmat_to_quat
 
 
 def mixing_matrix(wing: WingConfig) -> np.ndarray:
@@ -471,3 +473,98 @@ def reference_shepperd(
     if q.w < 0.0:
         q = negated(q)
     return q
+
+
+def reference_setpoint_at(schedule, t: float) -> Setpoint:
+    """The setpoint at time ``t``, as ``SimConfig.setpoint_at`` looked it up
+    from the start of the schedule on every tick."""
+    current = schedule[0][1]
+    for t_start, sp in schedule:
+        if t_start <= t + 1e-12:
+            current = sp
+        else:
+            break
+    return current
+
+
+def reference_diverged(state: VehicleState) -> bool:
+    """``scenarios._diverged`` with its term-by-term finiteness check alone."""
+    if not all(map(math.isfinite, state)):
+        return True
+    _, x, y, z = state[:4]
+    return math.sqrt(x * x + y * y + z * z) > DIVERGENCE_RADIUS
+
+
+def reference_simulate(config, vehicle) -> tuple[np.ndarray, int]:
+    """``scenarios._simulate`` as it was written before its row blocks were
+    held: every row built in full by ``row_bytes`` and the setpoint looked up
+    on every tick.  It calls the package's sensor, estimator, controller,
+    ``mix`` and ``step``."""
+    dt, n_steps = config.dt, config.n_steps
+    every = config.measurement_every
+    sensor = MocapSensor(config.estimation, config.seed)
+    estimator = Estimator(config.estimation)
+    controller = None
+    if config.mode == "open-loop":
+        command = ActuatorCommand(config.open_loop_command)
+        wrench = mix(vehicle.wing, command.amplitudes)
+    elif config.mode == "yaw-damping-compare":
+        command = ActuatorCommand((0.0, 0.0, 0.0, 0.0))
+        wrench = Wrench(vehicle.weight, (0.0, 0.0, 0.0))
+    else:
+        controller = FlightController(vehicle, config.control, config.mode)
+        true_feedback = config.control.feedback == "true"
+
+    state = config.initial
+    buf, status = array("d"), 0
+    for k in range(n_steps + 1):
+        if k % every == 0:
+            est = estimator.tick(sensor.sample(state))
+            est_euler = _euler_zyx(*est[7:11])
+        euler = _euler_zyx(*state[7:11])
+        sp = reference_setpoint_at(config.schedule, state.t)
+        if controller is not None:
+            if true_feedback:
+                command = controller.tick(state, euler[2], sp, dt)
+            else:
+                command = controller.tick(est, est_euler[2], sp, dt)
+            wrench = mix(vehicle.wing, command.amplitudes)
+        buf.frombytes(row_bytes(state, euler, est, est_euler, sp, wrench, command))
+        if k == n_steps:
+            break
+        try:
+            state = step(state, wrench, vehicle, dt)
+        except ValueError:
+            if all(map(math.isfinite, (wrench.thrust, *wrench.torque))):
+                raise
+            status = 2
+            break
+        if reference_diverged(state):
+            euler = _euler_zyx(*state[7:11])
+            buf.frombytes(row_bytes(state, euler, est, est_euler, sp, wrench, command))
+            status = 2
+            break
+    return np.frombuffer(buf).reshape(-1, len(CSV_COLUMNS)), status
+
+
+def reference_yaw_rates(config, vehicle) -> tuple[np.ndarray, np.ndarray, int]:
+    """``scenarios._yaw_rates`` with ``reference_diverged``: time, yaw rate
+    and status of ``vehicle`` marched under the yaw-damping wrench."""
+    dt = config.dt
+    wrench = Wrench(vehicle.weight, (0.0, 0.0, 0.0))
+    state = config.initial
+    t, omega_z, status = array("d", (state.t,)), array("d", (state.wz,)), 0
+    for _ in range(config.n_steps):
+        try:
+            state = step(state, wrench, vehicle, dt)
+        except ValueError:
+            if math.isfinite(wrench.thrust):
+                raise
+            status = 2
+            break
+        t.append(state.t)
+        omega_z.append(state.wz)
+        if reference_diverged(state):
+            status = 2
+            break
+    return np.frombuffer(t), np.frombuffer(omega_z), status

@@ -24,6 +24,7 @@ from flapsim.config import (
     read_raw,
 )
 from flapsim.dynamics import InertialConfig
+from flapsim.scenarios import CSV_COLUMNS, run_scenario
 from flapsim.spatial import _euler_zyx
 
 BUNDLED = (
@@ -215,21 +216,28 @@ def test_schedule_validation():
 
 
 def test_setpoint_schedule_lookup():
+    """A run's setpoint columns hold each schedule entry from the tick at
+    its start to the next entry's, and the last entry to the end."""
     cfg = config_from_dict(
         minimal(
+            duration_s=2.5,
             setpoint={
                 "schedule": [
                     {"t_s": 0.0, "position_m": [0, 0, 0.1]},
                     {"t_s": 2.0, "position_m": [0, 0, 0.4], "yaw_deg": 90.0},
                 ]
-            }
+            },
         )
     )
-    assert cfg.setpoint_at(0.0).position == pytest.approx([0, 0, 0.1])
-    assert cfg.setpoint_at(1.999).position == pytest.approx([0, 0, 0.1])
-    assert cfg.setpoint_at(2.0).position == pytest.approx([0, 0, 0.4])
-    assert cfg.setpoint_at(2.0).yaw == pytest.approx(math.pi / 2)
-    assert cfg.setpoint_at(5.0).position == pytest.approx([0, 0, 0.4])
+    rows = run_scenario(cfg).rows
+    t = rows[:, CSV_COLUMNS.index("t_s")]
+    sp = rows[:, CSV_COLUMNS.index("sp_x_m") : CSV_COLUMNS.index("sp_yaw_rad") + 1]
+    assert t[[0, 3998, 4000, -1]] == pytest.approx([0.0, 1.999, 2.0, 2.5])
+    for k in (0, 3998, 3999):
+        assert sp[k] == pytest.approx([0, 0, 0.1, 0.0])
+    for k in (4000, -1):
+        assert sp[k] == pytest.approx([0, 0, 0.4, math.pi / 2])
+    assert (sp[:, 2] == sp[-1, 2]).argmax() == 4000
 
 
 def test_initial_state_construction():

@@ -7,12 +7,13 @@ bit for bit against the dense inertia-tensor form they replace, and the
 written-out ``step`` bit for bit against the stage-by-stage RK4 it replaced.
 """
 
+import dataclasses
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -126,6 +127,26 @@ def test_passive_terms_must_be_finite(field, value):
     ``math.sin`` raise a bare domain error; each is rejected by name."""
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         stock_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "make", [stock_config, lambda: config_from_dict({}).vehicle],
+    ids=["InertialConfig", "VehicleParams"],
+)
+def test_a_built_config_is_frozen_and_replace_checks_again(make):
+    """The checks above hold for a config's life: assigning a field raises,
+    and ``dataclasses.replace`` checks the new value."""
+    config = make()
+    for name, value in (("gravity", math.nan), ("mass", 0.0), ("inertia", (1.0,) * 3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+    with pytest.raises(ValueError, match="gravity must be finite"):
+        dataclasses.replace(config, gravity=math.nan)
+    with pytest.raises(ValueError, match="mass must be finite and positive"):
+        dataclasses.replace(config, mass=0.0)
+    moon = dataclasses.replace(config, gravity=1.62, inertia=[1e-9, 2e-9, 3e-9])
+    assert (moon.gravity, moon.inertia) == (1.62, (1e-9, 2e-9, 3e-9))
+    assert type(moon) is type(config)
 
 
 _moment = st.floats(1e-12, 1e-3)
@@ -319,6 +340,35 @@ def test_step_matches_the_stage_by_stage_rk4(args):
     or raises what it raises, for finite states with signed zeros and
     subnormals, any wrench, and vibration off, ramping or at full swing."""
     assert _outcome(step, *args) == _outcome(oracles.reference_step, *args)
+
+
+# Finite floats, their overflowing sums, infinities and NaN.
+_check_term = st.floats() | st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan])
+
+
+@given(
+    st.tuples(*[_check_term] * 14).map(lambda v: VehicleState(*v)),
+    st.builds(Wrench, _check_term, st.tuples(_check_term, _check_term, _check_term)),
+)
+@example(VehicleState(x=1e308, y=1e308), Wrench(0.0, (0.0, 0.0, 0.0)))
+@example(VehicleState(), Wrench(1e308, (1e308, 0.0, 0.0)))
+@example(VehicleState(x=math.inf, y=-math.inf), Wrench(0.0, (0.0, 0.0, 0.0)))
+@example(VehicleState(), Wrench(math.inf, (-math.inf, 0.0, 0.0)))
+def test_step_checks_finiteness_as_the_term_by_term_check(state, wrench):
+    """``step``'s finite-sum fast paths raise, with the same message, or
+    return exactly where ``oracles.reference_step``'s check of each term
+    does: finite terms whose sum overflows pass."""
+    args = (state, wrench, stock_config(), DT)
+    assert _outcome(step, *args) == _outcome(oracles.reference_step, *args)
+
+
+def test_finite_terms_whose_sum_overflows_pass_the_checks():
+    huge = VehicleState(x=1e308, y=1e308)
+    assert sum(huge) == math.inf
+    assert step(huge, zero_wrench(), stock_config(), DT)[1:3] == (1e308, 1e308)
+    wrench = Wrench(1e308, (1e308, 0.0, 0.0))
+    assert sum(wrench.torque, wrench.thrust) == math.inf
+    step(VehicleState(), wrench, stock_config(), DT)
 
 
 @pytest.mark.parametrize("name", ["hover.cfg", "position_hold.cfg"])

@@ -389,6 +389,45 @@ def test_noiseless_sensor_matches_the_draw(state, pose, noise):
     assert s.t == state.t
 
 
+def nan_canonical_bits(values) -> list[int]:
+    """``oracles.bits`` with every NaN made the one quiet NaN: which
+    operand's NaN a product passes on is the interpreter's choice."""
+    return oracles.bits([v if v == v else math.nan for v in values])
+
+
+# Any float, signed zeros, infinities and NaN included.
+_anything = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
+
+
+@given(st.tuples(*[_anything] * 14))
+def test_the_written_out_noiseless_sample_is_the_product_with_the_identity(state):
+    """The noise-free sample's attitude is ``q * Quaternion()`` bit for bit,
+    the signs of its zeros included, for any attitude q."""
+    state = VehicleState(*state)
+    s = MocapSensor(filter_config(), seed=3).sample(state)
+    assert type(s.attitude) is Quaternion
+    assert nan_canonical_bits(s.attitude) == nan_canonical_bits(
+        Quaternion(*state[7:11]) * Quaternion()
+    )
+    assert oracles.bits(s.position) == oracles.bits(state[1:4])
+
+
+@given(st.tuples(*[_anything] * 4))
+def test_the_estimator_normalizes_as_the_quaternion_does(q):
+    """The estimator's written-out normalization stores the bits of
+    ``Quaternion.normalized`` and raises its error where it raises."""
+    q = Quaternion(*q)
+    try:
+        want = q.normalized()
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            Estimator(filter_config()).tick(pose(attitude=q))
+        return
+    est = Estimator(filter_config())
+    est.tick(pose(attitude=q))
+    assert nan_canonical_bits(est.memory[:4]) == nan_canonical_bits(want)
+
+
 def test_noiseless_draw_keeps_the_sign_of_the_noise_at_negative_zero():
     """The exception the MocapSensor docstring states: at a -0.0 component
     the draw path's sign follows the draw, so no draw-free sample can match

@@ -39,6 +39,7 @@ from flapsim.scenarios import (
     read_csv,
     run_scenario,
 )
+import oracles
 from oracles import csv_text, row_bytes
 
 
@@ -89,7 +90,7 @@ def test_the_tick_passes_on_python_floats(name):
         sample = sensor.sample(state)
         est = estimator.tick(sample)
         yaw = spatial._euler_zyx(*est[7:11])[2]
-        command = controller.tick(est, yaw, config.setpoint_at(state.t), config.dt)
+        command = controller.tick(est, yaw, config.schedule[0][1], config.dt)
         wrench = mix(vehicle.wing, command.amplitudes)
         again = allocate(vehicle.wing, wrench)
         state = step(state, wrench, vehicle, config.dt)
@@ -159,11 +160,23 @@ def test_no_module_imports_numpy_on_import(path):
     assert [n for n in names if n.split(".")[0] == "numpy"] == []
 
 
-@pytest.mark.parametrize("module", ["control", "dynamics", "estimation", "spatial"])
-def test_tick_path_modules_square_with_a_product(module):
+@pytest.mark.parametrize(
+    "where",
+    ["control", "dynamics", "estimation", "spatial",
+     "scenarios._simulate", "scenarios._yaw_rates", "scenarios._diverged"],
+)
+def test_tick_path_modules_square_with_a_product(where):
     """No ``**`` on the tick's path: a float ``v**2`` raises OverflowError
-    where ``v*v`` gives inf, and need not round like ``v*v``."""
+    where ``v*v`` gives inf, and need not round like ``v*v``.  Of
+    ``scenarios`` only the run loop's functions are on it: the numpy
+    ``err**2`` of ``metrics_from_rows`` squares an array."""
+    module, _, function = where.partition(".")
     tree = ast.parse((Path(flapsim.__file__).parent / f"{module}.py").read_text())
+    if function:
+        [tree] = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == function
+        ]
     powers = [
         node.lineno
         for node in ast.walk(tree)
@@ -250,12 +263,20 @@ def _row_floats(n):
 def test_a_packed_row_holds_the_bits_of_an_extended_array(
     state, euler, est, est_euler, sp, wrench, command
 ):
-    """The loop's struct-packed row is the row array("d").extend appended:
-    every float's bits, signed zeros and NaN payloads included, and the
-    saturation flags as 0.0 and 1.0."""
-    values = (state, euler, est, est_euler, sp, wrench, command)
-    got = np.frombuffer(scenarios._row(*values), dtype=np.uint64)
-    want = np.frombuffer(row_bytes(*values), dtype=np.uint64)
+    """The loop's row, its struct-packed state, estimate, setpoint and drive
+    blocks in turn, is the row array("d").extend appended: every float's
+    bits, signed zeros and NaN payloads included, and the saturation flags
+    as 0.0 and 1.0."""
+    row = (
+        scenarios._STATE_BLOCK.pack(*state, *euler)
+        + scenarios._estimate_block(est, est_euler)
+        + scenarios._setpoint_block(sp)
+        + scenarios._drive_block(wrench, command)
+    )
+    got = np.frombuffer(row, dtype=np.uint64)
+    want = np.frombuffer(
+        row_bytes(state, euler, est, est_euler, sp, wrench, command), dtype=np.uint64
+    )
     assert got.shape == (len(CSV_COLUMNS),)
     assert np.array_equal(got, want)
 
@@ -703,6 +724,146 @@ def test_the_yaw_rate_march_matches_the_run_loop_bit_for_bit(raw):
         assert nan_canonical_bytes(omega_z) == nan_canonical_bytes(
             rows[:, CSV_COLUMNS.index("omega_z_radps")]
         )
+
+
+def _tick_times(n: int, dt: float = 5e-4) -> list[float]:
+    """The times of the first ``n`` ticks, accumulated as ``step`` adds dt."""
+    t = [0.0]
+    for _ in range(n - 1):
+        t.append(t[-1] + dt)
+    return t
+
+
+def _hop(*entries, **raw):
+    """A 0.02 s noisy position hold through the schedule ``entries``, each a
+    (start [s], x [m]) pair."""
+    return {
+        "mode": "position-hold",
+        "duration_s": 0.02,
+        "estimation": {"position_noise_std_mm": 0.5, "attitude_noise_std_deg": 0.25},
+        "setpoint": {"schedule": [
+            {"t_s": t, "position_m": [x, 0.0, 0.2], "yaw_deg": 10.0 * i}
+            for i, (t, x) in enumerate(entries)
+        ]},
+        **raw,
+    }
+
+
+_T = _tick_times(41)
+# Scenarios whose rows the run loop must give exactly as the reference loop
+# does: besides the bundled ones, schedules that switch between ticks, on a
+# tick and after the run, a measurement every 1, 3 and 4 ticks, and every
+# way a run stops early.
+_LOOP_CASES = {
+    "two-entries-on-one-tick": _hop((0.0, 0.0), (0.0051, 0.01), (0.0052, 0.02)),
+    # 0.9e-12 past tick 10 switches on it, 1.1e-12 past tick 20 on tick 21.
+    "entries-within-1e-12-of-a-tick": _hop(
+        (0.0, 0.0), (_T[10] + 0.9e-12, 0.01), (_T[20] + 1.1e-12, 0.02)
+    ),
+    "entry-after-the-run": _hop((0.0, 0.0), (0.015, 0.01), (1.0, 0.02)),
+    **{
+        f"measurement-every-{every}": _hop(
+            (0.0, 0.0), (0.01, 0.01),
+            rates={"control_hz": 2000.0, "measurement_hz": 2000.0 / every},
+        )
+        for every in (1, 3, 4)
+    },
+    "true-feedback": _hop((0.0, 0.0), (0.01, 0.01), control={"feedback": "true"}),
+    "fall": {"name": "fall", "mode": "open-loop", "duration_s": 3.0},
+    "open-loop-non-finite-wrench": {
+        "mode": "open-loop",
+        "vehicle": {"wing": {"k_thrust_n_per_v": 1.7e308}},
+        "open_loop": {"command_v": [130.0] * 4},
+    },
+    "closed-loop-non-finite-wrench": {
+        **read_raw(bundled_config_path("hover.cfg")),
+        "duration_s": 0.05,
+        "control": {"attitude_k1_n_m": [1.7e308] * 3},
+    },
+    "closed-loop-divergence": {
+        **read_raw(bundled_config_path("position_hold.cfg")),
+        "duration_s": 0.05,
+        "vehicle": {"yaw_damping_n_m_s": 1e300},
+    },
+    **{
+        f"diverging-comparison-{name}": diverging_comparison(vehicle)
+        for name, vehicle in _DIVERGING_COMPARISON_VEHICLES.items()
+    },
+}
+_BUNDLED = ("ballistic", "hover", "position_hold", "position_sat", "two_wing", "yaw_damp")
+
+
+@pytest.mark.parametrize("case", [*_BUNDLED, *_LOOP_CASES])
+def test_the_run_loop_matches_the_reference_loop(case):
+    """``_simulate``, which packs the estimate, setpoint and drive blocks
+    only when they change and walks the schedule once, writes the CSV bytes and
+    returns the status of the loop that built every row in full and looked
+    the setpoint up on every tick; ``_yaw_rates`` returns the reference
+    march's columns and status.  CSV bytes, not the rows' bytes, because a
+    NaN's sign bit is not the caller's to fix."""
+    if case in _BUNDLED:
+        config = load_config(bundled_config_path(case + ".cfg"))
+    else:
+        config = config_from_dict(_LOOP_CASES[case])
+    vehicles = [config.vehicle]
+    if config.mode == "yaw-damping-compare":
+        vehicles.append(config.comparison_vehicle)
+    statuses = set()
+    for vehicle in vehicles:
+        rows, status = scenarios._simulate(config, vehicle)
+        want_rows, want_status = oracles.reference_simulate(config, vehicle)
+        assert status == want_status
+        assert csv_text(rows) == csv_text(want_rows)
+        statuses.add(status)
+        if config.mode == "yaw-damping-compare":
+            got = scenarios._yaw_rates(config, vehicle)
+            want = oracles.reference_yaw_rates(config, vehicle)
+            assert got[2] == want[2]
+            assert [repr(v) for v in np.concatenate(got[:2])] == [
+                repr(v) for v in np.concatenate(want[:2])
+            ]
+    stops_early = case == "fall" or "non-finite" in case or "diverg" in case
+    assert (2 in statuses) == stops_early
+
+
+def test_the_schedule_cases_switch_where_they_say():
+    """The schedule cases above switch the x setpoint on the ticks their
+    comments name, so the reference comparison covers those switches."""
+    sp_x = CSV_COLUMNS.index("sp_x_m")
+    switches = {}
+    for case in ("two-entries-on-one-tick", "entries-within-1e-12-of-a-tick",
+                 "entry-after-the-run"):
+        rows = run_scenario(config_from_dict(_LOOP_CASES[case])).rows
+        x = rows[:, sp_x]
+        switches[case] = [
+            (k, x[k]) for k in range(1, len(x)) if x[k] != x[k - 1]
+        ]
+    assert switches == {
+        "two-entries-on-one-tick": [(11, 0.02)],
+        "entries-within-1e-12-of-a-tick": [(10, 0.01), (21, 0.02)],
+        "entry-after-the-run": [(30, 0.01)],
+    }
+
+
+# Finite floats, their overflowing sums, infinities and NaN.
+_check_term = st.floats() | st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan])
+
+
+@given(st.tuples(*[_check_term] * 14).map(lambda v: VehicleState(*v)))
+@example(VehicleState(x=1e308, y=1e308))
+@example(VehicleState(x=1e308, y=1e308, z=math.nan))
+@example(VehicleState(x=math.inf, y=-math.inf))
+def test_diverged_matches_the_term_by_term_check(state):
+    """The finite-sum fast path of ``_diverged`` returns what the check of
+    each term alone returns, where finite terms overflow their sum too."""
+    assert scenarios._diverged(state) == oracles.reference_diverged(state)
+
+
+def test_a_finite_state_whose_sum_overflows_diverges_by_its_position_alone():
+    fast, still = VehicleState(vx=1e308, vy=1e308), VehicleState(x=1e308, y=1e308)
+    assert sum(fast) == sum(still) == math.inf
+    assert not scenarios._diverged(fast)
+    assert scenarios._diverged(still)
 
 
 def test_altitude_step_metrics():
